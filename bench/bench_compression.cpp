@@ -228,15 +228,19 @@ int main(int argc, char** argv) {
   dfs.network()->setLatencyMicros(200);
   dfs.network()->setBandwidthBytesPerSec(125'000'000);  // 1 Gbps
 
-  // Copying RPC path from an off-node consumer: one legacy call() per
-  // block, each reply materialized at the fabric boundary.
+  // Copying RPC path from an off-node consumer: one readBlock call() per
+  // block, each reply materialized into an owned Bytes, then concatenated.
   Bytes copied;
   const int64_t rpc_us = bestOfReps([&] {
     copied.clear();
     for (const auto& located : blocks) {
-      copied += dfs.network()->call(
-          "client", located.hosts.front(), hdfs::kDataNodePort, "readBlock",
-          pack(located.block.id, uint64_t{0}, located.block.size), "read");
+      copied += dfs.network()
+                    ->call("client", located.hosts.front(),
+                           hdfs::kDataNodePort, "readBlock",
+                           pack(located.block.id, uint64_t{0},
+                                located.block.size),
+                           "read")
+                    .str();
     }
   });
 

@@ -1,8 +1,8 @@
 // Tentpole benchmark — zero-copy data path. Measures readFile throughput
 // through three data paths on the same MiniDfsCluster: the seed copy path
-// (legacy call() per block, reply materialized to Bytes at the fabric
-// boundary, then concatenated), the zero-copy RPC path (callBuf views,
-// refcount bumps instead of payload copies), and short-circuit local reads
+// (one call() per block, reply materialized to Bytes, then concatenated),
+// the zero-copy RPC path (call() views, refcount bumps instead of payload
+// copies), and short-circuit local reads
 // (no RPC at all: checksum-verified views straight from the co-located
 // BlockStore). Each path runs both node-local and off-cluster. A WordCount
 // job then runs end-to-end with short-circuit off vs on to show the wall
@@ -63,9 +63,9 @@ DfsClient makeClient(MiniDfsCluster& cluster, const std::string& host,
   return DfsClient(conf, cluster.network(), host, "namenode");
 }
 
-/// The seed engine's read path, verbatim in shape: one legacy call() per
-/// block (the reply is materialized into an owned Bytes at the fabric
-/// boundary) concatenated into the result — one full payload copy per hop.
+/// The seed engine's read path, verbatim in shape: one readBlock call() per
+/// block, its reply materialized into an owned Bytes (as the seed's
+/// Bytes-returning call() did) and concatenated into the result.
 Bytes seedCopyRead(MiniDfsCluster& cluster, const std::string& from,
                    const std::vector<LocatedBlock>& blocks) {
   Bytes out;
@@ -76,9 +76,11 @@ Bytes seedCopyRead(MiniDfsCluster& cluster, const std::string& from,
     for (const std::string& h : located.hosts) {
       if (h == from) host = h;
     }
-    out += cluster.network()->call(
-        from, host, kDataNodePort, "readBlock",
-        pack(located.block.id, uint64_t{0}, located.block.size), "read");
+    out += cluster.network()
+               ->call(from, host, kDataNodePort, "readBlock",
+                      pack(located.block.id, uint64_t{0}, located.block.size),
+                      "read")
+               .str();
   }
   return out;
 }
@@ -182,7 +184,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(micros), mbPerSec(micros));
   };
 
-  // Seed copy path: legacy call() per block + concatenation.
+  // Seed copy path: materialized call() per block + concatenation.
   Bytes seed_local;
   record("seed_copy", "node-local",
          bestOfReps([&] { seed_local = seedCopyRead(cluster, "node01",
@@ -194,7 +196,7 @@ int main(int argc, char** argv) {
                                                      blocks); }));
   identical = identical && seed_remote == payload;
 
-  // Zero-copy RPC path: callBuf views end-to-end, no payload copy.
+  // Zero-copy RPC path: call() views end-to-end, no payload copy.
   std::vector<BufferView> views;
   record("zerocopy_rpc", "node-local",
          bestOfReps([&] { views = local_rpc.readFileViews("/bench/data.bin");

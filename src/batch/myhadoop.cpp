@@ -91,14 +91,14 @@ void MyHadoopSession::abandon() {
   if (job_tracker_) {
     job_tracker_->stop();
     network_->bind(hosts_[0], mr::kJobTrackerPort,
-                   [](const net::RpcRequest&) -> Bytes {
+                   [](const net::RpcRequest&) -> BufferView {
                      throw NetworkError("ghost jobtracker");
                    });
   }
   if (namenode_) {
     namenode_->stop();
     network_->bind(hosts_[0], hdfs::kNameNodePort,
-                   [](const net::RpcRequest&) -> Bytes {
+                   [](const net::RpcRequest&) -> BufferView {
                      throw NetworkError("ghost namenode");
                    });
   }

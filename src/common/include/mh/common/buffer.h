@@ -13,9 +13,9 @@
 /// Immutable refcounted payload buffers — the zero-copy currency of the data
 /// path. A `Buffer` owns bytes behind a `shared_ptr<const Bytes>`; a
 /// `BufferView` is a (owner, offset, length) slice whose copy costs one
-/// refcount bump plus two integers. Block reads, RPC payload replies, and
-/// shuffle runs travel as views, so a 64 MB block served to a co-located
-/// reader moves zero payload bytes.
+/// refcount bump plus two integers. Block reads, RPC requests and replies,
+/// and shuffle runs travel as views, so a 64 MB block served to a
+/// co-located reader moves zero payload bytes.
 ///
 /// Ownership rules (see DESIGN.md "Zero-copy data path"):
 ///  * Buffers are immutable once constructed. Mutation is copy-on-write at
@@ -78,6 +78,12 @@ class BufferView {
   /// Whole-buffer view.
   BufferView(Buffer buffer)  // NOLINT(google-explicit-constructor)
       : buffer_(std::move(buffer)), offset_(0), length_(buffer_.size()) {}
+
+  /// Adopts owned bytes without copying, so a freshly packed message
+  /// (`pack(...)`) converts wherever a view is expected. Lvalues do not
+  /// convert: copying them must be spelled `Buffer::copyOf`.
+  BufferView(Bytes&& data)  // NOLINT(google-explicit-constructor)
+      : BufferView(Buffer::fromString(std::move(data))) {}
 
   /// Sub-range view; throws InvalidArgumentError when the range does not
   /// fit inside the buffer (length is NOT clamped — callers state intent).

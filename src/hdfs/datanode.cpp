@@ -1,5 +1,6 @@
 #include "mh/hdfs/datanode.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "mh/common/error.h"
@@ -155,8 +156,15 @@ void DataNode::heartbeatNow() {
     return;
   }
   if (reply.request_block_report) blockReportNow();
+  // The NameNode has already handed these over: one failing command must
+  // not drop the rest (a lost kDelete would leak its replica for good).
   for (const DataNodeCommand& command : reply.commands) {
-    executeCommand(command);
+    try {
+      executeCommand(command);
+    } catch (const std::exception& e) {
+      logWarn(kLog) << host_ << " command on block " << command.block
+                    << " failed: " << e.what();
+    }
   }
 }
 
@@ -208,15 +216,17 @@ void DataNode::replicateTo(BlockId block,
     return;  // replica vanished; NameNode will reschedule elsewhere
   }
   const bool stored = replica.codec != CodecKind::kNone;
+  // One body for every target. Its pipeline list is empty, so no target
+  // forwards it.
+  const BufferView body =
+      pack(Block{block, replica.raw_size}, replica.stored.view(),
+           std::vector<std::string>{}, stored);
   for (const std::string& target : targets) {
     try {
-      network_->call(host_, target, kDataNodePort, "writeBlock",
-                     pack(Block{block, replica.raw_size},
-                          replica.stored.view(), std::vector<std::string>{},
-                          stored),
+      network_->call(host_, target, kDataNodePort, "writeBlock", body,
                      "replication");
       replications_->add();
-    } catch (const NetworkError& e) {
+    } catch (const std::exception& e) {
       logWarn(kLog) << host_ << " replication of block " << block << " to "
                     << target << " failed: " << e.what();
     }
@@ -224,19 +234,19 @@ void DataNode::replicateTo(BlockId block,
 }
 
 void DataNode::installRpc() {
-  // Buffer endpoint: readBlock replies are views of the store's replica
-  // buffers — a zero-copy caller (DfsClient) receives them uncopied, and a
-  // legacy call() materializes them once at the fabric boundary.
-  network_->bindBuf(host_, kDataNodePort, [this](const net::BufRpcRequest& req)
-                                              -> BufferView {
+  // readBlock replies are views of the store's replica buffers, so the
+  // caller receives them uncopied.
+  network_->bind(host_, kDataNodePort,
+                 [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "writeBlock") {
       // string_view unpack: the payload stays inside the request buffer
       // until the store copies it into a fresh replica. `stored` marks a
-      // payload already in its resident (framed) form — the replication /
-      // pipeline path — which is adopted byte-for-byte, never re-encoded.
-      auto [block, data, downstream, stored] =
+      // payload already in its resident (framed) form — the replication
+      // path — which is adopted byte-for-byte, never re-encoded.
+      // `pipeline` is the client's full ordered target list.
+      const auto [block, data, pipeline, stored] =
           unpack<Block, std::string_view, std::vector<std::string>, bool>(
-              req.body.view());
+              req.body);
       if (stored) {
         store_->adoptStored(block.id, data);
       } else {
@@ -257,13 +267,22 @@ void DataNode::installRpc() {
                          "WRITE_BLOCK blk_" + std::to_string(block.id),
                          {{"bytes", std::to_string(data.size())}});
       }
-      namenode_.blockReceived(Block{block.id, block.size});
-      if (!downstream.empty()) {
-        const std::string next = downstream.front();
-        downstream.erase(downstream.begin());
+      if (!namenode_.blockReceived(Block{block.id, block.size})) {
+        // The block's file was deleted while the replica was in flight:
+        // drop it, as for an invalid id in a block report, and tell the
+        // writer its block did not land.
+        store_->deleteBlock(block.id);
+        throw NotFoundError("block " + std::to_string(block.id) +
+                            " was deleted while being written");
+      }
+      // Forward the very request we received to the host after ours: the
+      // list is unchanged, so the next hop costs no payload copy.
+      const auto self = std::find(pipeline.begin(), pipeline.end(), host_);
+      if (self != pipeline.end() && self + 1 != pipeline.end()) {
+        const std::string& next = *(self + 1);
         try {
-          network_->call(host_, next, kDataNodePort, "writeBlock",
-                         pack(block, data, downstream, stored), "pipeline");
+          network_->call(host_, next, kDataNodePort, "writeBlock", req.body,
+                         "pipeline");
         } catch (const NetworkError& e) {
           // Pipeline recovery: the block lands under-replicated and the
           // NameNode's monitor repairs it later.
@@ -275,7 +294,7 @@ void DataNode::installRpc() {
     }
     if (req.method == "readBlock") {
       const auto [id, offset, len] =
-          unpack<uint64_t, uint64_t, uint64_t>(req.body.view());
+          unpack<uint64_t, uint64_t, uint64_t>(req.body);
       try {
         BufferView data = store_->readBlockRange(id, offset, len);
         blocks_read_->add();
@@ -292,7 +311,7 @@ void DataNode::installRpc() {
       }
     }
     if (req.method == "scan") {
-      return BufferView(Buffer::fromString(pack(runBlockScanner())));
+      return pack(runBlockScanner());
     }
     throw InvalidArgumentError("datanode: unknown RPC method " + req.method);
   });

@@ -54,22 +54,21 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
       if (located.hosts.empty()) {
         throw IoError("no targets for block of " + path);
       }
-      // Head of the pipeline gets the data plus the downstream target list.
-      std::vector<std::string> downstream(located.hosts.begin() + 1,
-                                          located.hosts.end());
+      // The payload is packed once, with the full ordered target list.
+      // Each DataNode forwards this same body to the host after its own,
+      // so when a head fails, the next target heads the rest of the list.
+      const BufferView body =
+          pack(Block{located.block.id, payload.size()}, payload,
+               located.hosts, /*stored=*/false);
       bool written = false;
       for (size_t head = 0; head < located.hosts.size() && !written; ++head) {
         try {
           network_->call(namenode_.localHost(), located.hosts[head],
-                         kDataNodePort, "writeBlock",
-                         pack(Block{located.block.id, payload.size()},
-                              payload, downstream, /*stored=*/false),
-                         "pipeline");
+                         kDataNodePort, "writeBlock", body, "pipeline");
           written = true;
         } catch (const NetworkError& e) {
           logWarn(kLog) << "pipeline head " << located.hosts[head]
                         << " failed: " << e.what();
-          if (!downstream.empty()) downstream.erase(downstream.begin());
         }
       }
       if (!written) {
@@ -177,10 +176,9 @@ BufferView DfsClient::readBlockRange(const LocatedBlock& located,
     }
     for (const std::string& host : hosts) {
       try {
-        return network_->callBuf(
+        return network_->call(
             namenode_.localHost(), host, kDataNodePort, "readBlock",
-            BufferView(Buffer::fromString(
-                pack(static_cast<uint64_t>(located.block.id), offset, len))),
+            pack(static_cast<uint64_t>(located.block.id), offset, len),
             "read");
       } catch (const ChecksumError& e) {
         // The DataNode already reported itself; also report from our side

@@ -138,7 +138,10 @@ class NameNode {
                                    const std::vector<Block>& blocks);
 
   /// One replica finished writing on `host` (pipeline or re-replication).
-  void blockReceived(const std::string& host, Block block);
+  /// Returns false for a block the NameNode no longer knows — e.g. a
+  /// re-replication that landed after its file was deleted — which the
+  /// DataNode must invalidate, as for an invalid id in a block report.
+  bool blockReceived(const std::string& host, Block block);
 
   // ----- admin ------------------------------------------------------------
 

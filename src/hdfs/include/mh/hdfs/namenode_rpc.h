@@ -107,8 +107,11 @@ class NameNodeRpc {
         call("blockReport", pack(local_host_, blocks))));
   }
 
-  void blockReceived(Block block) {
-    call("blockReceived", pack(local_host_, block));
+  /// False when the NameNode no longer knows the block (its file was
+  /// deleted): the caller must delete the replica it just stored.
+  bool blockReceived(Block block) {
+    return std::get<0>(
+        unpack<bool>(call("blockReceived", pack(local_host_, block))));
   }
 
   // ----- admin --------------------------------------------------------
@@ -143,7 +146,7 @@ class NameNodeRpc {
   }
 
  private:
-  Bytes call(std::string method, Bytes body) {
+  BufferView call(std::string method, BufferView body) {
     return network_->call(local_host_, namenode_host_, kNameNodePort,
                           std::move(method), std::move(body));
   }

@@ -493,12 +493,14 @@ std::vector<BlockId> NameNode::blockReport(const std::string& host,
   return invalid;
 }
 
-void NameNode::blockReceived(const std::string& host, Block block) {
+bool NameNode::blockReceived(const std::string& host, Block block) {
   std::lock_guard<std::mutex> guard(lock_);
+  pending_replications_.erase(block.id);
+  if (!blocks_.contains(block.id)) return false;
   blocks_.addReplica(block.id, host);
   if (block.size > 0) blocks_.commitBlock(block.id, block.size);
-  pending_replications_.erase(block.id);
   maybeLeaveSafeModeLocked();
+  return true;
 }
 
 void NameNode::maybeLeaveSafeModeLocked() {
@@ -765,7 +767,8 @@ void NameNode::scheduleReplicationLocked() {
 // ------------------------------------------------------------------- rpc
 
 void NameNode::installRpc() {
-  network_->bind(host_, kNameNodePort, [this](const net::RpcRequest& req) -> Bytes {
+  network_->bind(host_, kNameNodePort,
+                 [this](const net::RpcRequest& req) -> BufferView {
     const std::string& m = req.method;
     // Counted before dispatch, while no daemon lock is held.
     metrics_->counter("ops." + m).add();
@@ -854,8 +857,7 @@ void NameNode::installRpc() {
     }
     if (m == "blockReceived") {
       const auto [dn_host, block] = unpack<std::string, Block>(req.body);
-      blockReceived(dn_host, block);
-      return {};
+      return pack(blockReceived(dn_host, block));
     }
     if (m == "fsck") {
       return pack(fsck());

@@ -135,9 +135,10 @@ class TaskTracker {
   void runAssignment(const TaskAssignment& assignment);
   void runMapAssignment(const TaskAssignment& assignment);
   void runReduceAssignment(const TaskAssignment& assignment);
-  /// The pipelined (slowstart) shuffle: fetches map outputs incrementally as
-  /// completion events arrive, folding fetched runs into bounded segments,
-  /// and returns the assembled input runs once membership is complete.
+  /// Every reduce's shuffle: fetches map outputs incrementally as their
+  /// locations arrive (all at once when the assignment's list is already
+  /// complete), folding fetched runs into bounded segments, and returns the
+  /// assembled input runs once membership is complete.
   /// Charges fetched bytes to the task heap as they arrive; the running
   /// total is reported through `charged_bytes` for the caller's heap guard
   /// (already released again if this throws).

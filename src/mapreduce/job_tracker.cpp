@@ -860,7 +860,7 @@ void JobTracker::timeoutTasksLocked() {
 
 void JobTracker::installRpc() {
   network_->bind(host_, kJobTrackerPort,
-                 [this](const net::RpcRequest& req) -> Bytes {
+                 [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "registerTracker") {
       const auto [host, map_slots, reduce_slots, rack] =
           unpack<std::string, uint32_t, uint32_t, std::string>(req.body);

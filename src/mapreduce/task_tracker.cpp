@@ -172,17 +172,16 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
           // on it) is uniform across units.
           runs[i] =
               innode
-                  ? network.callBuf(
-                        host, unit.host, kTaskTrackerPort, "getNodeOutput",
-                        BufferView(Buffer::fromString(pack(
-                            assignment.job, assignment.task_index, unit.maps))),
-                        "shuffle")
-                  : network.callBuf(
-                        host, unit.host, kTaskTrackerPort, "getMapOutput",
-                        BufferView(Buffer::fromString(
-                            pack(assignment.job, unit.maps[0],
-                                 assignment.task_index))),
-                        "shuffle");
+                  ? network.call(host, unit.host, kTaskTrackerPort,
+                                 "getNodeOutput",
+                                 pack(assignment.job, assignment.task_index,
+                                      unit.maps),
+                                 "shuffle")
+                  : network.call(host, unit.host, kTaskTrackerPort,
+                                 "getMapOutput",
+                                 pack(assignment.job, unit.maps[0],
+                                      assignment.task_index),
+                                 "shuffle");
           errors[i].reset();
           break;
         } catch (const std::exception& e) {
@@ -444,7 +443,7 @@ void TaskTracker::heartbeatOnce() {
 
   TrackerHeartbeatReply reply;
   try {
-    const Bytes raw = network_->call(
+    const BufferView raw = network_->call(
         host_, jobtracker_host_, kJobTrackerPort, "heartbeat",
         pack(host_, free_maps, free_reduces, reports, cursors));
     reply = std::get<0>(unpack<TrackerHeartbeatReply>(raw));
@@ -664,25 +663,12 @@ void TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
     } guard{this, 0};
 
     // Shuffle: pull this partition's run from every map's tracker, several
-    // fetches in flight at once. An assignment whose location list is still
-    // partial (slowstart fired before every map finished) takes the
-    // pipelined path, fetching incrementally as completion events arrive;
-    // a complete list — including every pre-slowstart assignment, which has
-    // total_maps == 0 — takes the classic blocking path unchanged.
-    std::vector<BufferView> runs;
-    if (assignment.total_maps > assignment.map_outputs.size()) {
-      runs = runPipelinedShuffle(assignment, *spec, shuffle_counters,
-                                 guard.amount);
-    } else {
-      runs = fetchShuffleRuns(*network_, host_, assignment, conf_,
-                              shuffle_counters, spec.get());
-      int64_t shuffle_heap = 0;
-      for (const BufferView& run : runs) {
-        shuffle_heap += static_cast<int64_t>(run.size());
-      }
-      guard.amount = shuffle_heap;
-      chargeHeap(shuffle_heap);
-    }
+    // fetches in flight at once, merging incrementally as runs arrive. When
+    // slowstart fired before every map finished, the missing locations come
+    // in as completion events; a complete location list (slowstart 1.0) is
+    // simply fetched in the first round.
+    const std::vector<BufferView> runs = runPipelinedShuffle(
+        assignment, *spec, shuffle_counters, guard.amount);
 
     hdfs::DfsClient dfs(conf_, network_, host_, namenode_host_);
     HdfsFs fs(std::move(dfs));
@@ -931,12 +917,12 @@ void TaskTracker::installRpc() {
       return CodecKind::kNone;
     }
   };
-  network_->bindBuf(host_, kTaskTrackerPort,
-                    [this, shuffle_for](const net::BufRpcRequest& req)
-                        -> BufferView {
+  network_->bind(host_, kTaskTrackerPort,
+                 [this, shuffle_for](const net::RpcRequest& req)
+                     -> BufferView {
     if (req.method == "getMapOutput") {
       const auto [job, map_index, partition] =
-          unpack<uint32_t, uint32_t, uint32_t>(req.body.view());
+          unpack<uint32_t, uint32_t, uint32_t>(req.body);
       MapOutputStore::ServeStats stats;
       BufferView run = outputs_.serveMapOutput(job, map_index, partition,
                                                shuffle_for(job), &stats);
@@ -948,7 +934,7 @@ void TaskTracker::installRpc() {
       // In-node combining: one reply covers every named map on this node,
       // merged through the job's combiner.
       const auto [job, partition, maps] =
-          unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body.view());
+          unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body);
       MapOutputStore::ServeStats stats;
       BufferView run =
           outputs_.serveNodeOutput(job, partition, maps, shuffle_for(job),

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "mh/common/buffer.h"
-#include "mh/common/bytes.h"
 #include "mh/common/metrics.h"
 #include "mh/common/metrics_snapshot.h"
 #include "mh/common/trace.h"
@@ -42,13 +41,18 @@
 ///    delay, or error individual calls and sever host groups. With no plan
 ///    installed the fast path costs exactly one relaxed atomic load per
 ///    call — no lock, no RNG draw.
+///
+/// Every request body and reply is a refcounted BufferView, so control
+/// messages and bulk payloads take the same path and a payload crosses the
+/// fabric without being copied. An owned `Bytes` (e.g. `pack(...)`) is
+/// adopted by move wherever a view is expected.
 
 namespace mh::net {
 
-/// A control-plane message delivered to a bound endpoint.
+/// A message delivered to a bound endpoint.
 struct RpcRequest {
   std::string method;     ///< e.g. "heartbeat", "getBlockLocations"
-  Bytes body;             ///< serialized arguments
+  BufferView body;        ///< serialized arguments, shared with the caller
   std::string from_host;  ///< caller's host name
   /// The caller's causal trace context at call time (zero when tracing is
   /// off). Handlers run on the caller's thread, so the ambient context is
@@ -59,24 +63,14 @@ struct RpcRequest {
 
 /// Endpoint handler: receives a request, returns a serialized response.
 /// Handlers run synchronously on the caller's thread; they may throw, and
-/// the exception propagates to the caller (mimicking an RPC fault).
-using RpcHandler = std::function<Bytes(const RpcRequest&)>;
+/// the exception propagates to the caller (mimicking an RPC fault). The
+/// returned view is handed to the caller uncopied, so its backing buffer
+/// must outlive the handler frame (owned by a store or freshly built —
+/// never a view of handler-local bytes).
+using RpcHandler = std::function<BufferView(const RpcRequest&)>;
 
-/// A message delivered to a buffer endpoint: same shape as RpcRequest but
-/// the body is a refcounted view, so bulk payloads cross the fabric without
-/// being copied.
-struct BufRpcRequest {
-  std::string method;
-  BufferView body;
-  std::string from_host;
-  TraceContext trace;  ///< Same contract as RpcRequest::trace.
-};
-
-/// Buffer endpoint handler: the zero-copy sibling of RpcHandler. The
-/// returned view is handed to the caller uncopied; the handler must return
-/// a view whose backing buffer outlives the handler frame (i.e. owned by a
-/// store or freshly built — never a view of handler-local bytes).
-using BufRpcHandler = std::function<BufferView(const BufRpcRequest&)>;
+/// Old name of RpcRequest, kept only for perfbench/layers.cpp.
+using BufRpcRequest = RpcRequest;
 
 /// Accumulated traffic for one tag.
 struct TrafficStats {
@@ -105,11 +99,10 @@ class Network {
   /// is taken — the ghost-daemon failure mode.
   void bind(const std::string& host, int port, RpcHandler handler);
 
-  /// Binds a zero-copy handler to (host, port). Same port-exclusivity rules
-  /// as bind(). A buffer endpoint is reachable through BOTH call() (the
-  /// reply is copied into a Bytes for the legacy caller) and callBuf() (the
-  /// reply view is moved through untouched).
-  void bindBuf(const std::string& host, int port, BufRpcHandler handler);
+  /// Old name of bind(), kept only for perfbench/layers.cpp.
+  void bindBuf(const std::string& host, int port, RpcHandler handler) {
+    bind(host, port, std::move(handler));
+  }
 
   /// Releases a port. Unknown endpoints are ignored (idempotent teardown).
   /// Blocks until every in-flight invocation of the endpoint's handler has
@@ -134,24 +127,24 @@ class Network {
   bool hostUp(const std::string& host) const;
 
   /// Synchronous RPC. Throws NetworkError when the destination host is down
-  /// or nothing is bound at the port. Request and response bytes are metered
-  /// under `tag` (control traffic defaults to "rpc"; data-plane calls pass
-  /// "read" / "pipeline" / "replication" / "shuffle" so experiments can
-  /// attribute traffic).
-  Bytes call(const std::string& from, const std::string& to, int port,
-             std::string method, Bytes body, std::string_view tag = "rpc");
+  /// or nothing is bound at the port. The body reaches the handler and the
+  /// reply reaches the caller as the same views, so a 64 MB payload costs a
+  /// refcount bump, not a copy. Bytes are still charged as if they moved:
+  /// the request leg is metered at body + method size and the reply leg at
+  /// reply size under `tag` (control traffic defaults to "rpc"; data-plane
+  /// calls pass "read" / "pipeline" / "replication" / "shuffle" so
+  /// experiments can attribute traffic), paced by the bandwidth model, and
+  /// timed into the `rpc.<method>.micros` histogram.
+  BufferView call(const std::string& from, const std::string& to, int port,
+                  std::string method, BufferView body,
+                  std::string_view tag = "rpc");
 
-  /// Zero-copy sibling of call(): the body and reply move as refcounted
-  /// views instead of owned Bytes, so a loopback fetch of a 64 MB payload
-  /// bumps a refcount instead of copying. Fault injection, host-liveness
-  /// checks, traffic-tag byte accounting, bandwidth pacing, and the
-  /// per-method latency histogram are charged IDENTICALLY to call() —
-  /// zero-copy changes who owns the bytes, never what the bytes cost.
-  /// Calling a legacy (bind()) endpoint through callBuf copies the body in
-  /// and wraps the reply without a copy.
+  /// Old name of call(), kept only for perfbench/layers.cpp.
   BufferView callBuf(const std::string& from, const std::string& to, int port,
                      std::string method, BufferView body,
-                     std::string_view tag = "rpc");
+                     std::string_view tag = "rpc") {
+    return call(from, to, port, std::move(method), std::move(body), tag);
+  }
 
   /// Meters (and, if bandwidth is configured, throttles) a bulk data
   /// movement of `bytes` between two hosts under `tag`. Throws NetworkError
@@ -206,13 +199,12 @@ class Network {
   std::shared_ptr<FaultPlan> faultPlan() const;
 
  private:
-  /// One bound endpoint: exactly one of the two handler kinds is set, plus
-  /// a count of handler invocations currently executing. The count is what
-  /// makes unbind() a barrier: once it drains to zero, no thread is inside
-  /// the handler and whatever the handler captured may be destroyed.
+  /// One bound endpoint: its handler plus a count of handler invocations
+  /// currently executing. The count is what makes unbind() a barrier: once
+  /// it drains to zero, no thread is inside the handler and whatever the
+  /// handler captured may be destroyed.
   struct Endpoint {
-    RpcHandler legacy;
-    BufRpcHandler buf;
+    RpcHandler handler;
     std::atomic<uint64_t> inflight{0};
   };
 
@@ -235,11 +227,8 @@ class Network {
 
   /// Resolves (to, port) under the lock: host-liveness checks plus a pin on
   /// the endpoint so the handler runs without holding the lock while a
-  /// concurrent unbind() waits for it. Shared by call() and callBuf() so
-  /// the two paths cannot drift.
+  /// concurrent unbind() waits for it.
   Pin route(const std::string& from, const std::string& to, int port);
-  void bindEndpoint(const std::string& host, int port, RpcHandler legacy,
-                    BufRpcHandler buf);
 
   void meter(const std::string& from, const std::string& to, uint64_t bytes,
              std::string_view tag);

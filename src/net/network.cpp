@@ -51,19 +51,8 @@ std::vector<std::string> Network::hosts() const {
 }
 
 void Network::bind(const std::string& host, int port, RpcHandler handler) {
-  bindEndpoint(host, port, std::move(handler), nullptr);
-}
-
-void Network::bindBuf(const std::string& host, int port,
-                      BufRpcHandler handler) {
-  bindEndpoint(host, port, nullptr, std::move(handler));
-}
-
-void Network::bindEndpoint(const std::string& host, int port,
-                           RpcHandler legacy, BufRpcHandler buf) {
   auto endpoint = std::make_shared<Endpoint>();
-  endpoint->legacy = std::move(legacy);
-  endpoint->buf = std::move(buf);
+  endpoint->handler = std::move(handler);
   std::lock_guard<std::mutex> lock(mutex_);
   host_up_.try_emplace(host, true);
   const auto key = std::make_pair(host, port);
@@ -161,87 +150,35 @@ Network::Pin Network::route(const std::string& from, const std::string& to,
   return Pin{this, it->second};
 }
 
-Bytes Network::call(const std::string& from, const std::string& to, int port,
-                    std::string method, Bytes body, std::string_view tag) {
+BufferView Network::call(const std::string& from, const std::string& to,
+                         int port, std::string method, BufferView body,
+                         std::string_view tag) {
   const Pin endpoint = route(from, to, port);
   // Zero-fault fast path: one relaxed load, no lock, no RNG draw.
   bool drop_response = false;
   if (faults_enabled_.load(std::memory_order_relaxed)) {
     drop_response = applyFault(from, to, method, tag);
   }
+  // A view crossing the fabric costs the bandwidth model the same as a copy
+  // would: zero-copy changes who owns the bytes, never what they cost.
   meter(from, to, body.size() + method.size(), tag);
   pace(from, to, body.size());
   const auto started = std::chrono::steady_clock::now();
-  std::string method_name;
-  Bytes response;
   // Carried on every call when tracing is on: spans recorded inside the
   // handler (which runs on this thread) become children of the caller's
   // active span via the ambient context; the request field is the explicit
   // copy for handlers that defer work to another thread.
   const TraceContext trace_ctx =
       tracer_.enabled() ? currentTraceContext() : TraceContext{};
-  if (endpoint->legacy) {
-    RpcRequest request{std::move(method), std::move(body), from, trace_ctx};
-    response = endpoint->legacy(request);
-    method_name = std::move(request.method);
-  } else {
-    // Legacy caller, buffer endpoint: the body moves in without a copy; the
-    // reply view is materialized once for the Bytes-shaped return.
-    BufRpcRequest request{std::move(method),
-                          BufferView(Buffer::fromString(std::move(body))),
-                          from, trace_ctx};
-    response = endpoint->buf(request).str();
-    method_name = std::move(request.method);
-  }
+  RpcRequest request{std::move(method), std::move(body), from, trace_ctx};
+  BufferView reply = endpoint->handler(request);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - started)
                           .count();
-  net_metrics_->histogram("rpc." + method_name + ".micros").record(micros);
+  net_metrics_->histogram("rpc." + request.method + ".micros").record(micros);
   if (drop_response) {
     // The handler's side effects stand; only the reply is lost.
-    throw NetworkError("injected fault: response lost for " + method_name +
-                       " " + to + " -> " + from);
-  }
-  meter(to, from, response.size(), tag);
-  pace(to, from, response.size());
-  return response;
-}
-
-BufferView Network::callBuf(const std::string& from, const std::string& to,
-                            int port, std::string method, BufferView body,
-                            std::string_view tag) {
-  const Pin endpoint = route(from, to, port);
-  bool drop_response = false;
-  if (faults_enabled_.load(std::memory_order_relaxed)) {
-    drop_response = applyFault(from, to, method, tag);
-  }
-  // Accounting mirrors call() exactly: the request leg is charged
-  // body+method bytes and the response leg its own size — a view crossing
-  // the fabric costs the bandwidth model the same as a copy would.
-  meter(from, to, body.size() + method.size(), tag);
-  pace(from, to, body.size());
-  const auto started = std::chrono::steady_clock::now();
-  std::string method_name;
-  BufferView reply;
-  const TraceContext trace_ctx =
-      tracer_.enabled() ? currentTraceContext() : TraceContext{};
-  if (endpoint->buf) {
-    BufRpcRequest request{std::move(method), std::move(body), from, trace_ctx};
-    reply = endpoint->buf(request);
-    method_name = std::move(request.method);
-  } else {
-    // Buffer caller, legacy endpoint: the handler needs owned Bytes, so the
-    // body is copied in; the reply is adopted without a copy.
-    RpcRequest request{std::move(method), body.str(), from, trace_ctx};
-    reply = BufferView(Buffer::fromString(endpoint->legacy(request)));
-    method_name = std::move(request.method);
-  }
-  const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - started)
-                          .count();
-  net_metrics_->histogram("rpc." + method_name + ".micros").record(micros);
-  if (drop_response) {
-    throw NetworkError("injected fault: response lost for " + method_name +
+    throw NetworkError("injected fault: response lost for " + request.method +
                        " " + to + " -> " + from);
   }
   meter(to, from, reply.size(), tag);

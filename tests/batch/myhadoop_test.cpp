@@ -92,7 +92,7 @@ TEST(MyHadoopTest, FailedStartRollsBack) {
   // Occupy only the DataNode port of node02: the session boots the head
   // fine, then fails on node02 and must roll everything back.
   network->bind("node02", hdfs::kDataNodePort,
-                [](const net::RpcRequest&) -> Bytes { return {}; });
+                [](const net::RpcRequest&) { return BufferView(); });
   MyHadoopSession session(fastConf(), network, nodes({"node01", "node02"}),
                           "unlucky");
   EXPECT_THROW(session.start(), AlreadyExistsError);

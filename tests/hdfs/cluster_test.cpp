@@ -284,6 +284,61 @@ TEST(MiniDfsClusterTest, DeleteReclaimsReplicas) {
   EXPECT_EQ(replicas, 0u);
 }
 
+TEST(MiniDfsClusterTest, DeleteAfterQueuedReplicationLeavesNoOrphanReplica) {
+  // The monitor queues a re-replication, then the file is deleted before
+  // the source DataNode's next heartbeat. The replica the target receives
+  // belongs to no file: the target must drop it, and the source must still
+  // run the kDelete queued behind the replicate command.
+  Config conf = fastConf();
+  // Heartbeats and the monitor are driven by hand below.
+  conf.setInt("dfs.heartbeat.interval.ms", 600'000);
+  conf.setInt("dfs.namenode.monitor.interval.ms", 600'000);
+  conf.setInt("dfs.namenode.heartbeat.expiry.ms", 600'000);
+  MiniDfsCluster cluster({.num_datanodes = 3, .conf = conf});
+  auto client = cluster.client();
+  client.writeFile("/f", randomPayload(512, 31));  // one block, 2 replicas
+  const BlockId block = client.getBlockLocations("/f").front().block.id;
+
+  client.setReplication("/f", 3);
+  cluster.nameNode().runMonitorOnce();  // queues kReplicate on a source
+  client.remove("/f", false);           // queues kDelete on both holders
+
+  for (const auto& host : cluster.dataNodeHosts()) {
+    EXPECT_NO_THROW(cluster.dataNode(host).heartbeatNow()) << host;
+  }
+  for (const auto& host : cluster.dataNodeHosts()) {
+    EXPECT_FALSE(cluster.dataNode(host).store().hasBlock(block)) << host;
+  }
+}
+
+TEST(MiniDfsClusterTest, PipelineForwardsTheReceivedRequestWithoutCopy) {
+  // The head DataNode stores its replica and hands the downstream hop the
+  // very request view it received: same backing buffer, no re-pack.
+  MiniDfsCluster cluster({.num_datanodes = 1, .conf = fastConf()});
+  NameNodeRpc namenode(cluster.network(), "client", "namenode");
+  namenode.create("/f", 1);
+  const LocatedBlock located = namenode.addBlock("/f");
+  ASSERT_EQ(located.hosts, std::vector<std::string>{"node01"});
+
+  BufferView forwarded;
+  cluster.network()->bind("tail", kDataNodePort,
+                          [&forwarded](const net::RpcRequest& req) {
+                            forwarded = req.body;
+                            return BufferView();
+                          });
+  const Bytes payload = randomPayload(700, 41);
+  const Buffer request = Buffer::fromString(
+      pack(Block{located.block.id, payload.size()}, payload,
+           std::vector<std::string>{"node01", "tail"}, /*stored=*/false));
+  cluster.network()->call("client", "node01", kDataNodePort, "writeBlock",
+                          request, "pipeline");
+
+  EXPECT_EQ(forwarded.buffer().shared(), request.shared());
+  EXPECT_EQ(forwarded.size(), request.size());
+  EXPECT_EQ(cluster.dataNode("node01").store().readBlock(located.block.id),
+            payload);
+}
+
 TEST(MiniDfsClusterTest, TwoRackClusterSpansRacksPerBlock) {
   Config conf = fastConf();
   conf.setInt("dfs.replication", 3);

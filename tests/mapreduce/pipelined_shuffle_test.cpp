@@ -201,14 +201,15 @@ TEST(PipelinedShuffleTest, SlowstartOverlapsShuffleWithMapPhase) {
   const std::string corpus = makeCorpus(150, 61);
   cluster.client().writeFile("/in/corpus.txt", corpus);
 
-  JobSpec spec = wordCountSpec({"/in"}, "/out", false, 1);
-  spec.mapper = mapperFromLambda(
+  const auto slow_mapper = mapperFromLambda(
       [](std::string_view, std::string_view value, TaskContext& ctx) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         for (const auto& w : splitWhitespace(value)) {
           ctx.emitTyped<std::string, int64_t>(toLowerAscii(w), 1);
         }
       });
+  JobSpec spec = wordCountSpec({"/in"}, "/out", false, 1);
+  spec.mapper = slow_mapper;
   const auto result = cluster.runJob(std::move(spec));
   ASSERT_TRUE(result.succeeded()) << result.error;
   HdfsFs fs(cluster.client());
@@ -251,6 +252,28 @@ TEST(PipelinedShuffleTest, SlowstartOverlapsShuffleWithMapPhase) {
   int64_t sum = 0;
   for (const auto& p : report.phases) sum += p.micros;
   EXPECT_EQ(sum, report.total_us);
+
+  // slowstart=1.0: the reduce launches with every location known and takes
+  // the same path, fetching every run in its first round — one pipelined
+  // run per map, and part files byte-identical to the overlapped run.
+  JobSpec full = wordCountSpec({"/in"}, "/out-full", false, 1);
+  full.mapper = slow_mapper;
+  full.conf.setDouble("mapred.reduce.slowstart.completed.maps", 1.0);
+  const auto full_result = cluster.runJob(std::move(full));
+  ASSERT_TRUE(full_result.succeeded()) << full_result.error;
+  EXPECT_EQ(full_result.counters.value(kShuffleGroup, kShufflePipelinedRuns),
+            static_cast<int64_t>(status.maps_total));
+  size_t parts = 0;
+  for (const auto& file : fs.listFiles("/out")) {
+    const std::string base = file.substr(file.find_last_of('/') + 1);
+    if (base.rfind("part-", 0) != 0) continue;
+    ++parts;
+    const std::string twin = "/out-full/" + base;
+    EXPECT_EQ(fs.readRange(twin, 0, fs.fileLength(twin)),
+              fs.readRange(file, 0, fs.fileLength(file)))
+        << base;
+  }
+  EXPECT_EQ(parts, 1u);
 }
 
 TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {

@@ -20,10 +20,10 @@ void serveMapOutputs(net::Network& network, const std::string& host,
                      MapOutputStore& store) {
   network.addHost(host);
   network.bind(host, kTaskTrackerPort,
-               [&store](const net::RpcRequest& req) -> Bytes {
+               [&store](const net::RpcRequest& req) -> BufferView {
                  const auto [job, map_index, partition] =
                      unpack<uint32_t, uint32_t, uint32_t>(req.body);
-                 return *store.get(job, map_index, partition);
+                 return Buffer::wrap(store.get(job, map_index, partition));
                });
 }
 
@@ -196,13 +196,13 @@ TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
   std::atomic<int> tt1_calls{0};
   network.addHost(hosts[1]);
   network.bind(hosts[1], kTaskTrackerPort,
-               [&](const net::RpcRequest& req) -> Bytes {
+               [&](const net::RpcRequest& req) -> BufferView {
                  if (tt1_calls.fetch_add(1) < 2) {
                    throw NetworkError("connection reset by peer");
                  }
                  const auto [job, map_index, partition] =
                      unpack<uint32_t, uint32_t, uint32_t>(req.body);
-                 return *store.get(job, map_index, partition);
+                 return Buffer::wrap(store.get(job, map_index, partition));
                });
 
   Config conf;
@@ -242,7 +242,7 @@ TEST(ShuffleFetchTest, RetriesExhaustedKeepFetchFailureShape) {
   std::atomic<int> calls{0};
   network.addHost(hosts[0]);
   network.bind(hosts[0], kTaskTrackerPort,
-               [&](const net::RpcRequest&) -> Bytes {
+               [&](const net::RpcRequest&) -> BufferView {
                  ++calls;
                  throw NetworkError("connection reset by peer");
                });
@@ -300,7 +300,7 @@ TEST(ShuffleFetchTest, InnodeModeGroupsFetchesByHost) {
     network.addHost(host);
     network.bind(host, kTaskTrackerPort,
                  [&requests, &requests_mutex, host](
-                     const net::RpcRequest& req) -> Bytes {
+                     const net::RpcRequest& req) -> BufferView {
                    EXPECT_EQ(req.method, "getNodeOutput");
                    const auto [job, partition, maps] =
                        unpack<uint32_t, uint32_t, std::vector<uint32_t>>(
@@ -345,9 +345,10 @@ TEST(ShuffleFetchTest, InnodeFailureAttributesTheServerNamedMissingMap) {
   net::Network network;
   network.addHost("reducer");
   network.addHost("ttA");
-  network.bind("ttA", kTaskTrackerPort, [](const net::RpcRequest&) -> Bytes {
-    throw NotFoundError("node output 7 missing map=3");
-  });
+  network.bind("ttA", kTaskTrackerPort,
+               [](const net::RpcRequest&) -> BufferView {
+                 throw NotFoundError("node output 7 missing map=3");
+               });
 
   TaskAssignment assignment;
   assignment.kind = AssignmentKind::kReduce;

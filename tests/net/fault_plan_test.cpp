@@ -12,8 +12,8 @@
 namespace mh::net {
 namespace {
 
-Bytes echoHandler(const RpcRequest& req) {
-  return req.method + ":" + req.body + "@" + req.from_host;
+BufferView echoHandler(const RpcRequest& req) {
+  return req.method + ":" + req.body.str() + "@" + req.from_host;
 }
 
 // ---- FaultPlan semantics (no network) --------------------------------------
@@ -124,7 +124,7 @@ TEST(NetworkFaultTest, NoPlanFastPathHasNoFaultMachinery) {
   net.addHost("client");
   EXPECT_EQ(net.faultPlan(), nullptr);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(net.call("client", "nn", 8020, "ls", "/"), "ls:/@client");
+    EXPECT_EQ(net.call("client", "nn", 8020, "ls", Bytes("/")), "ls:/@client");
   }
   EXPECT_EQ(net.metrics().child("network").counterValue("faults.injected"), 0);
   // Counters are created lazily by the first injected fault; a fault-free
@@ -150,11 +150,11 @@ TEST(NetworkFaultTest, DropAndErrorFaultsThrowBeforeHandler) {
                  .probability = 1.0,
                  .max_fires = 1});
   net.setFaultPlan(plan);
-  EXPECT_THROW(net.call("client", "nn", 8020, "ls", ""), NetworkError);
-  EXPECT_THROW(net.call("client", "nn", 8020, "ls", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "ls", {}), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "ls", {}), NetworkError);
   EXPECT_EQ(handled, 0);  // neither fault let the request through
   // Budget exhausted: the third call goes through.
-  EXPECT_EQ(net.call("client", "nn", 8020, "ls", ""), "ok");
+  EXPECT_EQ(net.call("client", "nn", 8020, "ls", {}), "ok");
   EXPECT_EQ(handled, 1);
   EXPECT_EQ(net.metrics().child("network").counterValue("faults.injected"), 2);
   EXPECT_EQ(net.metrics().child("network").counterValue("faults.dropped"), 1);
@@ -174,9 +174,10 @@ TEST(NetworkFaultTest, DropResponseRunsHandlerButThrows) {
   auto plan = std::make_shared<FaultPlan>(5);
   plan->addRule({.match = {}, .action = FaultAction::kDropResponse, .nth = 1});
   net.setFaultPlan(plan);
-  EXPECT_THROW(net.call("client", "nn", 8020, "put", "x"), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "put", Bytes("x")),
+               NetworkError);
   EXPECT_EQ(handled, 1);  // the handler DID run
-  EXPECT_EQ(net.call("client", "nn", 8020, "put", "x"), "ok");
+  EXPECT_EQ(net.call("client", "nn", 8020, "put", Bytes("x")), "ok");
   EXPECT_EQ(handled, 2);
   EXPECT_EQ(
       net.metrics().child("network").counterValue("faults.response_dropped"),
@@ -195,7 +196,7 @@ TEST(NetworkFaultTest, DelayFaultSleepsButSucceeds) {
                  .max_fires = 1});
   net.setFaultPlan(plan);
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(net.call("client", "nn", 8020, "ls", "/"), "ls:/@client");
+  EXPECT_EQ(net.call("client", "nn", 8020, "ls", Bytes("/")), "ls:/@client");
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - t0)
                            .count();
@@ -210,13 +211,13 @@ TEST(NetworkFaultTest, PartitionSeversCallsAndTransfersBothWays) {
   auto plan = std::make_shared<FaultPlan>(5);
   plan->partition({"a"}, {"b"});
   net.setFaultPlan(plan);
-  EXPECT_THROW(net.call("a", "b", 2, "x", ""), NetworkError);
-  EXPECT_THROW(net.call("b", "a", 1, "x", ""), NetworkError);
+  EXPECT_THROW(net.call("a", "b", 2, "x", {}), NetworkError);
+  EXPECT_THROW(net.call("b", "a", 1, "x", {}), NetworkError);
   EXPECT_THROW(net.transfer("a", "b", 100, "replication"), NetworkError);
   EXPECT_GE(net.metrics().child("network").counterValue("faults.partitioned"),
             3);
   plan->heal();
-  EXPECT_EQ(net.call("a", "b", 2, "x", ""), "x:@a");
+  EXPECT_EQ(net.call("a", "b", 2, "x", {}), "x:@a");
   net.transfer("a", "b", 100, "replication");
 }
 
@@ -228,10 +229,10 @@ TEST(NetworkFaultTest, ClearingPlanRestoresFastPath) {
   plan->addRule(
       {.match = {}, .action = FaultAction::kDrop, .probability = 1.0});
   net.setFaultPlan(plan);
-  EXPECT_THROW(net.call("client", "nn", 8020, "ls", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "ls", {}), NetworkError);
   net.setFaultPlan(nullptr);
   EXPECT_EQ(net.faultPlan(), nullptr);
-  EXPECT_EQ(net.call("client", "nn", 8020, "ls", "/"), "ls:/@client");
+  EXPECT_EQ(net.call("client", "nn", 8020, "ls", Bytes("/")), "ls:/@client");
 }
 
 TEST(NetworkFaultTest, FaultInjectTraceInstantsEmitted) {
@@ -244,7 +245,7 @@ TEST(NetworkFaultTest, FaultInjectTraceInstantsEmitted) {
                  .action = FaultAction::kError,
                  .nth = 1});
   net.setFaultPlan(plan);
-  EXPECT_THROW(net.call("client", "nn", 8020, "ls", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "ls", {}), NetworkError);
   bool saw_fault_instant = false;
   for (const auto& event : net.tracer().snapshot()) {
     if (event.name.find("FAULT_INJECT error ls") != std::string::npos) {

@@ -14,15 +14,16 @@
 namespace mh::net {
 namespace {
 
-Bytes echoHandler(const RpcRequest& req) {
-  return req.method + ":" + req.body + "@" + req.from_host;
+BufferView echoHandler(const RpcRequest& req) {
+  return req.method + ":" + req.body.str() + "@" + req.from_host;
 }
 
 TEST(NetworkTest, CallReachesBoundHandler) {
   Network net;
   net.bind("nn", 8020, echoHandler);
   net.addHost("client");
-  const Bytes reply = net.call("client", "nn", 8020, "ls", "/user");
+  const BufferView reply =
+      net.call("client", "nn", 8020, "ls", Bytes("/user"));
   EXPECT_EQ(reply, "ls:/user@client");
 }
 
@@ -30,7 +31,7 @@ TEST(NetworkTest, ConnectionRefusedWhenUnbound) {
   Network net;
   net.addHost("nn");
   net.addHost("client");
-  EXPECT_THROW(net.call("client", "nn", 8020, "ls", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "nn", 8020, "ls", {}), NetworkError);
 }
 
 TEST(NetworkTest, PortConflictThrows) {
@@ -63,11 +64,12 @@ TEST(NetworkTest, DownHostRefusesTraffic) {
   net.bind("dn", 50010, echoHandler);
   net.addHost("client");
   net.setHostUp("dn", false);
-  EXPECT_THROW(net.call("client", "dn", 50010, "read", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 50010, "read", {}), NetworkError);
   EXPECT_THROW(net.transfer("client", "dn", 100, "staging"), NetworkError);
   // Recovery: bindings survive the outage (hung-JVM semantics).
   net.setHostUp("dn", true);
-  EXPECT_EQ(net.call("client", "dn", 50010, "read", "x"), "read:x@client");
+  EXPECT_EQ(net.call("client", "dn", 50010, "read", Bytes("x")),
+            "read:x@client");
 }
 
 TEST(NetworkTest, DownCallerAlsoRefused) {
@@ -75,22 +77,22 @@ TEST(NetworkTest, DownCallerAlsoRefused) {
   net.bind("dn", 50010, echoHandler);
   net.addHost("client");
   net.setHostUp("client", false);
-  EXPECT_THROW(net.call("client", "dn", 50010, "read", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 50010, "read", {}), NetworkError);
 }
 
 TEST(NetworkTest, UnknownHostThrows) {
   Network net;
   net.bind("dn", 1, echoHandler);
-  EXPECT_THROW(net.call("nobody", "dn", 1, "m", ""), NetworkError);
+  EXPECT_THROW(net.call("nobody", "dn", 1, "m", {}), NetworkError);
 }
 
 TEST(NetworkTest, HandlerExceptionPropagates) {
   Network net;
-  net.bind("nn", 8020, [](const RpcRequest&) -> Bytes {
+  net.bind("nn", 8020, [](const RpcRequest&) -> BufferView {
     throw IllegalStateError("safe mode");
   });
   net.addHost("client");
-  EXPECT_THROW(net.call("client", "nn", 8020, "mkdir", "/x"),
+  EXPECT_THROW(net.call("client", "nn", 8020, "mkdir", Bytes("/x")),
                IllegalStateError);
 }
 
@@ -125,7 +127,7 @@ TEST(NetworkTest, RpcBytesAreMetered) {
   Network net;
   net.bind("nn", 8020, echoHandler);
   net.addHost("client");
-  net.call("client", "nn", 8020, "method", "0123456789");
+  net.call("client", "nn", 8020, "method", Bytes("0123456789"));
   EXPECT_GE(net.remoteBytes("rpc"), 10u);
 }
 
@@ -147,9 +149,9 @@ TEST(NetworkTest, RpcLatencyLandsInMetricsHistogram) {
   Network net;
   net.bind("nn", 8020, echoHandler);
   net.addHost("client");
-  net.call("client", "nn", 8020, "heartbeat", "beat");
-  net.call("client", "nn", 8020, "heartbeat", "beat");
-  net.call("client", "nn", 8020, "mkdir", "/x");
+  net.call("client", "nn", 8020, "heartbeat", Bytes("beat"));
+  net.call("client", "nn", 8020, "heartbeat", Bytes("beat"));
+  net.call("client", "nn", 8020, "mkdir", Bytes("/x"));
   auto& netm = net.metrics().child("network");
   ASSERT_TRUE(netm.hasHistogram("rpc.heartbeat.micros"));
   ASSERT_TRUE(netm.hasHistogram("rpc.mkdir.micros"));
@@ -210,7 +212,7 @@ TEST(NetworkTest, ConcurrentCallsAreSafe) {
     threads.emplace_back([&net, i] {
       const std::string host = "c" + std::to_string(i);
       for (int k = 0; k < 200; ++k) {
-        net.call(host, "nn", 8020, "hb", "beat");
+        net.call(host, "nn", 8020, "hb", Bytes("beat"));
       }
     });
   }
@@ -244,7 +246,7 @@ TEST(NetworkTest, UnbindDrainsInflightHandlers) {
     return Bytes("ok");
   });
   std::thread caller([&] {
-    EXPECT_EQ(net.call("client", "dn", 50, "slow", ""), "ok");
+    EXPECT_EQ(net.call("client", "dn", 50, "slow", {}), "ok");
   });
   while (!entered) std::this_thread::yield();
   std::thread closer([&] {
@@ -258,70 +260,48 @@ TEST(NetworkTest, UnbindDrainsInflightHandlers) {
   closer.join();
   caller.join();
   EXPECT_TRUE(unbound);
-  EXPECT_THROW(net.call("client", "dn", 50, "slow", ""), NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 50, "slow", {}), NetworkError);
 }
 
 TEST(NetworkTest, CallBufReachesBufEndpoint) {
+  // The request body reaches the handler as the caller's own view: same
+  // backing buffer, no copy on the way in.
   Network net;
-  net.bindBuf("dn", 1, [](const BufRpcRequest& req) {
-    return BufferView(Buffer::fromString("got:" + Bytes(req.body.view()) +
-                                         "@" + req.from_host));
+  const Buffer body = Buffer::copyOf("blk");
+  const char* seen = nullptr;
+  net.bind("dn", 1, [&seen](const RpcRequest& req) -> BufferView {
+    seen = req.body.data();
+    return "got:" + req.body.str() + "@" + req.from_host;
   });
   net.addHost("client");
-  const BufferView reply = net.callBuf(
-      "client", "dn", 1, "read", BufferView(Buffer::copyOf("blk")), "read");
+  const BufferView reply = net.call("client", "dn", 1, "read", body, "read");
   EXPECT_EQ(reply, "got:blk@client");
+  EXPECT_EQ(seen, body.data());
 }
 
-TEST(NetworkTest, CallBufAccountingMatchesLegacyCall) {
-  // The zero-copy path must charge bandwidth and per-tag bytes IDENTICALLY
-  // to call(): same method, same body, same reply size through both paths
-  // must produce the exact same TrafficStats — zero-copy changes who owns
-  // the bytes, never what the bytes cost.
+TEST(NetworkTest, CallAccountingIsExact) {
+  // A view crossing the fabric is charged as if its bytes moved: the
+  // request leg costs body + method bytes, the reply leg the reply size,
+  // and every call is one histogram sample.
   Network net;
-  const Bytes body(1000, 'p');
-  net.bind("legacy", 1, [](const RpcRequest&) { return Bytes(300, 'r'); });
   const Buffer reply = Buffer::copyOf(Bytes(300, 'r'));
-  net.bindBuf("zero", 1,
-              [&reply](const BufRpcRequest&) { return BufferView(reply); });
+  net.bind("dn", 1, [&reply](const RpcRequest&) { return BufferView(reply); });
   net.addHost("client");
+  const Buffer body = Buffer::copyOf(Bytes(1000, 'p'));
 
-  net.call("client", "legacy", 1, "fetch", body, "tag_legacy");
-  net.callBuf("client", "zero", 1, "fetch",
-              BufferView(Buffer::copyOf(body)), "tag_buf");
-  EXPECT_EQ(net.remoteBytes("tag_buf"), net.remoteBytes("tag_legacy"));
-  EXPECT_EQ(net.localBytes("tag_buf"), net.localBytes("tag_legacy"));
-  EXPECT_EQ(net.messages("tag_buf"), net.messages("tag_legacy"));
+  net.call("client", "dn", 1, "fetch", body, "remote");
+  EXPECT_EQ(net.remoteBytes("remote"), 1000u + 5u + 300u);
+  EXPECT_EQ(net.localBytes("remote"), 0u);
+  EXPECT_EQ(net.messages("remote"), 2u);  // request leg + reply leg
 
-  // Loopback is metered as local bytes on both paths alike.
-  net.call("legacy", "legacy", 1, "fetch", body, "tag_legacy_lo");
-  net.callBuf("zero", "zero", 1, "fetch", BufferView(Buffer::copyOf(body)),
-              "tag_buf_lo");
-  EXPECT_EQ(net.localBytes("tag_buf_lo"), net.localBytes("tag_legacy_lo"));
-  EXPECT_EQ(net.remoteBytes("tag_buf_lo"), net.remoteBytes("tag_legacy_lo"));
-  EXPECT_EQ(net.remoteBytes("tag_buf_lo"), 0u);
+  // Loopback traffic is metered as local bytes, never remote.
+  net.call("dn", "dn", 1, "fetch", body, "loopback");
+  EXPECT_EQ(net.localBytes("loopback"), 1000u + 5u + 300u);
+  EXPECT_EQ(net.remoteBytes("loopback"), 0u);
 
-  // Both flavors land in the same per-method latency histogram.
-  EXPECT_EQ(net.metrics().child("network").histogram("rpc.fetch.micros")
-                .count(),
-            4u);
-}
-
-TEST(NetworkTest, CallAndCallBufInteroperateAcrossEndpointKinds) {
-  Network net;
-  net.bind("legacy", 1, echoHandler);
-  net.bindBuf("zero", 1, [](const BufRpcRequest& req) {
-    return BufferView(Buffer::fromString(req.method + ":" +
-                                         Bytes(req.body.view()) + "@" +
-                                         req.from_host));
-  });
-  net.addHost("client");
-  // Legacy call() into a buffer endpoint: reply copied out to Bytes.
-  EXPECT_EQ(net.call("client", "zero", 1, "ls", "/user"), "ls:/user@client");
-  // callBuf() into a legacy endpoint: body copied in, reply wrapped.
-  EXPECT_EQ(net.callBuf("client", "legacy", 1, "ls",
-                        BufferView(Buffer::copyOf("/user"))),
-            "ls:/user@client");
+  EXPECT_EQ(
+      net.metrics().child("network").histogram("rpc.fetch.micros").count(),
+      2u);
 }
 
 TEST(NetworkTest, CallBufReplyAliasesTheServedBuffer) {
@@ -330,11 +310,10 @@ TEST(NetworkTest, CallBufReplyAliasesTheServedBuffer) {
   // fabric is in-process and only the bandwidth model distinguishes them.
   Network net;
   const Buffer block = Buffer::copyOf(Bytes(4096, 'd'));
-  net.bindBuf("dn", 1,
-              [&block](const BufRpcRequest&) { return BufferView(block); });
+  net.bind("dn", 1,
+           [&block](const RpcRequest&) { return BufferView(block); });
   net.addHost("client");
-  const BufferView reply =
-      net.callBuf("client", "dn", 1, "read", BufferView(), "read");
+  const BufferView reply = net.call("client", "dn", 1, "read", {}, "read");
   EXPECT_EQ(reply.view().data(), block.view().data());
   EXPECT_EQ(reply.size(), 4096u);
 }
@@ -342,9 +321,9 @@ TEST(NetworkTest, CallBufReplyAliasesTheServedBuffer) {
 TEST(NetworkTest, FaultPlanAppliesToCallBuf) {
   Network net;
   std::atomic<int> served{0};
-  net.bindBuf("dn", 1, [&served](const BufRpcRequest&) {
+  net.bind("dn", 1, [&served](const RpcRequest&) -> BufferView {
     ++served;
-    return BufferView(Buffer::copyOf("ok"));
+    return Bytes("ok");
   });
   net.addHost("client");
 
@@ -353,35 +332,29 @@ TEST(NetworkTest, FaultPlanAppliesToCallBuf) {
                  .action = FaultAction::kDrop,
                  .nth = 1});
   // Rules after a firing rule don't see the call, so this rule's first
-  // matching call is the second callBuf below.
+  // matching call is the second call below.
   plan->addRule({.match = {.method = "read"},
                  .action = FaultAction::kDropResponse,
                  .nth = 1});
   net.setFaultPlan(plan);
 
   // Drop: lost before delivery, handler never runs.
-  EXPECT_THROW(net.callBuf("client", "dn", 1, "read", BufferView(), "read"),
-               NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 1, "read", {}, "read"), NetworkError);
   EXPECT_EQ(served.load(), 0);
   // DropResponse: the handler runs but the caller still sees the error.
-  EXPECT_THROW(net.callBuf("client", "dn", 1, "read", BufferView(), "read"),
-               NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 1, "read", {}, "read"), NetworkError);
   EXPECT_EQ(served.load(), 1);
   // Budget exhausted: traffic flows again.
-  EXPECT_EQ(net.callBuf("client", "dn", 1, "read", BufferView(), "read"),
-            "ok");
+  EXPECT_EQ(net.call("client", "dn", 1, "read", {}, "read"), "ok");
 }
 
 TEST(NetworkTest, CallBufRefusedWhenHostDownOrUnbound) {
   Network net;
-  net.bindBuf("dn", 1,
-              [](const BufRpcRequest&) { return BufferView(); });
+  net.bind("dn", 1, [](const RpcRequest&) { return BufferView(); });
   net.addHost("client");
-  EXPECT_THROW(net.callBuf("client", "dn", 99, "read", BufferView()),
-               NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 99, "read", {}), NetworkError);
   net.setHostUp("dn", false);
-  EXPECT_THROW(net.callBuf("client", "dn", 1, "read", BufferView()),
-               NetworkError);
+  EXPECT_THROW(net.call("client", "dn", 1, "read", {}), NetworkError);
 }
 
 // Satellite: MH_TRACE / MH_METRICS_SNAPSHOT_MS switch the observability
