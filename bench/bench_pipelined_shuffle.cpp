@@ -18,8 +18,9 @@
 //   * wall clock: baseline / pipelined >= 1.3x;
 //   * byte-identical part files across the two runs;
 //   * the shuffle's share of the critical path strictly shrinks;
-//   * the pipelined run actually pipelined (SHUFFLE_PIPELINED_RUNS covers
-//     every map output) and its phases still partition the wall clock.
+//   * both runs fold every map output through the one reduce-shuffle path
+//     (SHUFFLE_PIPELINED_RUNS >= maps x reducers), and their phases still
+//     partition the wall clock.
 //
 // Writes the machine-readable summary BENCH_pipelined_shuffle.json (or
 // argv[1]).
@@ -58,6 +59,8 @@ std::string zipfCorpus(uint64_t seed) {
   }
   return out;
 }
+
+constexpr int kReducers = 2;
 
 /// Identical cluster tuning for both runs; only `slowstart` differs.
 Config benchConf(const std::string& slowstart) {
@@ -98,7 +101,7 @@ RunOutcome runOnce(const std::string& slowstart, const std::string& text) {
   spec.name = "zipf-wordcount";
   spec.input_paths = {"/in"};
   spec.output_dir = "/out";
-  spec.num_reducers = 2;
+  spec.num_reducers = kReducers;
   // Slow map: ~0.6 ms of "compute" per line keeps the map phase long
   // enough for an early-launched reduce to hide the whole shuffle under
   // it. Each occurrence ships a padded value so the shuffle carries real
@@ -175,23 +178,25 @@ int main(int argc, char** argv) {
   const bool bytes_identical = baseline.succeeded && pipelined.succeeded &&
                                !baseline.parts.empty() &&
                                baseline.parts == pipelined.parts;
-  // The blocking path never touches the pipelined counters; the pipelined
-  // run must have fetched every map output through the event feed.
-  const bool actually_pipelined =
-      baseline.pipelined_runs == 0 &&
-      pipelined.pipelined_runs >=
-          static_cast<int64_t>(pipelined.maps_total) &&
-      pipelined.pipelined_bytes > 0;
+  // Both runs shuffle through the same path, so each reduce folds at least
+  // one run per map either way. The overlap itself is proven by the
+  // shuffle-share and speedup gates below.
+  const int64_t runs_expected =
+      static_cast<int64_t>(baseline.maps_total) * kReducers;
+  const bool every_run_folded = baseline.pipelined_runs >= runs_expected &&
+                                pipelined.pipelined_runs >= runs_expected &&
+                                pipelined.pipelined_bytes > 0;
   const bool share_shrank = pipelined.shuffle_share < baseline.shuffle_share;
 
-  std::printf("slow-map zipf wordcount, %u maps x 2 reducers:\n",
-              baseline.maps_total);
+  std::printf("slow-map zipf wordcount, %u maps x %d reducers:\n",
+              baseline.maps_total, kReducers);
   std::printf("  slowstart=1.0   %5lld ms  shuffle %4.1f%% of critical "
-              "path\n",
+              "path  (%lld shuffled runs)\n",
               static_cast<long long>(baseline.wall_ms),
-              100.0 * baseline.shuffle_share);
+              100.0 * baseline.shuffle_share,
+              static_cast<long long>(baseline.pipelined_runs));
   std::printf("  slowstart=0.05  %5lld ms  shuffle %4.1f%% of critical "
-              "path  (%lld pipelined runs, %lld bytes)\n",
+              "path  (%lld shuffled runs, %lld bytes)\n",
               static_cast<long long>(pipelined.wall_ms),
               100.0 * pipelined.shuffle_share,
               static_cast<long long>(pipelined.pipelined_runs),
@@ -225,7 +230,7 @@ int main(int argc, char** argv) {
 
   if (!baseline.succeeded || !pipelined.succeeded) return 1;
   if (!bytes_identical) return 1;
-  if (!actually_pipelined) return 1;
+  if (!every_run_folded) return 1;
   if (!baseline.phases_partition || !pipelined.phases_partition) return 1;
   if (!share_shrank) return 1;
   if (speedup < 1.3) return 1;

@@ -97,10 +97,10 @@ inline constexpr const char* kShuffleFetchRetries = "SHUFFLE_FETCH_RETRIES";
 inline constexpr const char* kShuffleRawBytes = "SHUFFLE_RAW_BYTES";
 inline constexpr const char* kShuffleCompressedBytes =
     "SHUFFLE_COMPRESSED_BYTES";
-/// Pipelined shuffle (slowstart < 1.0): runs/bytes fetched while the map
-/// phase was still running, and runs discarded + re-fetched because a
-/// completion-feed invalidation (speculative win, lost tracker, map
-/// re-execution) made them stale.
+/// Reduce shuffle: runs/bytes every reduce fetched and folded, whether or
+/// not the fetch overlapped the map phase (slowstart=1.0 included), and runs
+/// discarded + re-fetched because a completion-feed invalidation
+/// (speculative win, lost tracker, map re-execution) made them stale.
 inline constexpr const char* kShufflePipelinedRuns = "SHUFFLE_PIPELINED_RUNS";
 inline constexpr const char* kShufflePipelinedBytes =
     "SHUFFLE_PIPELINED_BYTES";
