@@ -1,9 +1,7 @@
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 /// \file stopwatch.h
 /// Wall-clock timer over std::chrono::steady_clock for live-layer
@@ -37,18 +35,5 @@ class Stopwatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Sleeps up to `total`, waking early (within ~10 ms) when the stop token
-/// fires — daemon heartbeat loops use this so shutdown never waits out a
-/// full interval.
-inline void interruptibleSleep(const std::stop_token& token,
-                               std::chrono::milliseconds total) {
-  constexpr auto kSlice = std::chrono::milliseconds(10);
-  auto remaining = total;
-  while (remaining.count() > 0 && !token.stop_requested()) {
-    std::this_thread::sleep_for(std::min(kSlice, remaining));
-    remaining -= kSlice;
-  }
-}
 
 }  // namespace mh

@@ -5,7 +5,7 @@
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
-#include "mh/common/stopwatch.h"
+#include "mh/common/loop_waker.h"
 #include "mh/hdfs/short_circuit.h"
 
 namespace mh::hdfs {
@@ -78,10 +78,11 @@ void DataNode::start() {
 
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("dfs.heartbeat.interval.ms", 100));
+  // The first beat goes out right after registering, as Hadoop's
+  // offerService does; then one per interval.
   heartbeat_thread_ = std::jthread([this, interval](std::stop_token token) {
+    LoopWaker waker;
     while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
-      if (token.stop_requested()) return;
       try {
         heartbeatNow();
       } catch (const NetworkError&) {
@@ -89,6 +90,7 @@ void DataNode::start() {
       } catch (const std::exception& e) {
         logWarn(kLog) << host_ << " heartbeat error: " << e.what();
       }
+      waker.waitFor(token, interval);
     }
   });
   logInfo(kLog) << host_ << " started, "

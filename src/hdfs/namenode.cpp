@@ -7,6 +7,7 @@
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
+#include "mh/common/loop_waker.h"
 #include "mh/common/stopwatch.h"
 #include "mh/common/trace.h"
 #include "mh/hdfs/wire.h"
@@ -141,8 +142,9 @@ void NameNode::start() {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("dfs.namenode.monitor.interval.ms", 50));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
+    LoopWaker waker;
     while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
+      waker.waitFor(token, interval);
       if (token.stop_requested()) return;
       runMonitorOnce();
     }

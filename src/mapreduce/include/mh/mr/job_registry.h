@@ -31,9 +31,15 @@ class JobRegistry {
     return it->second;
   }
 
+  /// The JobTracker removes a job's spec when the job finishes.
   void remove(JobId id) {
     std::lock_guard<std::mutex> lock(mutex_);
     specs_.erase(id);
+  }
+
+  size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return specs_.size();
   }
 
  private:

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,10 +23,22 @@
 /// attempts, re-executes map tasks whose tracker died (their outputs died
 /// with it), and aggregates task counters into the job report.
 ///
+/// Scheduling is event-driven: trackers beat when a slot frees, and a beat
+/// from a tracker whose every task waits on news (`may_wait`) is held here
+/// until there is some — an assignment, map-completion events past its
+/// cursors, or a finished job to purge — or until one heartbeat interval
+/// passes. Whatever brings news (a submit, a heartbeat's reports, a monitor
+/// pass) answers the held beats in place before releasing them, so each
+/// held tracker gets its share of a new wave even if its thread is slow to
+/// run; stop() releases them unanswered.
+///
 /// Config keys (defaults):
 ///   mapred.max.attempts               4
 ///   mapred.tasktracker.expiry.ms      1000
 ///   mapred.jobtracker.monitor.interval.ms  50
+///   mapred.tasktracker.heartbeat.ms   50     (longest a held heartbeat
+///                                     waits for news; the trackers' liveness
+///                                     and backstop period)
 ///   mapred.task.timeout.ms            600000 (<= 0 disables; a Running
 ///                                     attempt older than this is failed and
 ///                                     rescheduled — rescues assignments
@@ -63,7 +76,11 @@ class JobTracker {
   /// returns its id. The job runs as trackers heartbeat in.
   JobId submit(JobSpec spec);
 
-  /// Blocks until the job reaches a terminal state.
+  /// Blocks until the job reaches a terminal state. A finished job keeps
+  /// only its report (status, counters, JobHistory, per-task outcome); its
+  /// splits, event feed and registry spec are dropped at finish. The last
+  /// 100 finished jobs stay queryable (Hadoop's retired-jobs default);
+  /// asking after an older one throws NotFoundError.
   JobResult wait(JobId id);
 
   JobStatus status(JobId id) const;
@@ -79,14 +96,23 @@ class JobTracker {
                        uint32_t reduce_slots,
                        const std::string& rack = "/default-rack");
 
+  /// One beat: processes `reports`, then answers with assignments for the
+  /// free slots, events past `cursors`, and purges for the `held_jobs` that
+  /// are finished or unknown. With `may_wait` and nothing to answer, holds
+  /// the beat (see the file comment).
   TrackerHeartbeatReply trackerHeartbeat(
       const std::string& host, uint32_t free_map_slots,
       uint32_t free_reduce_slots,
       const std::vector<TaskStatusReport>& reports,
-      const std::vector<ShuffleEventCursor>& cursors = {});
+      const std::vector<ShuffleEventCursor>& cursors = {},
+      const std::vector<JobId>& held_jobs = {}, bool may_wait = false);
 
   /// Test hook: one synchronous expiry pass.
   void runMonitorOnce();
+
+  /// Live trackers that have heartbeated since they (re)registered: the
+  /// ones a submitted job's first tasks can go to at once.
+  size_t heartbeatingTrackers() const;
 
   /// Test hook: the tracker host where `map_index` of `job` currently has a
   /// succeeded output, empty when pending/running/unknown.
@@ -123,7 +149,8 @@ class JobTracker {
 
   struct JobInProgress {
     JobId id = 0;
-    std::shared_ptr<const JobSpec> spec;
+    std::string name;
+    std::shared_ptr<const JobSpec> spec;  ///< null once finished
     std::vector<TaskInProgress> maps;
     std::vector<TaskInProgress> reduces;
     JobState state = JobState::kRunning;
@@ -151,12 +178,25 @@ class JobTracker {
     uint64_t next_event_id = 1;
   };
 
+  /// One heartbeat's question and, once answered, its reply. A may-wait
+  /// beat with nothing to say is parked in `held_beats_` until answered.
+  struct Beat {
+    const std::string& host;
+    uint32_t free_map_slots;
+    uint32_t free_reduce_slots;
+    const std::vector<ShuffleEventCursor>& cursors;
+    const std::vector<JobId>& held_jobs;
+    TrackerHeartbeatReply reply;
+    bool answered = false;
+  };
+
   struct TrackerInfo {
     std::string rack = "/default-rack";
     uint32_t map_slots = 0;
     uint32_t reduce_slots = 0;
     int64_t last_heartbeat_ms = 0;
     bool alive = false;
+    bool heartbeating = false;  ///< beat since it last registered
   };
 
   static int64_t steadyMillis();
@@ -173,6 +213,8 @@ class JobTracker {
                                uint32_t& free_map_slots,
                                std::vector<TaskAssignment>& out);
   void failJobLocked(JobInProgress& job, const std::string& error);
+  /// Records the terminal state, wakes waiters and held beats, and retires
+  /// the job's O(tasks) scheduling state (see wait()).
   void finishJobLocked(JobInProgress& job, JobState state);
   bool allMapsDoneLocked(const JobInProgress& job) const;
   /// True once the job's succeeded-map count reaches the slowstart
@@ -187,6 +229,13 @@ class JobTracker {
   void assignTasksLocked(const std::string& tracker_host,
                          uint32_t free_map_slots, uint32_t free_reduce_slots,
                          std::vector<TaskAssignment>& out);
+  /// Fills `beat.reply` from the current state: assignments for its free
+  /// slots, events past its cursors, purges for its finished held jobs.
+  /// Returns whether the reply carries any of them.
+  bool answerLocked(Beat& beat);
+  /// Answers every held beat that now has news and releases those. Each
+  /// entry point that changes scheduling state ends with this.
+  void answerHeldBeatsLocked();
   void expireTrackersLocked();
   void timeoutTasksLocked();
   JobStatus statusLocked(const JobInProgress& job) const;
@@ -208,7 +257,11 @@ class JobTracker {
 
   mutable std::mutex lock_;
   std::condition_variable job_done_;
+  /// Held heartbeats wait here, released once answered (or on stop()).
+  std::condition_variable news_;
+  std::vector<Beat*> held_beats_;
   std::map<JobId, JobInProgress> jobs_;
+  std::deque<JobId> finished_;  ///< retained finished jobs, oldest first
   std::map<std::string, TrackerInfo> trackers_;
   JobId next_job_id_ = 1;
   bool started_ = false;

@@ -116,6 +116,9 @@ class MapOutputStore {
 
   void purgeJob(JobId job);
 
+  /// The jobs this store holds outputs for, ascending.
+  std::vector<JobId> jobIds() const;
+
   void clear();
 
   /// O(1): a running total of the per-map stored runs, maintained by

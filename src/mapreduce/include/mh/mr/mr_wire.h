@@ -91,10 +91,19 @@ struct ShuffleEventCursor {
   uint64_t after = 0;  ///< deliver events with event_id > after
 };
 
+/// The heartbeat request travels as the tuple
+///   (host, free_map_slots, free_reduce_slots, reports, cursors, held_jobs,
+///    may_wait)
+/// where `held_jobs` lists every job the tracker still keeps state for (map
+/// outputs or an active shuffle) and `may_wait` says none of its running
+/// tasks can finish without news from the JobTracker, which may then hold
+/// the beat until it has some.
 struct TrackerHeartbeatReply {
   bool reregister = false;
   std::vector<TaskAssignment> assignments;
-  std::vector<JobId> purge_jobs;  ///< finished jobs whose map outputs can go
+  /// The presented held jobs that are finished (or unknown): their map
+  /// outputs and shuffles can go.
+  std::vector<JobId> purge_jobs;
   /// Map-completion events answering the tracker's ShuffleEventCursors.
   std::vector<MapCompletionEvent> map_events;
 };

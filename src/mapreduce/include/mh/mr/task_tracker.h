@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mh/common/config.h"
+#include "mh/common/loop_waker.h"
 #include "mh/common/threadpool.h"
 #include "mh/mr/job_registry.h"
 #include "mh/mr/map_output_store.h"
@@ -23,6 +24,14 @@
 /// serves finished map outputs to shuffling reducers, and enforces a memory
 /// budget on its tasks.
 ///
+/// Heartbeats are event-driven (Hadoop's out-of-band heartbeat): the tracker
+/// beats as soon as a slot frees, and when every running task waits on the
+/// JobTracker (no map running, every reduce parked for completion events,
+/// or nothing running at all) it beats with `may_wait` at once and the
+/// JobTracker holds the beat until it has news. The periodic beat remains
+/// for liveness, and carries failed attempts' reports so their retries are
+/// paced at one per interval.
+///
 /// Memory policy (the paper's deadline-night lesson): a task that grows the
 /// heap past `mapred.tasktracker.memory.bytes` either fails with
 /// OutOfMemoryError (`policy=fail-task`, default) or takes the whole
@@ -32,7 +41,11 @@
 /// Config keys (defaults):
 ///   mapred.tasktracker.map.tasks.maximum     2
 ///   mapred.tasktracker.reduce.tasks.maximum  1
-///   mapred.tasktracker.heartbeat.ms          50
+///   mapred.tasktracker.heartbeat.ms          50   (liveness/backstop
+///                                            period: the longest a tracker
+///                                            goes without beating, and the
+///                                            longest the JobTracker holds a
+///                                            may-wait beat)
 ///   mapred.tasktracker.memory.bytes          (unlimited)
 ///   mapred.tasktracker.oom.policy            fail-task | crash-tracker
 ///   mapred.reduce.parallel.copies            5
@@ -127,14 +140,21 @@ class TaskTracker {
     uint64_t cursor = 0;  ///< highest event id routed into the inbox
     std::deque<MapCompletionEvent> inbox;
     bool aborted = false;  ///< tracker stopping / job purged: give up
+    bool parked = false;   ///< in REDUCE_SHUFFLE_WAIT: only news can help
   };
 
   void installRpc();
   void heartbeatLoop(std::stop_token token);
   void heartbeatOnce();
+  /// True when none of the running tasks can finish without news from the
+  /// JobTracker — no map is assigned and every assigned reduce is parked
+  /// with an empty inbox, or nothing runs at all — and no report is waiting
+  /// to go out.
+  bool mayWait();
   void runAssignment(const TaskAssignment& assignment);
-  void runMapAssignment(const TaskAssignment& assignment);
-  void runReduceAssignment(const TaskAssignment& assignment);
+  /// Run one attempt and queue its report; return whether it succeeded.
+  bool runMapAssignment(const TaskAssignment& assignment);
+  bool runReduceAssignment(const TaskAssignment& assignment);
   /// Every reduce's shuffle: fetches map outputs incrementally as their
   /// locations arrive (all at once when the assignment's list is already
   /// complete), folding fetched runs into bounded segments, and returns the
@@ -212,6 +232,9 @@ class TaskTracker {
   std::mutex reports_mutex_;
   std::vector<TaskStatusReport> pending_reports_;
 
+  /// Rung when a slot frees or a reduce parks with no map running, so the
+  /// heartbeat loop beats at once instead of at the next interval.
+  LoopWaker beat_waker_;
   std::jthread heartbeat_thread_;
 };
 

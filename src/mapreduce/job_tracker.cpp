@@ -7,7 +7,7 @@
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
-#include "mh/common/stopwatch.h"
+#include "mh/common/loop_waker.h"
 #include "mh/hdfs/dfs_client.h"
 
 namespace mh::mr {
@@ -18,6 +18,10 @@ constexpr const char* kLog = "jobtracker";
 /// Fetch failures are reported with this prefix so the JobTracker can
 /// re-execute the source map instead of burning reduce attempts.
 constexpr const char* kFetchFailurePrefix = "fetch-failure ";
+
+/// Finished jobs kept answerable, newest first — Hadoop's default for
+/// mapred.jobtracker.completeuserjobs.maximum. Older ones are forgotten.
+constexpr size_t kRetainedFinishedJobs = 100;
 }  // namespace
 
 JobTracker::JobTracker(Config conf, std::shared_ptr<net::Network> network,
@@ -83,8 +87,9 @@ void JobTracker::start() {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("mapred.jobtracker.monitor.interval.ms", 50));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
+    LoopWaker waker;
     while (!token.stop_requested()) {
-      interruptibleSleep(token, interval);
+      waker.waitFor(token, interval);
       if (token.stop_requested()) return;
       runMonitorOnce();
     }
@@ -102,6 +107,9 @@ void JobTracker::stop() {
     monitor_.request_stop();
     monitor_.join();
   }
+  // Release held heartbeats before unbinding: unbind drains in-flight
+  // handlers, and a held beat would otherwise sit out its full interval.
+  news_.notify_all();
   network_->unbind(host_, kJobTrackerPort);
   job_done_.notify_all();
 }
@@ -141,6 +149,7 @@ JobId JobTracker::submit(JobSpec spec) {
 
   JobInProgress job;
   job.id = id;
+  job.name = shared_spec->name;
   job.spec = shared_spec;
   job.submit_ms = steadyMillis();
   job.trace_id = trace_id;
@@ -160,17 +169,22 @@ JobId JobTracker::submit(JobSpec spec) {
                     {"maps", std::to_string(job.maps.size())},
                     {"reduces", std::to_string(job.reduces.size())}});
   jobs_.emplace(id, std::move(job));
+  answerHeldBeatsLocked();  // idle trackers take the first tasks
   return id;
 }
 
 JobResult JobTracker::wait(JobId id) {
   std::unique_lock<std::mutex> guard(lock_);
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) throw NotFoundError("job " + std::to_string(id));
+  // Looked up on every wake: a finished job can be forgotten meanwhile.
+  const auto find = [&] {
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) throw NotFoundError("job " + std::to_string(id));
+    return it;
+  };
   job_done_.wait(guard, [&] {
-    return it->second.state != JobState::kRunning || !started_;
+    return find()->second.state != JobState::kRunning || !started_;
   });
-  const JobInProgress& job = it->second;
+  const JobInProgress& job = find()->second;
   JobResult result;
   result.state = job.state;
   result.counters = job.counters;
@@ -188,7 +202,7 @@ JobResult JobTracker::wait(JobId id) {
 JobStatus JobTracker::statusLocked(const JobInProgress& job) const {
   JobStatus status;
   status.id = job.id;
-  status.name = job.spec->name;
+  status.name = job.name;
   status.state = job.state;
   status.maps_total = static_cast<uint32_t>(job.maps.size());
   status.reduces_total = static_cast<uint32_t>(job.reduces.size());
@@ -225,7 +239,7 @@ std::string JobTracker::renderJobDetails(JobId id) const {
   const JobStatus status = statusLocked(job);
 
   std::ostringstream out;
-  out << "Job job_" << id << " '" << job.spec->name
+  out << "Job job_" << id << " '" << job.name
       << "'    state: " << jobStateName(job.state) << "\n";
   const auto bar = [](uint32_t done, uint32_t total) {
     const int cells = total == 0 ? 20 : static_cast<int>(20 * done / total);
@@ -285,6 +299,7 @@ void JobTracker::registerTracker(const std::string& host, uint32_t map_slots,
   info.reduce_slots = reduce_slots;
   info.last_heartbeat_ms = steadyMillis();
   info.alive = true;
+  info.heartbeating = false;
   logInfo(kLog) << "registered tasktracker " << host << " (" << map_slots
                 << "M/" << reduce_slots << "R slots)";
 }
@@ -323,6 +338,22 @@ void JobTracker::finishJobLocked(JobInProgress& job, JobState state) {
     root.track = "jobs";
     root.args = {{"state", jobStateName(state)}};
     tracer_->record(std::move(root));
+  }
+  // Retire: keep what wait/status/renderJobDetails read (per-task outcome,
+  // counters, JobHistory) and drop the O(tasks) scheduling state. Trackers
+  // purge the job's outputs on their next beat (it is finished).
+  for (TaskInProgress& task : job.maps) {
+    task.split = {};
+    task.contributed = {};
+  }
+  for (TaskInProgress& task : job.reduces) task.contributed = {};
+  job.map_events = {};
+  job.spec.reset();
+  registry_->remove(job.id);
+  finished_.push_back(job.id);
+  while (finished_.size() > kRetainedFinishedJobs) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
   }
   job_done_.notify_all();
 }
@@ -692,28 +723,51 @@ void JobTracker::assignSpeculativeLocked(const std::string& tracker_host,
 TrackerHeartbeatReply JobTracker::trackerHeartbeat(
     const std::string& host, uint32_t free_map_slots,
     uint32_t free_reduce_slots, const std::vector<TaskStatusReport>& reports,
-    const std::vector<ShuffleEventCursor>& cursors) {
-  std::lock_guard<std::mutex> guard(lock_);
-  TrackerHeartbeatReply reply;
+    const std::vector<ShuffleEventCursor>& cursors,
+    const std::vector<JobId>& held_jobs, bool may_wait) {
+  std::unique_lock<std::mutex> guard(lock_);
   const auto it = trackers_.find(host);
   if (it == trackers_.end()) {
+    TrackerHeartbeatReply reply;
     reply.reregister = true;
     return reply;
   }
   it->second.last_heartbeat_ms = steadyMillis();
   it->second.alive = true;
+  it->second.heartbeating = true;
 
   for (const auto& report : reports) {
     processReportLocked(host, report);
   }
+  if (!reports.empty()) answerHeldBeatsLocked();
 
-  assignTasksLocked(host, free_map_slots, free_reduce_slots,
+  Beat beat{host, free_map_slots, free_reduce_slots, cursors, held_jobs, {}};
+  if (answerLocked(beat) || !may_wait || !started_) {
+    return std::move(beat.reply);
+  }
+
+  // Nothing to say yet and the tracker can only wait: hold the beat. The
+  // next state change answers it in place (see answerHeldBeatsLocked); at
+  // the deadline it takes one last look, e.g. for a straggler backup.
+  held_beats_.push_back(&beat);
+  news_.wait_for(guard,
+                 std::chrono::milliseconds(
+                     conf_.getInt("mapred.tasktracker.heartbeat.ms", 50)),
+                 [&] { return beat.answered || !started_; });
+  std::erase(held_beats_, &beat);
+  if (!beat.answered) answerLocked(beat);
+  return std::move(beat.reply);
+}
+
+bool JobTracker::answerLocked(Beat& beat) {
+  TrackerHeartbeatReply& reply = beat.reply;
+  assignTasksLocked(beat.host, beat.free_map_slots, beat.free_reduce_slots,
                     reply.assignments);
 
   // Answer the tracker's event-feed subscriptions: everything newer than
   // its per-job cursor, replayed from the job's in-memory log (heartbeat
   // loss only delays delivery — the tracker re-presents the same cursor).
-  for (const auto& cursor : cursors) {
+  for (const auto& cursor : beat.cursors) {
     const auto job_it = jobs_.find(cursor.job);
     if (job_it == jobs_.end()) continue;
     for (const auto& event : job_it->second.map_events) {
@@ -721,10 +775,27 @@ TrackerHeartbeatReply JobTracker::trackerHeartbeat(
     }
   }
 
-  for (const auto& [id, job] : jobs_) {
-    if (job.state != JobState::kRunning) reply.purge_jobs.push_back(id);
+  // Purge only what the tracker says it holds: bounded by its own state,
+  // and idempotent when a reply is lost (it presents the job again).
+  for (const JobId id : beat.held_jobs) {
+    const auto job_it = jobs_.find(id);
+    if (job_it == jobs_.end() || job_it->second.state != JobState::kRunning) {
+      reply.purge_jobs.push_back(id);
+    }
   }
-  return reply;
+  return !reply.assignments.empty() || !reply.map_events.empty() ||
+         !reply.purge_jobs.empty();
+}
+
+void JobTracker::answerHeldBeatsLocked() {
+  bool answered = false;
+  for (Beat* beat : held_beats_) {
+    if (!beat->answered && answerLocked(*beat)) {
+      beat->answered = true;
+      answered = true;
+    }
+  }
+  if (answered) news_.notify_all();
 }
 
 std::string JobTracker::mapLocation(JobId job, uint32_t map_index) const {
@@ -735,10 +806,19 @@ std::string JobTracker::mapLocation(JobId job, uint32_t map_index) const {
   return task.state == TaskState::kSucceeded ? task.tracker : "";
 }
 
+size_t JobTracker::heartbeatingTrackers() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return static_cast<size_t>(
+      std::count_if(trackers_.begin(), trackers_.end(), [](const auto& entry) {
+        return entry.second.alive && entry.second.heartbeating;
+      }));
+}
+
 void JobTracker::runMonitorOnce() {
   std::lock_guard<std::mutex> guard(lock_);
   expireTrackersLocked();
   timeoutTasksLocked();
+  answerHeldBeatsLocked();  // re-pended tasks of lost trackers and timeouts
 }
 
 void JobTracker::expireTrackersLocked() {
@@ -868,12 +948,14 @@ void JobTracker::installRpc() {
       return {};
     }
     if (req.method == "heartbeat") {
-      const auto [host, free_maps, free_reduces, reports, cursors] =
+      const auto [host, free_maps, free_reduces, reports, cursors, held_jobs,
+                  may_wait] =
           unpack<std::string, uint32_t, uint32_t,
                  std::vector<TaskStatusReport>,
-                 std::vector<ShuffleEventCursor>>(req.body);
-      return pack(
-          trackerHeartbeat(host, free_maps, free_reduces, reports, cursors));
+                 std::vector<ShuffleEventCursor>, std::vector<JobId>, bool>(
+              req.body);
+      return pack(trackerHeartbeat(host, free_maps, free_reduces, reports,
+                                   cursors, held_jobs, may_wait));
     }
     throw InvalidArgumentError("jobtracker: unknown RPC method " + req.method);
   });

@@ -513,6 +513,14 @@ void MapOutputStore::purgeJob(JobId job) {
   jobs_.erase(job_it);
 }
 
+std::vector<JobId> MapOutputStore::jobIds() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<JobId> ids;
+  ids.reserve(jobs_.size());
+  for (const auto& [job, slots] : jobs_) ids.push_back(job);
+  return ids;
+}
+
 void MapOutputStore::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [job, slots] : jobs_) {

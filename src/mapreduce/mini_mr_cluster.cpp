@@ -1,5 +1,8 @@
 #include "mh/mr/mini_mr_cluster.h"
 
+#include <chrono>
+#include <thread>
+
 #include "mh/common/error.h"
 
 namespace mh::mr {
@@ -24,14 +27,24 @@ MiniMrCluster::MiniMrCluster(MiniMrOptions options)
     tracker->start();
     trackers_.emplace(host, std::move(tracker));
   }
+  // Like Hadoop's MiniMRCluster, return once every tracker has heartbeated,
+  // so a job submitted at once is offered to the whole cluster.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (job_tracker_->heartbeatingTrackers() < trackers_.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 MiniMrCluster::~MiniMrCluster() {
   // Snapshotter first: its sampler walks every daemon's gauges, so it must
   // quiesce before any daemon is destroyed.
   network()->stopSnapshotter();
-  for (auto& [host, tracker] : trackers_) tracker->stop();
+  // JobTracker first, as stop-mapred.sh does: its stop releases the beats
+  // it holds, so each tracker's stop need not wait one out.
   job_tracker_->stop();
+  for (auto& [host, tracker] : trackers_) tracker->stop();
 }
 
 TaskTracker& MiniMrCluster::taskTracker(const std::string& host) {

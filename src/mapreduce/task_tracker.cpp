@@ -332,8 +332,11 @@ void TaskTracker::start() {
   }
   crashed_.store(false);
   network_->setHostUp(host_, true);
-  map_pool_ = std::make_unique<ThreadPool>(map_slots_);
-  reduce_pool_ = std::make_unique<ThreadPool>(reduce_slots_);
+  // A kind with zero slots (e.g. a reduce-only tracker) is never assigned,
+  // but its pool still needs a thread to exist.
+  map_pool_ = std::make_unique<ThreadPool>(std::max<uint32_t>(1, map_slots_));
+  reduce_pool_ =
+      std::make_unique<ThreadPool>(std::max<uint32_t>(1, reduce_slots_));
   heap_used_.store(0);
   running_.store(true);
 
@@ -399,11 +402,22 @@ void TaskTracker::crash() {
 void TaskTracker::heartbeatLoop(std::stop_token token) {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("mapred.tasktracker.heartbeat.ms", 50));
+  // Whether the last call to the JobTracker got through (at first, the
+  // registration in start()).
+  bool reachable = true;
   while (!token.stop_requested()) {
-    interruptibleSleep(token, interval);
+    // Beat when rung (a slot freed, a reduce parked) or at the liveness
+    // interval. A tracker that may wait beats again at once — the
+    // JobTracker holds that beat until it has news — unless the JobTracker
+    // was unreachable, which backs off a full interval.
+    beat_waker_.waitFor(token, reachable && mayWait()
+                                   ? std::chrono::milliseconds(0)
+                                   : interval);
     if (token.stop_requested() || !running_.load()) return;
+    reachable = false;
     try {
       heartbeatOnce();
+      reachable = true;
     } catch (const NetworkError&) {
       // JobTracker unreachable; retry next beat.
     } catch (const std::exception& e) {
@@ -412,7 +426,31 @@ void TaskTracker::heartbeatLoop(std::stop_token token) {
   }
 }
 
+bool TaskTracker::mayWait() {
+  {
+    // An unsent report (a failed attempt's: successes ring at once) waits
+    // for the periodic beat, so a task that fails fast is retried once per
+    // interval rather than as fast as it can fail.
+    std::lock_guard<std::mutex> lock(reports_mutex_);
+    if (!pending_reports_.empty()) return false;
+  }
+  const uint32_t busy_reduces = busy_reduces_.load();
+  if (busy_maps_.load() != 0) return false;
+  uint32_t parked = 0;
+  std::lock_guard<std::mutex> lock(shuffles_mutex_);
+  for (const auto& shuffle : shuffles_) {
+    std::lock_guard<std::mutex> state_lock(shuffle->mutex);
+    if (shuffle->parked && shuffle->inbox.empty() && !shuffle->aborted) {
+      ++parked;
+    }
+  }
+  return parked == busy_reduces;
+}
+
 void TaskTracker::heartbeatOnce() {
+  // Judged before taking the reports: a task queues its report before it
+  // frees its slot, so a beat that counts the slot free carries the report.
+  const bool may_wait = mayWait();
   std::vector<TaskStatusReport> reports;
   {
     std::lock_guard<std::mutex> lock(reports_mutex_);
@@ -424,8 +462,11 @@ void TaskTracker::heartbeatOnce() {
 
   // Pipelined reduces subscribe to their job's map-completion feed: present
   // one cursor per job — the minimum across this tracker's active shuffles,
-  // so no subscriber misses an event another already consumed.
+  // so no subscriber misses an event another already consumed. Every job
+  // with stored outputs or a shuffle is presented as held, so the JobTracker
+  // can say which of them have finished.
   std::vector<ShuffleEventCursor> cursors;
+  std::vector<JobId> held_jobs = outputs_.jobIds();
   {
     std::lock_guard<std::mutex> lock(shuffles_mutex_);
     for (const auto& shuffle : shuffles_) {
@@ -435,6 +476,10 @@ void TaskTracker::heartbeatOnce() {
           [&](const ShuffleEventCursor& c) { return c.job == shuffle->job; });
       if (it == cursors.end()) {
         cursors.push_back({shuffle->job, shuffle->cursor});
+        if (std::find(held_jobs.begin(), held_jobs.end(), shuffle->job) ==
+            held_jobs.end()) {
+          held_jobs.push_back(shuffle->job);
+        }
       } else {
         it->after = std::min(it->after, shuffle->cursor);
       }
@@ -445,7 +490,8 @@ void TaskTracker::heartbeatOnce() {
   try {
     const BufferView raw = network_->call(
         host_, jobtracker_host_, kJobTrackerPort, "heartbeat",
-        pack(host_, free_maps, free_reduces, reports, cursors));
+        pack(host_, free_maps, free_reduces, reports, cursors, held_jobs,
+             may_wait));
     reply = std::get<0>(unpack<TrackerHeartbeatReply>(raw));
   } catch (...) {
     // Re-queue the reports so they are not lost.
@@ -566,22 +612,29 @@ bool TaskTracker::tryChargeHeap(int64_t delta) {
 }
 
 void TaskTracker::runAssignment(const TaskAssignment& assignment) {
+  // The task queues its report, then frees its slot, then rings for a beat:
+  // in that order the beat reports the task done AND its slot free. A failed
+  // attempt does not ring; its report rides the periodic beat, which paces
+  // retries — a task failing fast (say, while the NameNode is down) would
+  // otherwise burn all its attempts within milliseconds (see mayWait()).
   if (assignment.kind == AssignmentKind::kMap) {
     ++busy_maps_;
     map_pool_->submit([this, assignment] {
-      runMapAssignment(assignment);
+      const bool succeeded = runMapAssignment(assignment);
       --busy_maps_;
+      if (succeeded) beat_waker_.ring();
     });
   } else {
     ++busy_reduces_;
     reduce_pool_->submit([this, assignment] {
-      runReduceAssignment(assignment);
+      const bool succeeded = runReduceAssignment(assignment);
       --busy_reduces_;
+      if (succeeded) beat_waker_.ring();
     });
   }
 }
 
-void TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
+bool TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
   TaskStatusReport report;
   report.job = assignment.job;
   report.task_index = assignment.task_index;
@@ -630,10 +683,12 @@ void TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
     maps_failed_->add();
     span.arg("error", e.what());
   }
+  const bool succeeded = report.succeeded;
   queueReport(std::move(report));
+  return succeeded;
 }
 
-void TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
+bool TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
   TaskStatusReport report;
   report.job = assignment.job;
   report.task_index = assignment.task_index;
@@ -698,7 +753,9 @@ void TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
     reduces_failed_->add();
     span.arg("error", e.what());
   }
+  const bool succeeded = report.succeeded;
   queueReport(std::move(report));
+  return succeeded;
 }
 
 std::vector<BufferView> TaskTracker::runPipelinedShuffle(
@@ -891,11 +948,16 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     wait_span.arg("fetched", std::to_string(fetched));
     wait_span.arg("total", std::to_string(total_maps));
     std::unique_lock<std::mutex> lock(state->mutex);
+    // Parked: with no map running either, the tracker may now wait on the
+    // JobTracker, so ring for a beat that it will hold until news arrives.
+    state->parked = true;
+    if (busy_maps_.load() == 0) beat_waker_.ring();
     // The timeout is a backstop for wake-ups with no notifier (e.g. a
     // crash-tracker OOM elsewhere flips running_ without an abort).
     while (state->inbox.empty() && !state->aborted && running_.load()) {
       state->cv.wait_for(lock, std::chrono::milliseconds(20));
     }
+    state->parked = false;
   }
   return merger.assemble();
 }

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "mh/common/stopwatch.h"
 #include "mh/hdfs/mini_cluster.h"
 #include "mr_test_jobs.h"
 
@@ -53,8 +54,9 @@ class JobTrackerHarness : public ::testing::Test {
 
   TrackerHeartbeatReply beat(const std::string& host, uint32_t maps,
                              uint32_t reduces,
-                             std::vector<TaskStatusReport> reports = {}) {
-    return jt_->trackerHeartbeat(host, maps, reduces, reports);
+                             std::vector<TaskStatusReport> reports = {},
+                             std::vector<JobId> held_jobs = {}) {
+    return jt_->trackerHeartbeat(host, maps, reduces, reports, {}, held_jobs);
   }
 
   static TaskStatusReport success(const TaskAssignment& assignment) {
@@ -352,9 +354,54 @@ TEST_F(JobTrackerHarness, FinishedJobsAppearInPurgeList) {
   // map's success.
   const auto reduce = beat("tt1", 1, 1, {success(maps[0])}).assignments;
   ASSERT_EQ(reduce.size(), 1u);
-  const auto reply = beat("tt1", 1, 1, {success(reduce[0])});
+  // The tracker holds the job's map output; while the job runs it stays.
+  EXPECT_TRUE(beat("tt1", 0, 0, {}, {id}).purge_jobs.empty());
+  const auto reply = beat("tt1", 1, 1, {success(reduce[0])}, {id});
   const auto& purge = reply.purge_jobs;
   EXPECT_NE(std::find(purge.begin(), purge.end(), id), purge.end());
+  // Purges answer only what the tracker presents: a tracker holding
+  // nothing is told nothing, and a lost reply is answered again.
+  EXPECT_TRUE(beat("tt1", 1, 1).purge_jobs.empty());
+  EXPECT_EQ(beat("tt1", 1, 1, {}, {id}).purge_jobs, std::vector<JobId>{id});
+}
+
+TEST_F(JobTrackerHarness, MayWaitBeatIsHeldUntilNews) {
+  Config conf = conf_;
+  conf.setInt("mapred.tasktracker.heartbeat.ms", 2000);
+  conf.setInt("mapred.tasktracker.expiry.ms", 20'000);
+  auto jt = std::make_unique<JobTracker>(conf, dfs_->network(), registry_,
+                                         "jt-held", "namenode");
+  jt->start();
+  jt->registerTracker("tt1", 2, 1);
+
+  // Nothing to do: a may-wait beat is held for the full interval.
+  Stopwatch idle;
+  const auto empty = jt->trackerHeartbeat("tt1", 2, 1, {}, {}, {}, true);
+  EXPECT_TRUE(empty.assignments.empty());
+  EXPECT_GE(idle.elapsedMillis(), 1900);
+
+  // A submit while the beat is held answers it at once with the tasks.
+  dfs_->client().writeFile("/in-held/f", Bytes(2 * 1024, 'x'));
+  TrackerHeartbeatReply reply;
+  std::thread beat([&] {
+    reply = jt->trackerHeartbeat("tt1", 2, 1, {}, {}, {}, true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Stopwatch woken;
+  jt->submit(wordCountSpec({"/in-held"}, "/out-held", false, 1));
+  beat.join();
+  EXPECT_LT(woken.elapsedMillis(), 1000);
+  EXPECT_EQ(reply.assignments.size(), 2u);
+
+  // A held beat ends when the JobTracker stops.
+  std::thread held([&] {
+    jt->trackerHeartbeat("tt1", 0, 0, {}, {}, {}, true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Stopwatch stopping;
+  jt->stop();
+  held.join();
+  EXPECT_LT(stopping.elapsedMillis(), 1000);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
@@ -431,6 +432,39 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TracedMrChaosTest, ::testing::Values(2),
                            return "seed" + std::to_string(info.param);
                          });
 
+/// Holds the first map attempt to start inside its first record until the
+/// gate opens, so a job cannot leave its map phase before the test has
+/// acted, however fast the scheduler runs the other maps.
+struct MapGate {
+  std::atomic<bool> taken{false};
+  std::atomic<bool> open{false};
+};
+
+class GatedMapper final : public Mapper {
+ public:
+  GatedMapper(std::unique_ptr<Mapper> inner, std::shared_ptr<MapGate> gate)
+      : inner_(std::move(inner)), gate_(std::move(gate)) {}
+  void setup(TaskContext& ctx) override { inner_->setup(ctx); }
+  void map(std::string_view key, std::string_view value,
+           TaskContext& ctx) override {
+    bool expected = false;
+    if (first_record_ &&
+        gate_->taken.compare_exchange_strong(expected, true)) {
+      while (!gate_->open.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    first_record_ = false;
+    inner_->map(key, value, ctx);
+  }
+  void cleanup(TaskContext& ctx) override { inner_->cleanup(ctx); }
+
+ private:
+  std::unique_ptr<Mapper> inner_;
+  std::shared_ptr<MapGate> gate_;
+  bool first_record_ = true;
+};
+
 // The NameNode is kill -9'd mid-job and restarted from its edit log.
 // Every HDFS call a task makes while the master is down fails that
 // attempt; the JobTracker must retry through the outage and the finished
@@ -478,18 +512,50 @@ TEST_P(NameNodeRestartMrChaosTest, JobFinishesByteIdenticalAcrossNnCrash) {
   conf.setInt("mapred.max.attempts", 20);
   MiniMrCluster cluster({.num_nodes = 4, .conf = conf});
   cluster.client().writeFile("/in/corpus.txt", corpus);
-  const JobId id = cluster.jobTracker().submit(jobForSeed(seed));
+  // Opened by the first crash, or on any early exit so teardown can join
+  // the held attempt.
+  const auto gate = std::make_shared<MapGate>();
+  struct GateOpener {
+    std::shared_ptr<MapGate> gate;
+    ~GateOpener() { gate->open = true; }
+  } opener{gate};
+  JobSpec spec = jobForSeed(seed);
+  spec.mapper = [inner = spec.mapper, gate] {
+    return std::make_unique<GatedMapper>(inner(), gate);
+  };
+  const JobId id = cluster.jobTracker().submit(std::move(spec));
 
-  // Let the job get some maps in flight, then kill the master twice with
-  // a short outage each time.
+  // Kill the master twice with a short outage each time. The first crash
+  // waits for progress, not the clock: once a map has completed while the
+  // gated map keeps the map phase open (an event-driven scheduler can
+  // finish the whole job inside any fixed sleep). The second gives the
+  // restarted master a while to serve the job first.
   Rng driver(seed ^ 0x9A3E10D5ull);
   int outages = 0;
   for (int outage = 0; outage < 2; ++outage) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(40 + driver.uniform(80)));
-    if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
+    if (outage == 0) {
+      JobStatus status = cluster.jobTracker().status(id);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (status.state == JobState::kRunning &&
+             status.maps_completed == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        status = cluster.jobTracker().status(id);
+      }
+      if (status.state != JobState::kRunning ||
+          status.maps_completed == 0 ||
+          status.maps_completed >= status.maps_total) {
+        break;
+      }
+    } else {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(40 + driver.uniform(80)));
+      if (cluster.jobTracker().status(id).state != JobState::kRunning) break;
+    }
     cluster.dfs().crashNameNode();
     ++outages;
+    gate->open = true;
     std::this_thread::sleep_for(
         std::chrono::milliseconds(60 + driver.uniform(120)));
     cluster.dfs().restartNameNode();
