@@ -1,17 +1,21 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths under every
-// experiment — CRC32C checksumming, record serde, the map-side sort/spill,
-// KV-run encode/decode, and block-store writes. Useful for spotting
-// regressions in the substrate the table/figure benches sit on.
+// experiment — CRC32C checksumming, record serde, the WordCount map path
+// (map, collect, sort/spill), KV-run encode/decode, and block-store writes.
+// Useful for spotting regressions in the substrate the table/figure benches
+// sit on.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
+#include "mh/apps/wordcount.h"
 #include "mh/common/crc32.h"
 #include "mh/common/rng.h"
 #include "mh/common/serde.h"
+#include "mh/data/text_corpus.h"
 #include "mh/hdfs/block_store.h"
 #include "mh/mr/kv_stream.h"
+#include "mh/mr/map_output_buffer.h"
 #include "mh/mr/merge.h"
 
 namespace {
@@ -60,23 +64,42 @@ void BM_KvRunEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_KvRunEncodeDecode);
 
-void BM_MapSideSort(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<mh::mr::KeyValue> base;
-  const auto n = static_cast<size_t>(state.range(0));
-  for (size_t i = 0; i < n; ++i) {
-    base.push_back({"k" + std::to_string(rng.uniform(n / 4 + 1)), "1"});
+/// The shipping map path over one TextCorpusGenerator split:
+/// WordCountMapper::map -> MapOutputBuffer::collect -> finish (sort, spill,
+/// final merge), as runMapTask drives it. Reports input records (lines)
+/// per second.
+void BM_WordCountMapCollect(benchmark::State& state) {
+  const Bytes split =
+      mh::data::TextCorpusGenerator(
+          {.seed = 5, .target_bytes = static_cast<uint64_t>(state.range(0))})
+          .generate();
+  std::vector<std::string_view> lines;
+  for (size_t start = 0; start < split.size();) {
+    const size_t end = split.find('\n', start);
+    lines.emplace_back(split.data() + start, end - start);
+    start = end + 1;
   }
+  auto spec = mh::apps::makeWordCountJob({"in"}, "out", false, 4);
+  spec.validateAndDefault();
+  const auto partitioner = spec.partitioner();
   for (auto _ : state) {
-    auto records = base;
-    std::stable_sort(records.begin(), records.end(),
-                     [](const auto& a, const auto& b) { return a.key < b.key; });
-    benchmark::DoNotOptimize(records);
+    mh::mr::Counters counters;
+    mh::mr::MapOutputBuffer buffer(spec, counters, {}, nullptr, nullptr, {});
+    mh::mr::TaskContext ctx(spec.conf, counters, [&](Bytes key, Bytes value) {
+      buffer.collect(key, value,
+                     partitioner->partition(key, spec.num_reducers));
+    });
+    const auto mapper = spec.mapper();
+    for (const std::string_view line : lines) mapper->map({}, line, ctx);
+    benchmark::DoNotOptimize(buffer.finish());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
+                          static_cast<int64_t>(lines.size()));
 }
-BENCHMARK(BM_MapSideSort)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_WordCountMapCollect)
+    ->Arg(1 << 20)
+    ->Arg(4 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 /// `k` sorted runs of `n` records each, the reduce merge's input shape.
 std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {

@@ -60,8 +60,8 @@ set_target_properties(bench_trace PROPERTIES
 
 # Engine micro-benchmarks on google-benchmark.
 add_executable(bench_microbench ${CMAKE_SOURCE_DIR}/bench/bench_microbench.cpp)
-target_link_libraries(bench_microbench PRIVATE mh_hdfs mh_mapreduce
-                      benchmark::benchmark)
+target_link_libraries(bench_microbench PRIVATE mh_hdfs mh_mapreduce mh_apps
+                      mh_data benchmark::benchmark)
 set_target_properties(bench_microbench PROPERTIES
                       RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 

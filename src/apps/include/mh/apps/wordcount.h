@@ -15,8 +15,9 @@
 
 namespace mh::apps {
 
-/// Tokenizes on whitespace, lower-cases ASCII, strips leading/trailing
-/// punctuation; emits (word, 1).
+/// Tokenizes on ASCII whitespace, strips leading/trailing bytes that are not
+/// ASCII letters, digits or '\'', lower-cases A-Z; emits (word, 1). Keys do
+/// not depend on the process locale.
 class WordCountMapper : public mr::Mapper {
  public:
   void map(std::string_view key, std::string_view value,

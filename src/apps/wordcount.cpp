@@ -1,32 +1,36 @@
 #include "mh/apps/wordcount.h"
 
-#include <cctype>
-
 #include "mh/common/strings.h"
 
 namespace mh::apps {
 
 namespace {
 
-std::string normalizeToken(std::string_view token) {
-  size_t begin = 0;
-  size_t end = token.size();
-  const auto is_word_char = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '\'';
-  };
-  while (begin < end && !is_word_char(token[begin])) ++begin;
-  while (end > begin && !is_word_char(token[end - 1])) --end;
-  return toLowerAscii(token.substr(begin, end - begin));
+/// ASCII letters, digits and the apostrophe ("don't"); every other byte,
+/// including bytes >= 0x80, is trimmed off a token's ends.
+bool isWordChar(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z') || c == '\'';
 }
+
+/// The encoded count every emission carries, built once.
+const Bytes kOne = mr::MrCodec<int64_t>::enc(1);
 
 }  // namespace
 
 void WordCountMapper::map(std::string_view, std::string_view value,
                           mr::TaskContext& ctx) {
-  for (const auto& token : splitWhitespace(value)) {
-    const std::string word = normalizeToken(token);
-    if (!word.empty()) {
-      ctx.emitTyped<std::string, int64_t>(word, 1);
+  // Tokens are views into the line; the emitted key is the only string
+  // built per word.
+  size_t pos = 0;
+  for (std::string_view token = nextWhitespaceToken(value, pos);
+       !token.empty(); token = nextWhitespaceToken(value, pos)) {
+    size_t begin = 0;
+    size_t end = token.size();
+    while (begin < end && !isWordChar(token[begin])) ++begin;
+    while (end > begin && !isWordChar(token[end - 1])) --end;
+    if (begin < end) {
+      ctx.emit(toLowerAscii(token.substr(begin, end - begin)), kOne);
     }
   }
 }

@@ -1,9 +1,14 @@
 #include "mh/common/strings.h"
 
-#include <cctype>
 #include <sstream>
 
 namespace mh {
+
+namespace {
+
+bool isAsciiSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+}  // namespace
 
 std::vector<std::string> splitString(std::string_view s, char delim) {
   std::vector<std::string> out;
@@ -19,14 +24,19 @@ std::vector<std::string> splitString(std::string_view s, char delim) {
   }
 }
 
-std::vector<std::string> splitWhitespace(std::string_view s) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    const size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
+std::string_view nextWhitespaceToken(std::string_view s, size_t& pos) {
+  while (pos < s.size() && isAsciiSpace(s[pos])) ++pos;
+  const size_t start = pos;
+  while (pos < s.size() && !isAsciiSpace(s[pos])) ++pos;
+  return s.substr(start, pos - start);
+}
+
+std::vector<std::string_view> splitWhitespace(std::string_view s) {
+  std::vector<std::string_view> out;
+  size_t pos = 0;
+  for (std::string_view token = nextWhitespaceToken(s, pos); !token.empty();
+       token = nextWhitespaceToken(s, pos)) {
+    out.push_back(token);
   }
   return out;
 }
@@ -34,8 +44,8 @@ std::vector<std::string> splitWhitespace(std::string_view s) {
 std::string_view trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
+  while (begin < end && isAsciiSpace(s[begin])) ++begin;
+  while (end > begin && isAsciiSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
 
@@ -82,7 +92,7 @@ std::string formatMillis(int64_t ms) {
 std::string toLowerAscii(std::string_view s) {
   std::string out(s);
   for (auto& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   return out;
 }
@@ -90,7 +100,7 @@ std::string toLowerAscii(std::string_view s) {
 bool isDigits(std::string_view s) {
   if (s.empty()) return false;
   for (const char c : s) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (c < '0' || c > '9') return false;
   }
   return true;
 }

@@ -39,6 +39,9 @@ struct MapTaskResult {
 /// (optional) hosts the per-codec encode/decode histograms when the
 /// map-output compression seam is on.
 /// Exceptions from user code propagate to the caller (task failure).
+/// The record counters (MAP_INPUT/OUTPUT_RECORDS, MAP_OUTPUT_BYTES) are
+/// tallied in locals and land in the result's counters only when the task
+/// succeeds.
 MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
                          const InputSplit& split,
                          TaskContext::HeapFn heap = {},

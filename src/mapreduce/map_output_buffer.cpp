@@ -33,7 +33,14 @@ uint64_t keyPrefix(std::string_view key) {
 
 /// Combiners usually preserve keys, but the engine has never assumed so:
 /// emissions are re-sorted (stably) before they are framed into a run.
-int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out) {
+/// Adds the pass's COMBINE_OUTPUT_RECORDS in one increment, so the emit
+/// callback does no per-record counter work.
+int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out,
+                           Counters& counters) {
+  if (!records.empty()) {
+    counters.increment(kTaskGroup, kCombineOutputRecords,
+                       static_cast<int64_t>(records.size()));
+  }
   sortRecords(records);
   KvWriter writer(out);
   for (const KeyValue& kv : records) writer.write(kv);
@@ -167,7 +174,6 @@ int64_t MapOutputBuffer::combineIndexRange(size_t begin, size_t end,
   TaskContext ctx(
       spec_.conf, counters_,
       [&](Bytes key, Bytes value) {
-        counters_.increment(kTaskGroup, kCombineOutputRecords);
         combined.push_back({std::move(key), std::move(value)});
       },
       heap_, fs_);
@@ -199,7 +205,7 @@ int64_t MapOutputBuffer::combineIndexRange(size_t begin, size_t end,
     i = j;
   }
   combiner->cleanup(ctx);
-  return writeSortedRecords(combined, out);
+  return writeSortedRecords(combined, out, counters_);
 }
 
 void MapOutputBuffer::maybeEncodeRun(Bytes& run) {
@@ -309,7 +315,6 @@ std::vector<Bytes> MapOutputBuffer::finish() {
         TaskContext ctx(
             spec_.conf, counters_,
             [&](Bytes key, Bytes value) {
-              counters_.increment(kTaskGroup, kCombineOutputRecords);
               combined.push_back({std::move(key), std::move(value)});
             },
             heap_, fs_);
@@ -321,7 +326,7 @@ std::vector<Bytes> MapOutputBuffer::finish() {
         combiner->cleanup(ctx);
         counters_.increment(kTaskGroup, kCombineInputRecords,
                             merger.recordsRead());
-        records_out = writeSortedRecords(combined, result[p]);
+        records_out = writeSortedRecords(combined, result[p], counters_);
       } else {
         KvWriter writer(result[p]);
         while (merger.nextGroup()) {

@@ -12,6 +12,12 @@ namespace {
 
 using namespace counters;
 
+/// Publishes a task-local tally in one increment. A zero tally adds no row,
+/// so a task that emitted nothing reports no such counter.
+void publish(Counters& c, std::string_view name, int64_t tally) {
+  if (tally != 0) c.increment(kTaskGroup, name, tally);
+}
+
 }  // namespace
 
 MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
@@ -29,13 +35,17 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
 
   // Collect into the arena-backed sort/spill buffer: no per-record
   // allocation, bounded working set (io.sort.mb), combiner run per spill.
+  // The record counters are plain locals, published once the task has
+  // succeeded: no per-record lock or counter-map lookup.
   MapOutputBuffer buffer(spec, c, heap, &fs, trace, trace_component, metrics);
+  int64_t input_records = 0;
+  int64_t output_records = 0;
+  int64_t output_bytes = 0;
   TaskContext map_ctx(
       spec.conf, c,
       [&](Bytes key, Bytes value) {
-        c.increment(kTaskGroup, kMapOutputRecords);
-        c.increment(kTaskGroup, kMapOutputBytes,
-                    static_cast<int64_t>(key.size() + value.size()));
+        ++output_records;
+        output_bytes += static_cast<int64_t>(key.size() + value.size());
         buffer.collect(key, value, partitioner->partition(key, parts));
       },
       heap, &fs);
@@ -47,13 +57,16 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
     std::string_view key;
     std::string_view value;
     while (reader->next(key, value)) {
-      c.increment(kTaskGroup, kMapInputRecords);
+      ++input_records;
       mapper->map(key, value, map_ctx);
     }
     mapper->cleanup(map_ctx);
   }
 
   result.partitions = buffer.finish();
+  publish(c, kMapInputRecords, input_records);
+  publish(c, kMapOutputRecords, output_records);
+  publish(c, kMapOutputBytes, output_bytes);
   result.sort_micros = buffer.sortMicros();
   result.millis = watch.elapsedMillis();
   return result;
@@ -119,10 +132,11 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   const auto output_format = spec.output_format();
   const auto writer =
       output_format->createWriter(fs, spec.output_dir, partition, attempt);
+  int64_t output_records = 0;
   TaskContext reduce_ctx(
       spec.conf, c,
       [&](Bytes key, Bytes value) {
-        c.increment(kTaskGroup, kReduceOutputRecords);
+        ++output_records;
         writer->write(key, value);
       },
       heap, &fs);
@@ -138,6 +152,7 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   c.increment(kTaskGroup, kReduceInputGroups, groups);
   c.increment(kTaskGroup, kReduceInputRecords, merger->recordsRead());
   writer->close();
+  publish(c, kReduceOutputRecords, output_records);
 
   result.millis = watch.elapsedMillis();
   return result;

@@ -71,8 +71,8 @@ TEST_F(DistributedAppsTest, MovieAssignmentOnHdfs) {
   ASSERT_EQ(genres.size(), truth.genre_stats.size());
   for (const auto& [genre, stat] : truth.genre_stats) {
     const auto parts = splitWhitespace(genres.at(genre));
-    EXPECT_EQ(std::stoll(parts[0]), stat.count()) << genre;
-    EXPECT_NEAR(std::stod(parts[1]), stat.mean(), 0.005) << genre;
+    EXPECT_EQ(std::stoll(std::string(parts[0])), stat.count()) << genre;
+    EXPECT_NEAR(std::stod(std::string(parts[1])), stat.mean(), 0.005) << genre;
   }
 
   ASSERT_TRUE(cluster_

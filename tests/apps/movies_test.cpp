@@ -100,11 +100,11 @@ TEST_F(MoviesJobTest, GenreStatsMatchTruth) {
     // "count mean stddev min max"
     const auto parts = splitWhitespace(out.at(genre));
     ASSERT_EQ(parts.size(), 5u);
-    EXPECT_EQ(std::stoll(parts[0]), stat.count());
-    EXPECT_NEAR(std::stod(parts[1]), stat.mean(), 0.005);
-    EXPECT_NEAR(std::stod(parts[2]), stat.stddev(), 0.01);
-    EXPECT_NEAR(std::stod(parts[3]), stat.min(), 1e-9);
-    EXPECT_NEAR(std::stod(parts[4]), stat.max(), 1e-9);
+    EXPECT_EQ(std::stoll(std::string(parts[0])), stat.count());
+    EXPECT_NEAR(std::stod(std::string(parts[1])), stat.mean(), 0.005);
+    EXPECT_NEAR(std::stod(std::string(parts[2])), stat.stddev(), 0.01);
+    EXPECT_NEAR(std::stod(std::string(parts[3])), stat.min(), 1e-9);
+    EXPECT_NEAR(std::stod(std::string(parts[4])), stat.max(), 1e-9);
   }
 }
 

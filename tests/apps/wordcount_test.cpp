@@ -5,6 +5,8 @@
 #include "apps_test_util.h"
 #include "mh/apps/select_max.h"
 #include "mh/data/text_corpus.h"
+#include "testutil/ctype_locales.h"
+#include "testutil/wordcount_reference.h"
 
 namespace mh::apps {
 namespace {
@@ -12,6 +14,44 @@ namespace {
 using testutil::LocalFsFixture;
 
 class WordCountTest : public LocalFsFixture {};
+
+/// The keys and values WordCountMapper emits for one line.
+std::vector<mr::KeyValue> mapLine(std::string_view line) {
+  Config conf;
+  mr::Counters counters;
+  std::vector<mr::KeyValue> emitted;
+  mr::TaskContext ctx(conf, counters, [&](Bytes key, Bytes value) {
+    emitted.push_back({std::move(key), std::move(value)});
+  });
+  WordCountMapper mapper;
+  mapper.map("", line, ctx);
+  return emitted;
+}
+
+/// Split and trim agree with a hand-written ASCII reference on a line
+/// holding every whitespace byte, apostrophes, punctuation, a NUL and
+/// high bytes, under every LC_CTYPE locale the host has.
+TEST(WordCountTokenizerTest, MatchesAsciiReferenceUnderAnyLocale) {
+  using namespace std::string_literals;
+  const std::string line =
+      "\tThe\vQUICK,\r\"fox's\"  --don't--\f'tis ''  caf\xc3\xa9 "
+      "\xa0na\xefve\xa0 x\x85y \xc0\xde\xdf mid\0nul (42) ...\n end."s;
+  const auto expected = ::mh::testutil::referenceWordCountKeys(line);
+  // The reference itself, spelled out for this line.
+  ASSERT_EQ(expected, (std::vector<std::string>{
+                          "the", "quick", "fox's", "don't", "'tis", "''",
+                          "caf", "na\xefve", "x\x85y", "mid\0nul"s, "42",
+                          "end"}));
+  ::mh::testutil::forEachCtypeLocale([&](const std::string& locale) {
+    const auto emitted = mapLine(line);
+    std::vector<std::string> keys;
+    for (const auto& kv : emitted) {
+      keys.push_back(kv.key);
+      EXPECT_EQ(mr::MrCodec<int64_t>::dec(kv.value), 1) << locale;
+    }
+    EXPECT_EQ(keys, expected) << "under " << locale;
+  });
+}
 
 TEST_F(WordCountTest, NormalizesCaseAndPunctuation) {
   fs_->writeFile(p("in.txt"), "The quick, QUICK fox. Don't stop... don't!\n");

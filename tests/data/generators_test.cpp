@@ -52,7 +52,7 @@ TEST(TextCorpusTest, CountsMatchCorpusExactly) {
                            .target_bytes = 20'000});
   const Bytes corpus = gen.generate();
   std::map<std::string, uint64_t> recount;
-  for (const auto& w : splitWhitespace(corpus)) ++recount[w];
+  for (const auto& w : splitWhitespace(corpus)) ++recount[std::string(w)];
   uint64_t total = 0;
   for (size_t r = 0; r < gen.vocabularySize(); ++r) {
     const auto expected = gen.lastCounts()[r];

@@ -252,7 +252,7 @@ TEST_F(LocalRunnerTest, CleanupHookRunsForInMapperCombining) {
     void map(std::string_view, std::string_view value,
              TaskContext& ctx) override {
       for (const auto& w : splitWhitespace(value)) {
-        ++counts_[w];
+        ++counts_[std::string(w)];
         ctx.allocateHeap(16);
       }
     }

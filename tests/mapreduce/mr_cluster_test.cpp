@@ -161,7 +161,7 @@ TEST(MiniMrClusterTest, FlakyTaskSucceedsOnRetry) {
           throw IoError("transient failure");
         }
         for (const auto& w : splitWhitespace(value)) {
-          ctx.emitTyped<std::string, int64_t>(w, 1);
+          ctx.emitTyped<std::string, int64_t>(std::string(w), 1);
         }
       });
   const auto result = cluster.runJob(std::move(spec));
@@ -232,7 +232,7 @@ TEST(MiniMrClusterTest, OomCrashTrackerPolicyKillsDaemonJobRecovers) {
           ctx.allocateHeap(10'000);  // first run: leak -> tracker crash
         }
         for (const auto& w : splitWhitespace(value)) {
-          ctx.emitTyped<std::string, int64_t>(w, 1);
+          ctx.emitTyped<std::string, int64_t>(std::string(w), 1);
         }
       });
   const auto result = cluster.runJob(std::move(spec));
@@ -357,7 +357,7 @@ TEST(MiniMrClusterTest, UserCountersPropagateToJobReport) {
         for (const auto& w : splitWhitespace(value)) {
           // Application-defined counter group, like Hadoop's enum counters.
           ctx.counters().increment("app", w == "skip" ? "SKIPPED" : "KEPT");
-          if (w != "skip") ctx.emitTyped<std::string, int64_t>(w, 1);
+          if (w != "skip") ctx.emitTyped<std::string, int64_t>(std::string(w), 1);
         }
       });
   const auto result = cluster.runJob(std::move(spec));
