@@ -1,6 +1,7 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths under every
 // experiment — CRC32C checksumming, record serde, the WordCount map path
-// (map, collect, sort/spill), KV-run encode/decode, and block-store writes.
+// (map, collect, sort/spill), the long-key sort path, KV-run encode/decode,
+// the streaming reduce merge, and block-store writes.
 // Useful for spotting regressions in the substrate the table/figure benches
 // sit on.
 
@@ -101,6 +102,45 @@ BENCHMARK(BM_WordCountMapCollect)
     ->Arg(4 << 20)
     ->Unit(benchmark::kMillisecond);
 
+/// The long-key path of the map-side sort: 1M records whose 16-40-byte
+/// keys share a handful of 8-byte prefixes, so the radix sort leaves large
+/// tied groups for the comparison sort on the remaining key bytes. Drives
+/// MapOutputBuffer::collect -> finish (sort, spill, final merge) with the
+/// default budget and 4 partitions; reports records per second.
+void BM_LongKeyCollectFinish(benchmark::State& state) {
+  constexpr size_t kRecords = 1'000'000;
+  static const char* kPrefixes[] = {"user:000", "user:001", "item:000",
+                                    "session:"};
+  Rng rng(6);
+  Bytes keys;
+  std::vector<std::pair<size_t, size_t>> spans;  // offset, length in `keys`
+  spans.reserve(kRecords);
+  for (size_t i = 0; i < kRecords; ++i) {
+    const size_t start = keys.size();
+    keys += kPrefixes[rng.uniform(4)];
+    const size_t suffix = 8 + rng.uniform(33);  // key length 16..40
+    for (size_t c = 0; c < suffix; ++c) {
+      keys.push_back(static_cast<char>('a' + rng.uniform(26)));
+    }
+    spans.emplace_back(start, keys.size() - start);
+  }
+  mh::mr::JobSpec spec;
+  spec.num_reducers = 4;
+  const mh::mr::HashPartitioner partitioner;
+  for (auto _ : state) {
+    mh::mr::Counters counters;
+    mh::mr::MapOutputBuffer buffer(spec, counters, {}, nullptr, nullptr, {});
+    for (const auto& [offset, length] : spans) {
+      const std::string_view key(keys.data() + offset, length);
+      buffer.collect(key, "1", partitioner.partition(key, spec.num_reducers));
+    }
+    benchmark::DoNotOptimize(buffer.finish());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kRecords));
+}
+BENCHMARK(BM_LongKeyCollectFinish)->Unit(benchmark::kMillisecond);
+
 /// `k` sorted runs of `n` records each, the reduce merge's input shape.
 std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {
   Rng rng(4);
@@ -119,34 +159,6 @@ std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {
   }
   return runs;
 }
-
-/// The pre-streaming reduce merge: decode every run, concatenate, re-sort,
-/// then walk the groups. Kept here as the baseline the streaming k-way
-/// merge is measured against.
-void BM_ReduceMergeConcatResort(benchmark::State& state) {
-  const auto runs =
-      makeSortedRuns(static_cast<size_t>(state.range(0)),
-                     static_cast<size_t>(state.range(1)));
-  for (auto _ : state) {
-    std::vector<mh::mr::KeyValue> records;
-    for (const Bytes& run : runs) {
-      for (auto& kv : mh::mr::decodeKvRun(run)) {
-        records.push_back(std::move(kv));
-      }
-    }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const auto& a, const auto& b) { return a.key < b.key; });
-    uint64_t sink = 0;
-    for (const auto& kv : records) sink += kv.value.size();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0) * state.range(1));
-}
-BENCHMARK(BM_ReduceMergeConcatResort)
-    ->Args({4, 10'000})
-    ->Args({8, 100'000})
-    ->Unit(benchmark::kMillisecond);
 
 /// The shipping reduce merge: stream the runs through the loser tree,
 /// grouped by key, zero-copy.

@@ -1,10 +1,11 @@
 // Tentpole benchmark — map-side collect+sort. Replays the seed engine's
 // per-partition vector<KeyValue> collect (one Bytes pair allocated per
 // record, stable_sort over 64-byte elements, encodeKvRun) against the
-// arena-backed MapOutputBuffer (contiguous arena, 16-byte index sort,
-// spill runs) on 1M small records, with and without a combiner. All paths
-// must produce byte-identical runs; the arena path must be faster. Writes
-// a machine-readable summary to BENCH_sort_spill.json (or argv[1]).
+// arena-backed MapOutputBuffer (kv_stream frames in one arena, an LSD radix
+// sort over 16-byte index entries, spills that copy the frames) on 1M small
+// records, with and without a combiner. All paths must produce
+// byte-identical runs; the arena path must be faster. Writes a
+// machine-readable summary to BENCH_sort_spill.json (or argv[1]).
 
 #include <algorithm>
 #include <cstdio>

@@ -20,6 +20,10 @@
 
 namespace mh::mr {
 
+/// Most reducers a job may have: the map-side sort index packs the
+/// partition into 28 bits (MapOutputBuffer).
+inline constexpr uint32_t kMaxReducers = 1u << 28;
+
 struct JobSpec {
   std::string name = "job";
   std::vector<std::string> input_paths;
@@ -40,7 +44,8 @@ struct JobSpec {
   Config conf;
 
   /// Fills defaulted factories; throws InvalidArgumentError on an unusable
-  /// spec (no mapper/reducer, no inputs, no output, zero reducers).
+  /// spec (no mapper/reducer, no inputs, no output, zero reducers or more
+  /// than kMaxReducers).
   void validateAndDefault();
 };
 

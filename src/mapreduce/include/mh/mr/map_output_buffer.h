@@ -11,25 +11,30 @@
 /// \file map_output_buffer.h
 /// The map side's collect/sort/spill core — this library's MapOutputBuffer.
 ///
-/// Map emissions append raw key and value bytes into one contiguous arena;
-/// a parallel index of fixed-width `{key prefix, partition, offset,
-/// key_len, val_len}` entries describes the records. Nothing is
-/// heap-allocated per record: sorting permutes the 24-byte index entries
-/// (partition-major, then byte-lexicographic key order — resolved from the
-/// entry's cached 8-byte key prefix when possible, via string_views into
-/// the arena otherwise, then arena offset, which is insertion order, so
-/// the sort is stable) while the record bytes never move.
+/// Map emissions append each record to one contiguous arena as its
+/// kv_stream frame (`[varint klen][key][varint vlen][value]`, the bytes
+/// KvWriter writes), and a parallel index of 16-byte `{key prefix,
+/// offset, partition | length class}` entries describes the records.
+/// Nothing is heap-allocated per record. One stable LSD radix sort over
+/// 8-bit digits of the index (the length class, the 8 prefix bytes, then
+/// the partition bytes) orders the batch partition-major, then
+/// byte-lexicographically by key, then by insertion; keys longer than the
+/// prefix that tie on it land adjacent, and each such run is finished by a
+/// comparison sort on the remaining key bytes and insertion order. The
+/// record bytes never move until the spill copies each frame, verbatim and
+/// in index order, into its partition's run.
 ///
-/// The buffer has a hard budget. When the working set (arena bytes + index
-/// bytes) crosses `io.sort.mb * io.sort.spill.percent`, the buffer sorts,
-/// runs the combiner (per spill, as real Hadoop does), encodes one
-/// kv_stream run per partition — a *spill* — and resets the arena. A map
-/// task's collect working set is therefore bounded regardless of input
-/// size. `finish()` spills the remainder and, when a task spilled more than
-/// once, merges the per-partition spill runs through the loser-tree
-/// `KvRunMerger` with a final combine pass.
+/// The buffer has a hard budget. When the working set (arena bytes, index
+/// bytes, and the radix sort's equally long second buffer) crosses
+/// `io.sort.mb * io.sort.spill.percent`, the buffer sorts, runs the
+/// combiner (per spill, as real Hadoop does), writes one kv_stream run per
+/// partition — a *spill* — and resets the arena. A map task's collect
+/// working set is therefore bounded regardless of input size. `finish()`
+/// spills the remainder and, when a task spilled more than once, merges
+/// the per-partition spill runs through the loser-tree `KvRunMerger` with
+/// a final combine pass.
 ///
-/// The arena, index, packed sort keys, and retained spill runs are charged
+/// The arena, index, radix buffer, and retained spill runs are charged
 /// against the TaskTracker heap budget through the task's HeapFn
 /// (capacity-accurate, released when the buffer dies), so a map's memory
 /// discipline is visible on the same gauge as the reduce side's shuffle
@@ -90,35 +95,27 @@ class MapOutputBuffer {
   int64_t chargedBytes() const { return charged_; }
 
  private:
-  /// 24 bytes per record; offsets address the arena, so the budget is
+  /// 16 bytes per record; offsets address the arena, so the budget is
   /// clamped below 2^32 bytes. `prefix` caches the key's first 8 bytes
-  /// big-endian (zero-padded), so the sort resolves most comparisons with
-  /// one integer compare instead of chasing the key into the arena.
+  /// big-endian (zero-padded); `meta` packs the partition above a 4-bit
+  /// length class, min(key_len, 9). Equal (partition, prefix, class < 9)
+  /// means equal keys, so only class-9 keys ever need their bytes compared.
   struct IndexEntry {
     uint64_t prefix;
-    uint32_t partition;
-    uint32_t offset;  ///< key bytes start; value bytes follow the key
-    uint32_t key_len;
-    uint32_t val_len;
+    uint32_t offset;  ///< the record's frame starts here
+    uint32_t meta;    ///< partition << 4 | min(key_len, 9)
   };
+  static_assert(sizeof(IndexEntry) == 16);
 
-  std::string_view keyAt(const IndexEntry& e) const {
-    return {arena_.data() + e.offset, e.key_len};
-  }
-  std::string_view valueAt(const IndexEntry& e) const {
-    return {arena_.data() + e.offset + e.key_len, e.val_len};
-  }
+  static uint32_t partitionOf(const IndexEntry& e) { return e.meta >> 4; }
+  std::string_view keyAt(const IndexEntry& e) const;
+  std::string_view valueAt(const IndexEntry& e) const;
+  /// The record's whole kv_stream frame, as a spill run stores it.
+  std::string_view frameAt(const IndexEntry& e) const;
 
-  /// The entry at sorted position `rank` (valid after sortIndex). The
-  /// all-short-keys fast path sorts a packed side array and reads the batch
-  /// through it; the general path sorts `index_` in place.
-  const IndexEntry& entryAt(size_t rank) const {
-    return packed_sorted_ ? index_[static_cast<uint32_t>(packed_[rank])]
-                          : index_[rank];
-  }
-
+  /// Arena, index, and the radix buffer the sort will size to the index.
   size_t workingSet() const {
-    return arena_.size() + index_.size() * sizeof(IndexEntry);
+    return arena_.size() + 2 * index_.size() * sizeof(IndexEntry);
   }
 
   void sortIndex();
@@ -127,7 +124,7 @@ class MapOutputBuffer {
   /// bumping the SPILL_RAW/COMPRESSED_BYTES counters. No-op otherwise.
   void maybeEncodeRun(Bytes& run);
   /// Runs the combiner over the key-grouped records described by
-  /// `entries[begin, end)` (one partition), appending re-sorted framed
+  /// `index_[begin, end)` (one partition), appending re-sorted framed
   /// output to `out`. Returns records written.
   int64_t combineIndexRange(size_t begin, size_t end, Bytes& out);
   /// Re-syncs the heap charge to the current capacities; may throw
@@ -152,13 +149,9 @@ class MapOutputBuffer {
 
   Bytes arena_;
   std::vector<IndexEntry> index_;
-  /// Packed (prefix | key_len | insertion rank) sort keys for the fast
-  /// path; `packed_sorted_` says entryAt must indirect through it.
-  std::vector<unsigned __int128> packed_;
-  bool packed_sorted_ = false;
-  /// Longest key in the current (unspilled) batch; <= 8 enables the packed
-  /// sort fast path.
-  size_t batch_max_key_len_ = 0;
+  /// The radix sort's ping-pong buffer; it keeps its length (and heap
+  /// charge) across spills, so each sort reuses it.
+  std::vector<IndexEntry> radix_;
   /// Encoded spill runs: spills_[s][p] is spill s's run for partition p.
   std::vector<std::vector<Bytes>> spills_;
   size_t spill_bytes_ = 0;  ///< total bytes across retained spill runs

@@ -14,6 +14,10 @@ void JobSpec::validateAndDefault() {
   if (input_paths.empty()) throw InvalidArgumentError("job needs input paths");
   if (output_dir.empty()) throw InvalidArgumentError("job needs an output dir");
   if (num_reducers == 0) throw InvalidArgumentError("job needs >= 1 reducer");
+  if (num_reducers > kMaxReducers) {
+    throw InvalidArgumentError("job needs <= " + std::to_string(kMaxReducers) +
+                               " reducers");
+  }
   if (!partitioner) {
     partitioner = [] { return std::make_unique<HashPartitioner>(); };
   }

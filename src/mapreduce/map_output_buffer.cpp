@@ -1,6 +1,7 @@
 #include "mh/mr/map_output_buffer.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "mh/common/stopwatch.h"
@@ -12,12 +13,6 @@ namespace mh::mr {
 namespace {
 
 using namespace counters;
-
-void sortRecords(std::vector<KeyValue>& records) {
-  std::stable_sort(
-      records.begin(), records.end(),
-      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-}
 
 /// Big-endian first-8-bytes of the key, zero-padded: prefix inequality
 /// decides byte-lexicographic key order without touching the key bytes.
@@ -31,17 +26,47 @@ uint64_t keyPrefix(std::string_view key) {
   return prefix;
 }
 
+/// Keys of 9 or more bytes share the top length class: only they can tie
+/// on the prefix without being equal.
+constexpr uint32_t kLongKeyClass = 9;
+
+uint32_t lengthClass(size_t key_len) {
+  return static_cast<uint32_t>(std::min<size_t>(key_len, kLongKeyClass));
+}
+
+size_t varintSize(size_t v) {
+  size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Decodes the LEB128 length at `p` and steps past it. The arena holds
+/// only frames this buffer wrote, so nothing is bounds-checked.
+uint32_t readLength(const char*& p) {
+  uint32_t v = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto b = static_cast<uint8_t>(*p++);
+    v |= static_cast<uint32_t>(b & 0x7F) << shift;
+    if (b < 0x80) return v;
+  }
+}
+
 /// Combiners usually preserve keys, but the engine has never assumed so:
-/// emissions are re-sorted (stably) before they are framed into a run.
-/// Adds the pass's COMBINE_OUTPUT_RECORDS in one increment, so the emit
-/// callback does no per-record counter work.
+/// emissions that come out of key order are re-sorted (stably) before they
+/// are framed into a run. Adds the pass's COMBINE_OUTPUT_RECORDS in one
+/// increment, so the emit callback does no per-record counter work.
 int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out,
                            Counters& counters) {
   if (!records.empty()) {
     counters.increment(kTaskGroup, kCombineOutputRecords,
                        static_cast<int64_t>(records.size()));
   }
-  sortRecords(records);
+  const auto by_key = [](const KeyValue& a, const KeyValue& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
+    std::stable_sort(records.begin(), records.end(), by_key);
+  }
   KvWriter writer(out);
   for (const KeyValue& kv : records) writer.write(kv);
   return static_cast<int64_t>(records.size());
@@ -64,6 +89,10 @@ MapOutputBuffer::MapOutputBuffer(const JobSpec& spec, Counters& counters,
       partitions_(spec.num_reducers),
       codec_(codecFromName(
           spec.conf.get("mapred.map.output.compression.codec", "none"))) {
+  if (partitions_ == 0 || partitions_ > kMaxReducers) {
+    throw InvalidArgumentError("map output needs 1.." +
+                               std::to_string(kMaxReducers) + " partitions");
+  }
   // Offsets are 32-bit, so the budget must stay under 4 GiB; 2047 MiB
   // leaves headroom for one oversized record past the threshold.
   const int64_t sort_mb =
@@ -79,10 +108,32 @@ MapOutputBuffer::~MapOutputBuffer() {
   charged_ = 0;
 }
 
+std::string_view MapOutputBuffer::keyAt(const IndexEntry& e) const {
+  const char* p = arena_.data() + e.offset;
+  const uint32_t key_len = readLength(p);
+  return {p, key_len};
+}
+
+std::string_view MapOutputBuffer::valueAt(const IndexEntry& e) const {
+  const char* p = arena_.data() + e.offset;
+  p += readLength(p);
+  const uint32_t val_len = readLength(p);
+  return {p, val_len};
+}
+
+std::string_view MapOutputBuffer::frameAt(const IndexEntry& e) const {
+  const char* begin = arena_.data() + e.offset;
+  const char* p = begin;
+  p += readLength(p);
+  p += readLength(p);
+  return {begin, static_cast<size_t>(p - begin)};
+}
+
 void MapOutputBuffer::syncCharge() {
   const int64_t now = static_cast<int64_t>(
-      arena_.capacity() + index_.capacity() * sizeof(IndexEntry) +
-      packed_.capacity() * sizeof(packed_[0]) + spill_bytes_);
+      arena_.capacity() +
+      (index_.capacity() + radix_.capacity()) * sizeof(IndexEntry) +
+      spill_bytes_);
   const int64_t delta = now - charged_;
   if (delta == 0) return;
   // Record before calling out: the HeapFn has already accounted the delta
@@ -97,19 +148,21 @@ void MapOutputBuffer::collect(std::string_view key, std::string_view value,
       value.size() > std::numeric_limits<uint32_t>::max()) {
     throw InvalidArgumentError("map output record exceeds 4 GiB");
   }
-  const size_t need = key.size() + value.size() + sizeof(IndexEntry);
-  if (!index_.empty() && workingSet() + need > spill_threshold_) spill();
+  if (partition >= partitions_) {
+    throw InvalidArgumentError("partition " + std::to_string(partition) +
+                               " out of range for " +
+                               std::to_string(partitions_) + " reducers");
+  }
+  const size_t frame_bytes = varintSize(key.size()) + key.size() +
+                             varintSize(value.size()) + value.size();
+  if (!index_.empty() &&
+      workingSet() + frame_bytes + 2 * sizeof(IndexEntry) > spill_threshold_) {
+    spill();
+  }
 
-  IndexEntry entry;
-  entry.prefix = keyPrefix(key);
-  entry.partition = partition;
-  entry.offset = static_cast<uint32_t>(arena_.size());
-  entry.key_len = static_cast<uint32_t>(key.size());
-  entry.val_len = static_cast<uint32_t>(value.size());
-  batch_max_key_len_ = std::max(batch_max_key_len_, key.size());
-  arena_.append(key.data(), key.size());
-  arena_.append(value.data(), value.size());
-  index_.push_back(entry);
+  index_.push_back({keyPrefix(key), static_cast<uint32_t>(arena_.size()),
+                    partition << 4 | lengthClass(key.size())});
+  KvWriter(arena_).write(key, value);
   syncCharge();
 
   // A single record at or above the threshold spills solo right away, so
@@ -119,49 +172,74 @@ void MapOutputBuffer::collect(std::string_view key, std::string_view value,
 
 void MapOutputBuffer::sortIndex() {
   Stopwatch watch;
-  if (batch_max_key_len_ <= 8) {
-    // Fast path — every key in this batch fits its 8-byte prefix, so
-    // (prefix, key_len, insertion rank) packed into one 128-bit integer IS
-    // the full sort key: bucket the packed entries by partition (a stable
-    // counting pass), then each bucket sorts branch-free 16-byte integers
-    // with no arena access at all. The batch is read back through the
-    // packed order (entryAt) instead of being permuted.
-    const size_t n = index_.size();
-    std::vector<size_t> starts(partitions_ + 1, 0);
-    for (const IndexEntry& e : index_) ++starts[e.partition + 1];
-    for (uint32_t p = 0; p < partitions_; ++p) starts[p + 1] += starts[p];
-    packed_.resize(n);
-    std::vector<size_t> cursor(starts.begin(), starts.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      const IndexEntry& e = index_[i];
-      packed_[cursor[e.partition]++] =
-          (static_cast<unsigned __int128>(e.prefix) << 64) |
-          (static_cast<uint64_t>(e.key_len) << 32) | static_cast<uint32_t>(i);
+  const size_t n = index_.size();
+  radix_.resize(n);
+  syncCharge();
+
+  // LSD digits, least significant first: the length class, the 8 prefix
+  // bytes from last to first, then as many partition bytes as the reducer
+  // count needs. One pass fills every digit's histogram.
+  constexpr int kPrefixDigits = 8;
+  constexpr int kMaxDigits = 1 + kPrefixDigits + 4;
+  const int partition_digits = (std::bit_width(partitions_ - 1) + 7) / 8;
+  uint32_t count[kMaxDigits][256] = {};
+  for (const IndexEntry& e : index_) {
+    ++count[0][e.meta & 0xF];
+    for (int d = 0; d < kPrefixDigits; ++d) {
+      ++count[1 + d][(e.prefix >> (8 * d)) & 0xFF];
     }
-    for (uint32_t p = 0; p < partitions_; ++p) {
-      std::sort(packed_.begin() + static_cast<ptrdiff_t>(starts[p]),
-                packed_.begin() + static_cast<ptrdiff_t>(starts[p + 1]));
+    for (int d = 0; d < partition_digits; ++d) {
+      ++count[1 + kPrefixDigits + d][(e.meta >> (4 + 8 * d)) & 0xFF];
     }
-    packed_sorted_ = true;
-  } else {
-    std::sort(index_.begin(), index_.end(),
-              [this](const IndexEntry& a, const IndexEntry& b) {
-                if (a.partition != b.partition) {
-                  return a.partition < b.partition;
-                }
-                if (a.prefix != b.prefix) return a.prefix < b.prefix;
-                if (a.key_len <= 8 && b.key_len <= 8) {
-                  // Equal prefixes fully encode both keys: the shorter key
-                  // is a (zero-extended) prefix of the longer, so it sorts
-                  // first.
-                  if (a.key_len != b.key_len) return a.key_len < b.key_len;
-                  return a.offset < b.offset;
-                }
-                if (const int c = keyAt(a).compare(keyAt(b)); c != 0) {
-                  return c < 0;
-                }
-                return a.offset < b.offset;  // arena order == insertion order
-              });
+  }
+
+  // Each pass is a stable counting scatter, so equal entries keep
+  // insertion order. A digit whose values all share one bucket orders
+  // nothing and is skipped.
+  IndexEntry* src = index_.data();
+  IndexEntry* dst = radix_.data();
+  const auto pass = [&](const uint32_t* hist, auto digit) {
+    if (hist[digit(*src)] == n) return;
+    uint32_t next[256];
+    uint32_t sum = 0;
+    for (int b = 0; b < 256; ++b) {
+      next[b] = sum;
+      sum += hist[b];
+    }
+    for (size_t i = 0; i < n; ++i) dst[next[digit(src[i])]++] = src[i];
+    std::swap(src, dst);
+  };
+  pass(count[0], [](const IndexEntry& e) { return e.meta & 0xF; });
+  for (int d = 0; d < kPrefixDigits; ++d) {
+    pass(count[1 + d], [shift = 8 * d](const IndexEntry& e) {
+      return static_cast<uint32_t>(e.prefix >> shift) & 0xFF;
+    });
+  }
+  for (int d = 0; d < partition_digits; ++d) {
+    pass(count[1 + kPrefixDigits + d],
+         [shift = 4 + 8 * d](const IndexEntry& e) {
+           return (e.meta >> shift) & 0xFF;
+         });
+  }
+  if (src != index_.data()) index_.swap(radix_);
+
+  // Keys longer than the prefix that tie on (partition, prefix) are now
+  // adjacent; their remaining bytes, then insertion order, finish the sort.
+  for (size_t i = 0; i < n;) {
+    size_t j = i + 1;
+    if ((index_[i].meta & 0xF) == kLongKeyClass) {
+      while (j < n && index_[j].meta == index_[i].meta &&
+             index_[j].prefix == index_[i].prefix) {
+        ++j;
+      }
+      std::sort(index_.begin() + static_cast<ptrdiff_t>(i),
+                index_.begin() + static_cast<ptrdiff_t>(j),
+                [this](const IndexEntry& a, const IndexEntry& b) {
+                  const int c = keyAt(a).substr(8).compare(keyAt(b).substr(8));
+                  return c != 0 ? c < 0 : a.offset < b.offset;
+                });
+    }
+    i = j;
   }
   sort_micros_ += watch.elapsedMicros();
 }
@@ -185,7 +263,7 @@ int64_t MapOutputBuffer::combineIndexRange(size_t begin, size_t end,
         : buffer_(buffer), pos_(begin), end_(end) {}
     std::optional<std::string_view> next() override {
       if (pos_ >= end_) return std::nullopt;
-      return buffer_.valueAt(buffer_.entryAt(pos_++));
+      return buffer_.valueAt(buffer_.index_[pos_++]);
     }
 
    private:
@@ -198,10 +276,11 @@ int64_t MapOutputBuffer::combineIndexRange(size_t begin, size_t end,
   combiner->setup(ctx);
   size_t i = begin;
   while (i < end) {
+    const std::string_view key = keyAt(index_[i]);
     size_t j = i + 1;
-    while (j < end && keyAt(entryAt(j)) == keyAt(entryAt(i))) ++j;
+    while (j < end && keyAt(index_[j]) == key) ++j;
     IndexSliceValues values(*this, i, j);
-    combiner->reduce(keyAt(entryAt(i)), values, ctx);
+    combiner->reduce(key, values, ctx);
     i = j;
   }
   combiner->cleanup(ctx);
@@ -232,18 +311,16 @@ void MapOutputBuffer::spill() {
   int64_t records_out = 0;
   size_t i = 0;
   while (i < index_.size()) {
-    const uint32_t p = entryAt(i).partition;
+    const uint32_t p = partitionOf(index_[i]);
     size_t j = i + 1;
-    while (j < index_.size() && entryAt(j).partition == p) ++j;
+    while (j < index_.size() && partitionOf(index_[j]) == p) ++j;
     Bytes& out = runs[p];
     if (spec_.combiner) {
       records_out += combineIndexRange(i, j, out);
     } else {
-      KvWriter writer(out);
-      for (size_t k = i; k < j; ++k) {
-        const IndexEntry& e = entryAt(k);
-        writer.write(keyAt(e), valueAt(e));
-      }
+      // The arena already holds each record as its run frame: copy them
+      // verbatim, in sorted order.
+      for (size_t k = i; k < j; ++k) out.append(frameAt(index_[k]));
       records_out += static_cast<int64_t>(j - i);
     }
     i = j;
@@ -261,13 +338,10 @@ void MapOutputBuffer::spill() {
   counters_.increment(kTaskGroup, kSpilledRecords, records_out);
   counters_.increment(kTaskGroup, kMapSpills);
 
-  // The arena, index, and packed sort keys keep their capacity (and their
-  // heap charge): the next fill reuses the allocations.
+  // The arena, index, and radix buffer keep their capacity (and their heap
+  // charge): the next fill reuses the allocations.
   arena_.clear();
   index_.clear();
-  packed_.clear();
-  packed_sorted_ = false;
-  batch_max_key_len_ = 0;
   syncCharge();
 
   if (span.active()) {
@@ -349,9 +423,10 @@ std::vector<Bytes> MapOutputBuffer::finish() {
   // (they are handed to the MapOutputStore / shuffle, like before).
   spills_.clear();
   spill_bytes_ = 0;
-  arena_ = Bytes();
+  // Swap, not move-assign: assigning an empty string keeps the heap buffer.
+  Bytes().swap(arena_);
   index_ = std::vector<IndexEntry>();
-  packed_ = std::vector<unsigned __int128>();
+  radix_ = std::vector<IndexEntry>();
   syncCharge();
   return result;
 }

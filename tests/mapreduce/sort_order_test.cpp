@@ -6,7 +6,9 @@
 
 #include "mh/common/rng.h"
 #include "mh/mr/kv_stream.h"
+#include "mh/mr/local_runner.h"
 #include "mh/mr/map_output_buffer.h"
+#include "mr_test_jobs.h"
 
 /// Differential test of the map-side sort: every run MapOutputBuffer
 /// produces must equal an independent oracle — the records of each
@@ -18,28 +20,40 @@
 /// empty keys, keys of exactly 8 bytes (the cached prefix width), longer
 /// keys sharing an 8-byte prefix, embedded NULs ("ab" < "ab\0", which the
 /// zero-padded prefix cannot tell apart), bytes >= 0x80 (unsigned order),
-/// and many equal keys with distinct values (stability).
+/// and many equal keys with distinct values (stability). 300 partitions
+/// span two radix digits of the partition number.
 
 namespace mh::mr {
 namespace {
 
 using namespace std::string_literals;
 
-/// All keys <= 8 bytes keep a batch on the packed-integer fast path; one
-/// longer key in a batch sends it through the comparator path.
-enum class KeyMix { kShort, kLong };
+/// kShort: every key fits the 8-byte prefix. kLong: the short pool plus
+/// longer keys on a few shared prefixes. kSharedPrefix: every key is a
+/// prefix or an extension (up to 12 bytes, NUL-padded ones included) of one
+/// 8-byte string, so the long-key tie-break sorts large groups.
+enum class KeyMix { kShort, kLong, kSharedPrefix };
+
+/// kRewriteKeys emits each group under a rewritten key, out of key order,
+/// so the buffer must re-sort the combiner's output.
+enum class CombinerKind { kNone, kConcat, kRewriteKeys };
 
 struct SortCase {
   KeyMix mix;
   uint32_t partitions;
-  bool combiner;
+  CombinerKind combiner;
   bool multi_spill;
 };
 
+/// The kShort and kLong labels predate the single sort path (they named
+/// the two paths the mixes once took) and are kept so test IDs stay stable.
 std::string caseName(const SortCase& c) {
-  return std::string(c.mix == KeyMix::kShort ? "Packed" : "Comparator") +
-         "_P" + std::to_string(c.partitions) +
-         (c.combiner ? "_Combine" : "_Plain") +
+  static const char* kMixNames[] = {"Packed", "Comparator", "SharedPrefix"};
+  static const char* kCombinerNames[] = {"_Plain", "_Combine",
+                                         "_RewriteKeys"};
+  return std::string(kMixNames[static_cast<int>(c.mix)]) + "_P" +
+         std::to_string(c.partitions) +
+         kCombinerNames[static_cast<int>(c.combiner)] +
          (c.multi_spill ? "_MultiSpill" : "_OneSpill");
 }
 
@@ -48,12 +62,6 @@ std::string caseName(const SortCase& c) {
 void PrintTo(const SortCase& c, std::ostream* os) { *os << caseName(c); }
 
 std::vector<std::string> keyPool(KeyMix mix, Rng& rng) {
-  std::vector<std::string> pool = {
-      ""s,         "\0"s,       "\0\0"s,     "a",         "ab",
-      "ab\0"s,     "ab\0\0"s,   "ab\x01",    "abcdefgh",  "abcdefgi",
-      "abcdefg",   "\x7f",      "\x80",      "\xff",      "\xff\xff",
-      "a\x80",     "a\x7f",     "ABCDEFGH",  "\0\0\0\0\0\0\0\0"s,
-      "\xff\xff\xff\xff\xff\xff\xff\xff"};
   static const char kAlphabet[] = {'\0', '\x01', 'a',    'b',
                                    '\x7f', '\x80', '\xfe', '\xff'};
   const auto randomBytes = [&](size_t n) {
@@ -61,6 +69,24 @@ std::vector<std::string> keyPool(KeyMix mix, Rng& rng) {
     for (size_t i = 0; i < n; ++i) s.push_back(kAlphabet[rng.uniform(8)]);
     return s;
   };
+  if (mix == KeyMix::kSharedPrefix) {
+    const std::string shared = "ab\0\x80z\0\0\0"s;
+    std::vector<std::string> pool;
+    for (size_t len = 0; len <= 12; ++len) {
+      pool.push_back(shared.substr(0, len) +
+                     std::string(len > 8 ? len - 8 : 0, '\0'));
+    }
+    for (int i = 0; i < 60; ++i) {
+      pool.push_back(shared + randomBytes(1 + rng.uniform(4)));
+    }
+    return pool;
+  }
+  std::vector<std::string> pool = {
+      ""s,         "\0"s,       "\0\0"s,     "a",         "ab",
+      "ab\0"s,     "ab\0\0"s,   "ab\x01",    "abcdefgh",  "abcdefgi",
+      "abcdefg",   "\x7f",      "\x80",      "\xff",      "\xff\xff",
+      "a\x80",     "a\x7f",     "ABCDEFGH",  "\0\0\0\0\0\0\0\0"s,
+      "\xff\xff\xff\xff\xff\xff\xff\xff"};
   for (int i = 0; i < 40; ++i) pool.push_back(randomBytes(rng.uniform(9)));
   if (mix == KeyMix::kLong) {
     // Longer than 8 bytes on a shared 8-byte prefix, including prefixes
@@ -82,10 +108,20 @@ std::vector<std::string> keyPool(KeyMix mix, Rng& rng) {
   return pool;
 }
 
+std::string complement(std::string_view key) {
+  std::string out(key);
+  for (char& ch : out) ch = static_cast<char>(~ch);
+  return out;
+}
+
 /// Joins a group's values in iteration order. Concatenation is
 /// associative, so applying it per spill and again in the final merge gives
 /// the same answer as applying it once — but only if every stage keeps
-/// equal keys in insertion order.
+/// equal keys in insertion order. With `RewriteKeys`, each group is emitted
+/// under its byte-complemented key: the complement is its own inverse and
+/// roughly reverses key order, so the buffer must re-sort the output, and a
+/// second pass (the multi-spill final merge) restores the original keys.
+template <bool RewriteKeys>
 class ConcatCombiner final : public Reducer {
  public:
   void reduce(std::string_view key, ValuesIterator& values,
@@ -95,23 +131,30 @@ class ConcatCombiner final : public Reducer {
       if (!joined.empty()) joined.push_back(',');
       joined.append(*value);
     }
-    ctx.emit(std::string(key), std::move(joined));
+    ctx.emit(RewriteKeys ? complement(key) : std::string(key),
+             std::move(joined));
   }
 };
 
-/// Per partition: stable sort by key bytes; with the combiner, one record
-/// per key whose value joins the group's values in insertion order.
+void stableSortByKey(std::vector<KeyValue>& records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const KeyValue& a, const KeyValue& b) {
+                     return a.key < b.key;
+                   });
+}
+
+/// Per partition: stable sort by key bytes; with a combiner, one record
+/// per key whose value joins the group's values in insertion order. A key
+/// rewrite applied once (one spill) leaves complemented keys, re-sorted;
+/// applied twice (per spill, then the final merge) it cancels out.
 std::vector<std::vector<KeyValue>> oracle(
     const std::vector<std::pair<KeyValue, uint32_t>>& records,
-    uint32_t partitions, bool combiner) {
+    uint32_t partitions, CombinerKind combiner, bool multi_spill) {
   std::vector<std::vector<KeyValue>> out(partitions);
   for (const auto& [kv, p] : records) out[p].push_back(kv);
   for (auto& part : out) {
-    std::stable_sort(part.begin(), part.end(),
-                     [](const KeyValue& a, const KeyValue& b) {
-                       return a.key < b.key;
-                     });
-    if (!combiner) continue;
+    stableSortByKey(part);
+    if (combiner == CombinerKind::kNone) continue;
     std::vector<KeyValue> combined;
     for (const KeyValue& kv : part) {
       if (!combined.empty() && combined.back().key == kv.key) {
@@ -119,6 +162,12 @@ std::vector<std::vector<KeyValue>> oracle(
       } else {
         combined.push_back(kv);
       }
+    }
+    if (combiner == CombinerKind::kRewriteKeys && !multi_spill) {
+      for (KeyValue& kv : combined) {
+        kv.key = complement(kv.key);
+      }
+      stableSortByKey(combined);
     }
     part = std::move(combined);
   }
@@ -134,8 +183,10 @@ TEST_P(SortOrderTest, RunsMatchStableSortOracle) {
 
   JobSpec spec;
   spec.num_reducers = c.partitions;
-  if (c.combiner) {
-    spec.combiner = [] { return std::make_unique<ConcatCombiner>(); };
+  if (c.combiner == CombinerKind::kConcat) {
+    spec.combiner = [] { return std::make_unique<ConcatCombiner<false>>(); };
+  } else if (c.combiner == CombinerKind::kRewriteKeys) {
+    spec.combiner = [] { return std::make_unique<ConcatCombiner<true>>(); };
   }
   spec.conf.setInt("io.sort.mb", 1);
   if (c.multi_spill) spec.conf.setDouble("io.sort.spill.percent", 0.05);
@@ -160,7 +211,8 @@ TEST_P(SortOrderTest, RunsMatchStableSortOracle) {
   } else {
     EXPECT_EQ(buffer.spillCount(), 1);
   }
-  const auto expected = oracle(records, c.partitions, c.combiner);
+  const auto expected =
+      oracle(records, c.partitions, c.combiner, c.multi_spill);
   ASSERT_EQ(runs.size(), c.partitions);
   for (uint32_t p = 0; p < c.partitions; ++p) {
     const auto actual = decodeKvRun(runs[p]);
@@ -174,9 +226,12 @@ TEST_P(SortOrderTest, RunsMatchStableSortOracle) {
 
 std::vector<SortCase> allCases() {
   std::vector<SortCase> cases;
-  for (const KeyMix mix : {KeyMix::kShort, KeyMix::kLong}) {
-    for (const uint32_t partitions : {1u, 7u}) {
-      for (const bool combiner : {false, true}) {
+  for (const KeyMix mix :
+       {KeyMix::kShort, KeyMix::kLong, KeyMix::kSharedPrefix}) {
+    for (const uint32_t partitions : {1u, 7u, 300u}) {
+      for (const CombinerKind combiner :
+           {CombinerKind::kNone, CombinerKind::kConcat,
+            CombinerKind::kRewriteKeys}) {
         for (const bool multi : {false, true}) {
           cases.push_back({mix, partitions, combiner, multi});
         }
@@ -191,6 +246,32 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SortCase>& info) {
       return caseName(info.param);
     });
+
+/// The sort index packs the partition into 28 bits, so a job with more
+/// reducers is refused at submit, and an out-of-range partition at collect,
+/// rather than silently aliasing partitions.
+TEST(SortIndexLimitTest, RejectsPartitionsTheIndexCannotAddress) {
+  JobSpec spec = testjobs::wordCountSpec({"in.txt"}, "out", false, 1);
+  spec.num_reducers = kMaxReducers;
+  EXPECT_NO_THROW(spec.validateAndDefault());
+
+  spec.num_reducers = kMaxReducers + 1;
+  EXPECT_THROW(spec.validateAndDefault(), InvalidArgumentError);
+  Counters counters;
+  EXPECT_THROW(MapOutputBuffer(spec, counters, {}, nullptr, nullptr, {}),
+               InvalidArgumentError);
+
+  // A partitioner's answer outside [0, reducers) is refused, not packed.
+  spec.num_reducers = 3;
+  MapOutputBuffer buffer(spec, counters, {}, nullptr, nullptr, {});
+  EXPECT_THROW(buffer.collect("k", "v", 3), InvalidArgumentError);
+  spec.num_reducers = kMaxReducers + 1;
+
+  LocalFs fs;
+  const JobResult result = LocalJobRunner(fs).run(spec);
+  EXPECT_FALSE(result.succeeded());
+  EXPECT_NE(result.error.find("reducers"), std::string::npos) << result.error;
+}
 
 }  // namespace
 }  // namespace mh::mr

@@ -4,7 +4,9 @@
 #include <filesystem>
 
 #include "mh/common/rng.h"
+#include "mh/mr/kv_stream.h"
 #include "mh/mr/local_runner.h"
+#include "mh/mr/map_output_buffer.h"
 #include "mh/mr/task_runner.h"
 #include "mr_test_jobs.h"
 
@@ -159,10 +161,11 @@ TEST_F(SortSpillTest, HeapPeakStaysNearSortBudgetNotInputSize) {
   const auto result = runMapTask(spec, *local_, splits[0], heap);
 
   // The task really was much bigger than the budget (records cost their
-  // key+value bytes plus a 24-byte index entry in the buffer)...
+  // key+value bytes plus two varint length bytes, a 16-byte index entry and
+  // its 16-byte radix-buffer slot in the buffer)...
   const auto arena_volume =
       result.counters.value(kTaskGroup, kMapOutputBytes) +
-      result.counters.value(kTaskGroup, kMapOutputRecords) * 24;
+      result.counters.value(kTaskGroup, kMapOutputRecords) * 34;
   ASSERT_GT(arena_volume, 2 * (1 << 20));
   ASSERT_GE(result.counters.value(kTaskGroup, kMapSpills), 3);
 
@@ -171,6 +174,56 @@ TEST_F(SortSpillTest, HeapPeakStaysNearSortBudgetNotInputSize) {
   EXPECT_LT(peak, 2 * (1 << 20));
   EXPECT_LT(peak, arena_volume / 2);
   // Everything charged during the task was released with the buffer.
+  EXPECT_EQ(cur, 0);
+}
+
+/// Every sort buffer is on the heap gauge: once a spill has run, the charge
+/// covers the arena, the index, the radix sort's second buffer and the
+/// retained run, and all of it is released with the buffer.
+TEST_F(SortSpillTest, ChargeCoversSortBuffersAndRetainedRuns) {
+  JobSpec spec = wordCountSpec({p("in.txt")}, p("out"));
+  spec.conf.setInt("io.sort.mb", 1);
+  spec.conf.setDouble("io.sort.spill.percent", 0.05);
+
+  int64_t cur = 0;
+  {
+    Counters counters;
+    MapOutputBuffer buffer(spec, counters, [&](int64_t delta) { cur += delta; },
+                           nullptr, nullptr, {});
+    // Collect until the first spill; it takes the records collected before
+    // the call that triggered it.
+    Bytes frames;  // kv_stream frames of the records collected so far
+    int64_t records = 0;
+    int64_t spilled_records = 0;
+    size_t spilled_bytes = 0;
+    int64_t charge_before = 0;
+    while (buffer.spillCount() == 0) {
+      spilled_records = records;
+      spilled_bytes = frames.size();
+      charge_before = buffer.chargedBytes();
+      const std::string key = "key" + std::to_string(records++);
+      KvWriter(frames).write(key, "1");
+      buffer.collect(key, "1", 0);
+    }
+    ASSERT_GT(spilled_records, 1000);
+    constexpr int64_t kEntry = 16;
+    // The spill sized the radix buffer to the batch and retained its run.
+    EXPECT_GE(buffer.chargedBytes() - charge_before,
+              kEntry * spilled_records + static_cast<int64_t>(spilled_bytes));
+    // Arena and index hold their capacity for the next batch.
+    EXPECT_GE(buffer.chargedBytes(),
+              2 * kEntry * spilled_records +
+                  2 * static_cast<int64_t>(spilled_bytes));
+    EXPECT_EQ(cur, buffer.chargedBytes());
+
+    const auto runs = buffer.finish();
+    ASSERT_EQ(runs.size(), 1u);
+    // Only an empty arena's inline capacity is left charged...
+    EXPECT_LE(buffer.chargedBytes(),
+              static_cast<int64_t>(Bytes().capacity()));
+    EXPECT_EQ(cur, buffer.chargedBytes());
+  }
+  // ...and the destructor releases that too.
   EXPECT_EQ(cur, 0);
 }
 
