@@ -11,12 +11,10 @@ namespace mh::hdfs {
 namespace fs = std::filesystem;
 
 std::vector<uint32_t> chunkChecksums(std::string_view data) {
-  std::vector<uint32_t> crcs;
-  crcs.reserve(data.size() / kChecksumChunk + 1);
-  for (size_t off = 0; off < data.size(); off += kChecksumChunk) {
-    crcs.push_back(crc32c(data.substr(off, kChecksumChunk)));
-  }
-  if (data.empty()) crcs.push_back(crc32c(""));
+  if (data.empty()) return {crc32c("")};
+  std::vector<uint32_t> crcs((data.size() + kChecksumChunk - 1) /
+                             kChecksumChunk);
+  crc32cChunks(data, kChecksumChunk, crcs.data());
   return crcs;
 }
 
@@ -55,12 +53,24 @@ void BlockStore::checkReplicaCodec(BlockId id, CodecKind replica_codec) const {
 
 void BlockStore::writeBlock(BlockId id, std::string_view data) {
   if (codec_ == CodecKind::kNone) {
-    putStored(id, data, data.size(), CodecKind::kNone);
+    putStored(id, data, chunkChecksums(data), data.size(), CodecKind::kNone,
+              /*verified=*/false);
     return;
   }
   const Bytes encoded = codecEncode(codec_, data, codec_metrics_, codec_trace_,
                                     codec_component_);
-  putStored(id, encoded, data.size(), codec_);
+  putStored(id, encoded, chunkChecksums(encoded), data.size(), codec_,
+            /*verified=*/false);
+}
+
+void BlockStore::receiveBlock(BlockId id, std::string_view data,
+                              std::vector<uint32_t> crcs, bool verify) {
+  if (verify) verifyChunks(id, data, crcs);
+  if (codec_ != CodecKind::kNone) {
+    writeBlock(id, data);
+    return;
+  }
+  putStored(id, data, std::move(crcs), data.size(), CodecKind::kNone, verify);
 }
 
 void BlockStore::adoptStored(BlockId id, std::string_view stored) {
@@ -68,9 +78,11 @@ void BlockStore::adoptStored(BlockId id, std::string_view stored) {
     // Header walk only: the raw size is recovered without decompressing,
     // and a torn stream is rejected before it lands in the store.
     const EncodedStreamInfo info = encodedStreamInfo(stored);
-    putStored(id, stored, info.raw_size, info.codec);
+    putStored(id, stored, chunkChecksums(stored), info.raw_size, info.codec,
+              /*verified=*/false);
   } else {
-    putStored(id, stored, stored.size(), CodecKind::kNone);
+    putStored(id, stored, chunkChecksums(stored), stored.size(),
+              CodecKind::kNone, /*verified=*/false);
   }
 }
 
@@ -106,9 +118,10 @@ BufferView BlockStore::readBlockRange(BlockId id, uint64_t offset,
 // ---------------------------------------------------------------- memory
 
 void MemBlockStore::putStored(BlockId id, std::string_view stored,
-                              uint64_t raw_size, CodecKind codec) {
-  Replica replica{Buffer::copyOf(stored), chunkChecksums(stored), raw_size,
-                  codec};
+                              std::vector<uint32_t> crcs, uint64_t raw_size,
+                              CodecKind codec, bool verified) {
+  Replica replica{Buffer::copyOf(stored), std::move(crcs), raw_size, codec,
+                  verified};
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = replicas_[id];
   used_bytes_ -= slot.data.size();  // overwrite: release the old payload
@@ -184,6 +197,11 @@ std::vector<BlockId> MemBlockStore::listBlocks() const {
   return ids;
 }
 
+size_t MemBlockStore::blockCount() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return replicas_.size();
+}
+
 uint64_t MemBlockStore::usedBytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return used_bytes_;
@@ -242,8 +260,8 @@ fs::path FileBlockStore::metaPath(BlockId id) const {
 }
 
 void FileBlockStore::putStored(BlockId id, std::string_view stored,
-                               uint64_t raw_size, CodecKind codec) {
-  const auto crcs = chunkChecksums(stored);
+                               std::vector<uint32_t> crcs, uint64_t raw_size,
+                               CodecKind codec, bool /*verified*/) {
   std::lock_guard<std::mutex> lock(mutex_);
   {
     std::ofstream out(dataPath(id), std::ios::binary | std::ios::trunc);

@@ -46,7 +46,7 @@ DataNode::DataNode(Config conf, std::shared_ptr<net::Network> network,
     return static_cast<double>(store->usedBytes());
   });
   metrics_->setGauge("store.blocks", [store = store_] {
-    return static_cast<double>(store->listBlocks().size());
+    return static_cast<double>(store->blockCount());
   });
 }
 
@@ -76,25 +76,49 @@ void DataNode::start() {
                              conf_.get("dfs.datanode.rack", "/default-rack"));
   blockReportNow();
 
+  heartbeat_thread_ = std::jthread(
+      [this](std::stop_token token) { heartbeatLoop(std::move(token)); });
+  logInfo(kLog) << host_ << " started, " << store_->blockCount()
+                << " replicas";
+}
+
+void DataNode::heartbeatLoop(std::stop_token token) {
   const auto interval = std::chrono::milliseconds(
       conf_.getInt("dfs.heartbeat.interval.ms", 100));
   // The first beat goes out right after registering, as Hadoop's
-  // offerService does; then one per interval.
-  heartbeat_thread_ = std::jthread([this, interval](std::stop_token token) {
-    LoopWaker waker;
-    while (!token.stop_requested()) {
-      try {
-        heartbeatNow();
-      } catch (const NetworkError&) {
-        // NameNode unreachable; keep beating until it returns.
-      } catch (const std::exception& e) {
-        logWarn(kLog) << host_ << " heartbeat error: " << e.what();
-      }
-      waker.waitFor(token, interval);
+  // offerService does. Each beat may be held by the NameNode for up to an
+  // interval, so the next one goes out at once — unless the last one
+  // failed, which backs off a full interval.
+  LoopWaker waker;
+  bool failed = false;
+  while (!token.stop_requested()) {
+    if (failed) waker.waitFor(token, interval);
+    std::stop_source cancel;
+    {
+      std::unique_lock<std::mutex> lock(beat_mutex_);
+      beat_cv_.wait(lock, token, [this] { return manual_beats_ == 0; });
+      if (token.stop_requested()) return;
+      held_beat_cancel_ = cancel;
+      beat_in_flight_ = true;
     }
-  });
-  logInfo(kLog) << host_ << " started, "
-                << store_->listBlocks().size() << " replicas";
+    // stop(), crash() and abandon() stop the thread: that ends the hold.
+    const std::stop_callback end_hold(token,
+                                      [&cancel] { cancel.request_stop(); });
+    failed = true;
+    try {
+      beatOnce(/*may_wait=*/true, cancel.get_token());
+      failed = false;
+    } catch (const NetworkError&) {
+      // NameNode unreachable; keep beating until it returns.
+    } catch (const std::exception& e) {
+      logWarn(kLog) << host_ << " heartbeat error: " << e.what();
+    }
+    {
+      std::lock_guard<std::mutex> lock(beat_mutex_);
+      beat_in_flight_ = false;
+    }
+    beat_cv_.notify_all();
+  }
 }
 
 void DataNode::stop() {
@@ -147,10 +171,31 @@ void DataNode::crash() {
 }
 
 void DataNode::heartbeatNow() {
+  {
+    std::unique_lock<std::mutex> lock(beat_mutex_);
+    ++manual_beats_;
+    held_beat_cancel_.request_stop();
+    beat_cv_.wait(lock, [this] { return !beat_in_flight_; });
+  }
+  struct ManualBeatDone {
+    DataNode* self;
+    ~ManualBeatDone() {
+      {
+        std::lock_guard<std::mutex> lock(self->beat_mutex_);
+        --self->manual_beats_;
+      }
+      self->beat_cv_.notify_all();
+    }
+  } done{this};
+  beatOnce(/*may_wait=*/false, {});
+}
+
+void DataNode::beatOnce(bool may_wait, std::stop_token cancel) {
   const uint64_t capacity = static_cast<uint64_t>(
       conf_.getInt("dfs.datanode.capacity", 1'073'741'824));
-  const HeartbeatReply reply = namenode_.heartbeat(
-      capacity, store_->usedBytes(), store_->listBlocks().size());
+  const HeartbeatReply reply =
+      namenode_.heartbeat(capacity, store_->usedBytes(), store_->blockCount(),
+                          may_wait, std::move(cancel));
   if (reply.reregister) {
     namenode_.registerDataNode(capacity,
                                conf_.get("dfs.datanode.rack", "/default-rack"));
@@ -241,34 +286,59 @@ void DataNode::installRpc() {
   network_->bind(host_, kDataNodePort,
                  [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "writeBlock") {
-      // string_view unpack: the payload stays inside the request buffer
+      // string_view decode: the payload stays inside the request buffer
       // until the store copies it into a fresh replica. `stored` marks a
       // payload already in its resident (framed) form — the replication
       // path — which is adopted byte-for-byte, never re-encoded.
-      // `pipeline` is the client's full ordered target list.
-      const auto [block, data, pipeline, stored] =
-          unpack<Block, std::string_view, std::vector<std::string>, bool>(
-              req.body);
+      // `pipeline` is the client's full ordered target list. The trailing
+      // chunk CRCs are the writer's; a body without them (re-replication)
+      // is checksummed here, as the one-hop pipeline's tail.
+      ByteReader reader(req.body.view());
+      const auto block = deserializeFrom<Block>(reader);
+      const auto data = deserializeFrom<std::string_view>(reader);
+      const auto pipeline = deserializeFrom<std::vector<std::string>>(reader);
+      const bool stored = deserializeFrom<bool>(reader);
+      std::vector<uint32_t> crcs;
+      if (!reader.atEnd()) crcs = deserializeFrom<ChunkCrcs>(reader).values;
+      const auto self = std::find(pipeline.begin(), pipeline.end(), host_);
+      const bool tail = self == pipeline.end() || self + 1 == pipeline.end();
       if (stored) {
         store_->adoptStored(block.id, data);
-      } else {
+      } else if (crcs.empty()) {
         store_->writeBlock(block.id, data);
+      } else {
+        // Throws ChecksumError at the tail, before anything is stored.
+        store_->receiveBlock(block.id, data, std::move(crcs), tail);
       }
-      blocks_written_->add();
-      bytes_written_->add(static_cast<int64_t>(data.size()));
-      // Raw counts the logical payload; compressed counts resident bytes
-      // only for encoded replicas, so the pair reads as a codec ratio and
-      // stays silent when the seam is off.
-      block_raw_bytes_->add(static_cast<int64_t>(block.size));
       const uint64_t resident = store_->storedSize(block.id);
-      if (resident != block.size || store_->codec() != CodecKind::kNone) {
-        block_compressed_bytes_->add(static_cast<int64_t>(resident));
+      if (!tail) {
+        // Forward the very request we received to the host after ours: the
+        // list is unchanged, so the next hop costs no payload copy.
+        const std::string& next = *(self + 1);
+        try {
+          network_->call(host_, next, kDataNodePort, "writeBlock", req.body,
+                         "pipeline");
+        } catch (const NetworkError& e) {
+          // Pipeline recovery: the block lands under-replicated and the
+          // NameNode's monitor repairs it later. This replica is now the
+          // last one, so it verifies the writer's CRCs as the tail would.
+          logWarn(kLog) << host_ << " pipeline to " << next
+                        << " failed: " << e.what();
+          try {
+            store_->readStored(block.id);
+          } catch (const ChecksumError&) {
+            store_->deleteBlock(block.id);
+            throw;
+          }
+        } catch (...) {
+          // Downstream refused the block (the tail's ChecksumError, or the
+          // file is gone): no replica upstream of it keeps the bytes.
+          store_->deleteBlock(block.id);
+          throw;
+        }
       }
-      if (tracer_->enabled()) {
-        tracer_->instant("datanode." + host_,
-                         "WRITE_BLOCK blk_" + std::to_string(block.id),
-                         {{"bytes", std::to_string(data.size())}});
-      }
+      // Reported after the downstream ack, as HDFS does: the NameNode never
+      // hears of a replica the tail rejected.
       if (!namenode_.blockReceived(Block{block.id, block.size})) {
         // The block's file was deleted while the replica was in flight:
         // drop it, as for an invalid id in a block report, and tell the
@@ -277,20 +347,19 @@ void DataNode::installRpc() {
         throw NotFoundError("block " + std::to_string(block.id) +
                             " was deleted while being written");
       }
-      // Forward the very request we received to the host after ours: the
-      // list is unchanged, so the next hop costs no payload copy.
-      const auto self = std::find(pipeline.begin(), pipeline.end(), host_);
-      if (self != pipeline.end() && self + 1 != pipeline.end()) {
-        const std::string& next = *(self + 1);
-        try {
-          network_->call(host_, next, kDataNodePort, "writeBlock", req.body,
-                         "pipeline");
-        } catch (const NetworkError& e) {
-          // Pipeline recovery: the block lands under-replicated and the
-          // NameNode's monitor repairs it later.
-          logWarn(kLog) << host_ << " pipeline to " << next
-                        << " failed: " << e.what();
-        }
+      blocks_written_->add();
+      bytes_written_->add(static_cast<int64_t>(data.size()));
+      // Raw counts the logical payload; compressed counts resident bytes
+      // only for encoded replicas, so the pair reads as a codec ratio and
+      // stays silent when the seam is off.
+      block_raw_bytes_->add(static_cast<int64_t>(block.size));
+      if (resident != block.size || store_->codec() != CodecKind::kNone) {
+        block_compressed_bytes_->add(static_cast<int64_t>(resident));
+      }
+      if (tracer_->enabled()) {
+        tracer_->instant("datanode." + host_,
+                         "WRITE_BLOCK blk_" + std::to_string(block.id),
+                         {{"bytes", std::to_string(data.size())}});
       }
       return {};
     }

@@ -9,6 +9,7 @@
 #include "mh/common/error.h"
 #include "mh/common/log.h"
 #include "mh/common/trace.h"
+#include "mh/hdfs/block_store.h"
 #include "mh/hdfs/short_circuit.h"
 #include "mh/net/fault_plan.h"
 
@@ -44,6 +45,8 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
   }
   namenode_.create(path, replication, block_size);
   const uint64_t bs = namenode_.getFileStatus(path).block_size;
+  const int64_t write_tries =
+      std::max<int64_t>(1, conf_.getInt("dfs.client.retries", 3));
 
   uint64_t offset = 0;
   do {  // empty files still produce zero blocks; loop handles data.size()==0
@@ -54,26 +57,45 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
       if (located.hosts.empty()) {
         throw IoError("no targets for block of " + path);
       }
-      // The payload is packed once, with the full ordered target list.
-      // Each DataNode forwards this same body to the host after its own,
-      // so when a head fails, the next target heads the rest of the list.
+      // The payload is packed once, with the full ordered target list and
+      // its chunk CRCs — the only time these bytes are checksummed on the
+      // way in. Each DataNode forwards this same body to the host after its
+      // own, so when a head fails, the next target heads the rest of the
+      // list.
       const BufferView body =
           pack(Block{located.block.id, payload.size()}, payload,
-               located.hosts, /*stored=*/false);
+               located.hosts, /*stored=*/false,
+               ChunkCrcs{chunkChecksums(payload)});
+      // A ChecksumError means the pipeline tail rejected bytes corrupted in
+      // transit and every replica was dropped: rewrite the block, up to
+      // dfs.client.retries times.
       bool written = false;
-      for (size_t head = 0; head < located.hosts.size() && !written; ++head) {
-        try {
-          network_->call(namenode_.localHost(), located.hosts[head],
-                         kDataNodePort, "writeBlock", body, "pipeline");
-          written = true;
-        } catch (const NetworkError& e) {
-          logWarn(kLog) << "pipeline head " << located.hosts[head]
-                        << " failed: " << e.what();
+      std::string last_error;
+      for (int64_t attempt = 0; attempt < write_tries && !written; ++attempt) {
+        bool rejected = false;
+        for (size_t head = 0;
+             head < located.hosts.size() && !written && !rejected; ++head) {
+          try {
+            network_->call(namenode_.localHost(), located.hosts[head],
+                           kDataNodePort, "writeBlock", body, "pipeline");
+            written = true;
+          } catch (const ChecksumError& e) {
+            logWarn(kLog) << "pipeline rejected block " << located.block.id
+                          << ": " << e.what();
+            last_error = e.what();
+            rejected = true;
+          } catch (const NetworkError& e) {
+            logWarn(kLog) << "pipeline head " << located.hosts[head]
+                          << " failed: " << e.what();
+            last_error = e.what();
+          }
         }
+        if (!rejected) break;
       }
       if (!written) {
-        throw IoError("all pipeline targets failed for block " +
-                      std::to_string(located.block.id) + " of " + path);
+        throw IoError("could not write block " +
+                      std::to_string(located.block.id) + " of " + path +
+                      " to any pipeline: " + last_error);
       }
     }
     offset += chunk;
@@ -184,6 +206,11 @@ BufferView DfsClient::readBlockRange(const LocatedBlock& located,
         // The DataNode already reported itself; also report from our side
         // and fall over to the next replica.
         namenode_.reportBadBlock(located.block.id, host);
+        last_error = e.what();
+      } catch (const NotFoundError& e) {
+        // The replica was invalidated (over-replication trim, re-placement)
+        // between locate and read; the NameNode's kDelete reaches a
+        // DataNode at once, so this is an ordinary race. Try the next one.
         last_error = e.what();
       } catch (const NetworkError& e) {
         last_error = e.what();

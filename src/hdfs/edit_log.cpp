@@ -45,8 +45,17 @@ std::optional<uint64_t> txnFromName(const std::string& name,
   return txn;
 }
 
+/// A listed file that is gone by the time it is read: a checkpoint on the
+/// live directory retired it (the new image covers it).
+struct RetiredFileError : IoError {
+  using IoError::IoError;
+};
+
 Bytes readWholeFile(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
+  if (!in && !fs::exists(path)) {
+    throw RetiredFileError("retired while loading: " + path.string());
+  }
   if (!in) throw IoError("cannot open " + path.string());
   return Bytes((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
@@ -389,7 +398,10 @@ bool EditLog::hasState(const fs::path& dir) {
   return false;
 }
 
-LoadedStorage EditLog::load(const fs::path& dir) {
+namespace {
+
+/// One pass of EditLog::load over the files listed now.
+LoadedStorage loadListed(const fs::path& dir) {
   LoadedStorage loaded;
   std::vector<uint64_t> segments;
   uint64_t image_txn = 0;
@@ -445,6 +457,20 @@ LoadedStorage EditLog::load(const fs::path& dir) {
     }
   }
   return loaded;
+}
+
+}  // namespace
+
+LoadedStorage EditLog::load(const fs::path& dir) {
+  // A NameNode running on `dir` may checkpoint between the listing and the
+  // reads; a file it retired is covered by the newer image, so list again.
+  for (int attempt = 1;; ++attempt) {
+    try {
+      return loadListed(dir);
+    } catch (const RetiredFileError&) {
+      if (attempt == 3) throw;
+    }
+  }
 }
 
 }  // namespace mh::hdfs

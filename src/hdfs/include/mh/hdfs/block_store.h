@@ -15,9 +15,22 @@
 
 /// \file block_store.h
 /// A DataNode's local replica storage. Replicas carry CRC-32C checksums per
-/// 512-byte chunk (like HDFS's .meta sidecars); every read re-verifies and
-/// throws ChecksumError on a mismatch, which is what drives the
-/// corrupt-replica / re-replication machinery upstream.
+/// 512-byte chunk (like HDFS's .meta sidecars). A read verifies the bytes
+/// against them and throws ChecksumError on a mismatch, which is what
+/// drives the corrupt-replica / re-replication machinery upstream.
+///
+/// Each byte is checksummed once on its way in, as in HDFS: the writer
+/// computes the chunk CRCs, they travel with the block through the write
+/// pipeline (receiveBlock), every DataNode stores the CRCs it received, and
+/// only the pipeline tail verifies them before storing — so corruption in
+/// transit is rejected instead of being checksummed as it arrives.
+///
+/// MemBlockStore caches the verdict per resident buffer (verified-once):
+/// the first read of a replica re-hashes it, later reads skip the hash,
+/// and the tail's replica starts verified because receiveBlock just checked
+/// it. Any buffer swap (overwrite, corruptBlock) clears the verdict, and
+/// scanAll (the block scanner) always re-hashes. FileBlockStore re-verifies
+/// on every read: the file can change under it.
 ///
 /// Reads return refcounted BufferViews (buffer.h): MemBlockStore serves a
 /// view of the resident replica itself — zero payload bytes move — while
@@ -43,7 +56,8 @@ namespace mh::hdfs {
 /// Checksum chunk width, bytes.
 inline constexpr size_t kChecksumChunk = 512;
 
-/// Computes the per-chunk CRC vector for a replica payload.
+/// Computes the per-chunk CRC vector for a replica payload (crc32cChunks;
+/// an empty payload has one chunk, the CRC of nothing).
 std::vector<uint32_t> chunkChecksums(std::string_view data);
 
 /// Verifies data against stored chunk CRCs; throws ChecksumError naming
@@ -72,8 +86,20 @@ class BlockStore {
   CodecKind codec() const { return codec_; }
 
   /// Stores a replica of the RAW payload, encoding it first when a codec is
-  /// configured; overwrites any previous replica of the same block.
+  /// configured; overwrites any previous replica of the same block. The
+  /// chunk CRCs are computed here.
   void writeBlock(BlockId id, std::string_view data);
+
+  /// The write-pipeline receive path: `crcs` are the writer's chunk CRCs of
+  /// the RAW payload, carried in the request. With `verify` (the pipeline
+  /// tail) they are checked against `data` first — a mismatch throws
+  /// ChecksumError and nothing is stored — and the replica starts verified.
+  /// Otherwise they are stored as received, and the replica's first read
+  /// checks them. With a codec configured the replica is stored encoded
+  /// and the stored form's CRCs are computed after encoding, as writeBlock
+  /// does; `crcs` then serve only the tail's check.
+  void receiveBlock(BlockId id, std::string_view data,
+                    std::vector<uint32_t> crcs, bool verify);
 
   /// Adopts an already-encoded (or raw) replica byte-for-byte — the
   /// replication receive path, which must never re-encode. Framed payloads
@@ -116,6 +142,9 @@ class BlockStore {
   /// All stored block ids (sorted), as sent in block reports.
   virtual std::vector<BlockId> listBlocks() const = 0;
 
+  /// Number of stored replicas, without building the id list.
+  virtual size_t blockCount() const { return listBlocks().size(); }
+
   /// Sum of replica payload bytes currently resident in the store — the
   /// STORED form, so compressed replicas count their compressed size.
   /// Shared buffers are charged once — outstanding read views never
@@ -133,9 +162,11 @@ class BlockStore {
   virtual void corruptBlock(BlockId id, size_t byte_offset) = 0;
 
  protected:
-  /// Stores already-encoded bytes with their logical size and codec.
+  /// Stores already-encoded bytes with their chunk CRCs, logical size and
+  /// codec. `verified` says the CRCs were just checked against `stored`.
   virtual void putStored(BlockId id, std::string_view stored,
-                         uint64_t raw_size, CodecKind codec) = 0;
+                         std::vector<uint32_t> crcs, uint64_t raw_size,
+                         CodecKind codec, bool verified) = 0;
 
   /// Enforces the configured-vs-replica codec policy; raw replicas are
   /// always acceptable (blocks written before compression was enabled).
@@ -156,13 +187,15 @@ class MemBlockStore final : public BlockStore {
   uint64_t blockSize(BlockId id) const override;
   uint64_t storedSize(BlockId id) const override;
   std::vector<BlockId> listBlocks() const override;
+  size_t blockCount() const override;
   uint64_t usedBytes() const override;
   std::vector<BlockId> scanAll() const override;
   void corruptBlock(BlockId id, size_t byte_offset) override;
 
  protected:
-  void putStored(BlockId id, std::string_view stored, uint64_t raw_size,
-                 CodecKind codec) override;
+  void putStored(BlockId id, std::string_view stored,
+                 std::vector<uint32_t> crcs, uint64_t raw_size,
+                 CodecKind codec, bool verified) override;
 
  private:
   struct Replica {
@@ -170,10 +203,11 @@ class MemBlockStore final : public BlockStore {
     std::vector<uint32_t> crcs;
     uint64_t raw_size = 0;
     CodecKind codec = CodecKind::kNone;
-    /// Set after the first successful read verification; later reads of the
-    /// same resident buffer skip re-hashing. Any buffer swap (overwrite,
-    /// corruption) resets it, so detection is never lost — and scanAll()
-    /// (the block scanner) always verifies regardless.
+    /// Set by the tail's verified receive or the first successful read
+    /// verification; later reads of the same resident buffer skip
+    /// re-hashing. Any buffer swap (overwrite, corruption) resets it, so
+    /// detection is never lost — and scanAll() (the block scanner) always
+    /// verifies regardless.
     bool verified = false;
   };
 
@@ -204,8 +238,9 @@ class FileBlockStore final : public BlockStore {
   const std::filesystem::path& root() const { return root_; }
 
  protected:
-  void putStored(BlockId id, std::string_view stored, uint64_t raw_size,
-                 CodecKind codec) override;
+  void putStored(BlockId id, std::string_view stored,
+                 std::vector<uint32_t> crcs, uint64_t raw_size,
+                 CodecKind codec, bool verified) override;
 
  private:
   /// Meta sidecar: varint CRC count + u32 CRCs (v1), optionally followed by

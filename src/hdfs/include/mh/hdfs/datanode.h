@@ -1,7 +1,9 @@
 #pragma once
 
+#include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +19,20 @@
 /// the NameNode, sends block reports, serves reads, participates in write
 /// pipelines, and executes replicate/delete commands piggybacked on
 /// heartbeat replies.
+///
+/// Write pipeline: a writeBlock request carries the payload, the ordered
+/// target list and the writer's chunk CRCs. Each DataNode stores the CRCs
+/// it received, forwards the same request to the next target, and reports
+/// blockReceived only after that downstream ack, as HDFS does. The tail —
+/// the last target, or the last one reachable — verifies the CRCs; when it
+/// rejects, every upstream DataNode drops its replica and the ChecksumError
+/// reaches the writer, so no replica keeps bytes the tail refused.
+///
+/// Heartbeats are held (see namenode.h): the background beat tells the
+/// NameNode it may wait, the NameNode answers when it has a command for
+/// this DataNode or after dfs.heartbeat.interval.ms, and the DataNode beats
+/// again at once. stop(), crash() and abandon() cancel a held beat at
+/// once; heartbeatNow() never holds.
 ///
 /// Lifecycle verbs map to the paper's war stories:
 ///  * stop()    — clean shutdown: daemon threads join, ports are released.
@@ -63,8 +79,10 @@ class DataNode {
   const BlockStore& store() const { return *store_; }
   bool running() const;
 
-  /// Sends one heartbeat and executes any returned commands (test hook —
-  /// the background thread does the same thing on its interval).
+  /// Sends one heartbeat that is never held and executes any returned
+  /// commands (test hook). It first ends the background beat and waits for
+  /// the commands that beat carried to run, so every command queued before
+  /// the call has run when it returns.
   void heartbeatNow();
 
   /// Sends a full block report now.
@@ -78,6 +96,8 @@ class DataNode {
  private:
   void installRpc();
   void heartbeatLoop(std::stop_token token);
+  /// One beat: with `may_wait` the NameNode may hold it until `cancel`.
+  void beatOnce(bool may_wait, std::stop_token cancel);
   void executeCommand(const DataNodeCommand& command);
   void replicateTo(BlockId block, const std::vector<std::string>& targets);
 
@@ -105,6 +125,15 @@ class DataNode {
   mutable std::mutex state_mutex_;
   bool running_ = false;
   bool port_bound_ = false;
+
+  /// Orders heartbeatNow() after the background beat: the loop starts no
+  /// beat while a manual one is pending, and heartbeatNow() cancels the
+  /// beat in flight and waits for it (and its commands) to finish.
+  std::mutex beat_mutex_;
+  std::condition_variable_any beat_cv_;
+  std::stop_source held_beat_cancel_;  ///< the background beat's cancel
+  bool beat_in_flight_ = false;
+  int manual_beats_ = 0;
 
   std::jthread heartbeat_thread_;
 };

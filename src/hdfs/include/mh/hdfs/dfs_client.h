@@ -13,10 +13,14 @@
 
 /// \file dfs_client.h
 /// User-facing HDFS client (the library behind `hadoop fs`). Writes go
-/// through the replica pipeline (client -> dn1 -> dn2 -> dn3); reads prefer
+/// through the replica pipeline (client -> dn1 -> dn2 -> dn3) with the
+/// block's chunk CRCs computed once, here; when the pipeline tail rejects
+/// them (bytes corrupted in transit) the block is rewritten, up to
+/// `dfs.client.retries` (default 3) tries, then IoError. Reads prefer
 /// the replica on the caller's own host — the data-locality read path that
 /// MapReduce tasks rely on. Checksum failures on read are reported to the
-/// NameNode and the client falls over to the next replica.
+/// NameNode and the client falls over to the next replica; so does a
+/// replica deleted between locate and read (NotFoundError).
 ///
 /// Reads return refcounted views (buffer.h) of the serving store's buffer —
 /// no payload copy on the loopback/zero-copy RPC path. With

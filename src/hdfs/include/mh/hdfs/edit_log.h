@@ -160,7 +160,8 @@ class EditLog {
   /// Reads the latest image and every edit segment. Tolerates a torn tail
   /// in the final segment; throws ChecksumError on mid-log corruption and
   /// IoError on structural damage (torn non-final segment, txns out of
-  /// order, unreadable image).
+  /// order, unreadable image). Safe on the directory of a running
+  /// NameNode: a file a concurrent checkpoint retires is listed again.
   static LoadedStorage load(const std::filesystem::path& dir);
 
  private:

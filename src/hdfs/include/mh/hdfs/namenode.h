@@ -1,10 +1,12 @@
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,9 +29,19 @@
 /// heartbeats and schedules re-replication / invalidation work, which is
 /// delivered to DataNodes piggybacked on their heartbeat replies.
 ///
+/// Held beats: a DataNode's background heartbeat says it may wait. With
+/// nothing to tell it, the NameNode holds that beat (releasing the lock)
+/// until it queues a command for that host, or dfs.heartbeat.interval.ms
+/// passes — so a delete's kDelete reaches the DataNodes at once instead of
+/// on their next beat, and an idle DataNode still beats once per interval.
+/// Queuing a command wakes only the beat it addresses. Stop and crash
+/// release every held beat, and the caller's cancellation (the DataNode
+/// stopping, or a manual heartbeat) releases its own.
+///
 /// Config keys (defaults):
 ///   dfs.replication                           3
 ///   dfs.blocksize                             65536
+///   dfs.heartbeat.interval.ms                 100   (longest hold)
 ///   dfs.namenode.heartbeat.expiry.ms          1000
 ///   dfs.namenode.monitor.interval.ms          50
 ///   dfs.safemode.threshold                    0.999
@@ -129,8 +141,13 @@ class NameNode {
   void registerDataNode(const std::string& host, uint64_t capacity_bytes,
                         const std::string& rack = "/default-rack");
 
+  /// With `may_wait` and nothing to say, holds the beat until a command is
+  /// queued for `host`, the interval passes, `cancel` fires, or the
+  /// NameNode stops. A cancelled beat leaves its commands queued.
   HeartbeatReply heartbeat(const std::string& host, uint64_t capacity_bytes,
-                           uint64_t used_bytes, uint64_t num_blocks);
+                           uint64_t used_bytes, uint64_t num_blocks,
+                           bool may_wait = false,
+                           std::stop_token cancel = {});
 
   /// Full replica inventory from one DataNode. Returns block ids the
   /// DataNode should invalidate (blocks the NameNode no longer knows).
@@ -169,6 +186,10 @@ class NameNode {
   uint64_t totalBlocks() const;
   uint64_t liveDataNodes() const;
 
+  /// DataNode heartbeats being held right now (the "heartbeats.held"
+  /// gauge).
+  size_t heldHeartbeats() const;
+
   /// Milliseconds since the stalest live DataNode's last heartbeat (0 when
   /// no DataNode is live) — the "heartbeat staleness" gauge.
   int64_t maxHeartbeatStalenessMillis() const;
@@ -186,6 +207,8 @@ class NameNode {
     bool alive = false;
     bool reported = false;  // block report received since (re-)registration
     std::vector<DataNodeCommand> pending_commands;
+    /// The held heartbeat's wake-up, while one is held.
+    std::condition_variable_any* held_beat = nullptr;
   };
 
   static int64_t steadyMillis();
@@ -197,6 +220,9 @@ class NameNode {
   void checkNotInSafeModeLocked(const char* op) const;
   void maybeLeaveSafeModeLocked();
   void queueInvalidateLocked(const std::vector<Block>& blocks);
+  /// Queues a command for `host` and wakes its held beat, if any.
+  void queueCommandLocked(const std::string& host, DataNodeCommand command);
+  void releaseHeldBeatsLocked();
   std::vector<PlacementCandidate> aliveCandidatesLocked() const;
   void monitorPassLocked();
   void expireHeartbeatsLocked();

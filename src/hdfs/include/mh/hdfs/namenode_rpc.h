@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <stop_token>
 #include <string>
 #include <vector>
 
@@ -95,11 +96,16 @@ class NameNodeRpc {
     call("registerDataNode", pack(local_host_, capacity_bytes, rack));
   }
 
+  /// With `may_wait` the NameNode may hold the beat until it has a command
+  /// for this host (see NameNode::heartbeat); `cancel` ends the hold.
   HeartbeatReply heartbeat(uint64_t capacity_bytes, uint64_t used_bytes,
-                           uint64_t num_blocks) {
-    return std::get<0>(unpack<HeartbeatReply>(call(
-        "heartbeat", pack(local_host_, capacity_bytes, used_bytes,
-                          num_blocks))));
+                           uint64_t num_blocks, bool may_wait = false,
+                           std::stop_token cancel = {}) {
+    return std::get<0>(unpack<HeartbeatReply>(
+        call("heartbeat",
+             pack(local_host_, capacity_bytes, used_bytes, num_blocks,
+                  may_wait),
+             std::move(cancel))));
   }
 
   std::vector<BlockId> blockReport(const std::vector<Block>& blocks) {
@@ -146,9 +152,11 @@ class NameNodeRpc {
   }
 
  private:
-  BufferView call(std::string method, BufferView body) {
+  BufferView call(std::string method, BufferView body,
+                  std::stop_token cancel = {}) {
     return network_->call(local_host_, namenode_host_, kNameNodePort,
-                          std::move(method), std::move(body));
+                          std::move(method), std::move(body), "rpc",
+                          std::move(cancel));
   }
 
   std::shared_ptr<net::Network> network_;

@@ -71,6 +71,12 @@ struct FsckReport {
   std::string render() const;
 };
 
+/// A block's per-512-byte-chunk CRC-32Cs as the writer computed them; they
+/// ride in the writeBlock request beside the payload.
+struct ChunkCrcs {
+  std::vector<uint32_t> values;
+};
+
 /// Commands a heartbeat reply can carry back to a DataNode.
 struct DataNodeCommand {
   enum class Kind : uint8_t {

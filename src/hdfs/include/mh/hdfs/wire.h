@@ -1,5 +1,6 @@
 #pragma once
 
+#include "mh/common/error.h"
 #include "mh/common/serde.h"
 #include "mh/hdfs/types.h"
 
@@ -82,6 +83,26 @@ struct Serde<hdfs::DataNodeInfo> {
     v.num_blocks = r.readVarU64();
     v.millis_since_heartbeat = r.readVarI64();
     v.alive = r.readBool();
+    return v;
+  }
+};
+
+/// Fixed 4 bytes per CRC (HDFS's checksum layout): a CRC is uniformly
+/// random, so a varint would spend 5 bytes on most of them.
+template <>
+struct Serde<hdfs::ChunkCrcs> {
+  static void encode(ByteWriter& w, const hdfs::ChunkCrcs& v) {
+    w.writeVarU64(v.values.size());
+    for (const uint32_t crc : v.values) w.writeU32(crc);
+  }
+  static hdfs::ChunkCrcs decode(ByteReader& r) {
+    const uint64_t n = r.readVarU64();
+    if (n > r.remaining() / 4) {
+      throw InvalidArgumentError("chunk CRC count past end of buffer");
+    }
+    hdfs::ChunkCrcs v;
+    v.values.resize(n);
+    for (uint32_t& crc : v.values) crc = r.readU32();
     return v;
   }
 };

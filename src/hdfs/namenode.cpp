@@ -39,6 +39,9 @@ NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
   metrics_->setGauge("heartbeat.max_staleness_ms", [this] {
     return static_cast<double>(maxHeartbeatStalenessMillis());
   });
+  metrics_->setGauge("heartbeats.held", [this] {
+    return static_cast<double>(heldHeartbeats());
+  });
   if (!conf_.get("dfs.namenode.name.dir").empty()) {
     recoverOrFormatStorage();
   }
@@ -76,7 +79,7 @@ NameNode::~NameNode() {
   // The registry (and any MetricsSnapshotter sampling it) outlives this
   // daemon; replace `this`-capturing gauges with their final values.
   for (const char* name : {"blocks.total", "datanodes.live", "safemode",
-                           "heartbeat.max_staleness_ms"}) {
+                           "heartbeat.max_staleness_ms", "heartbeats.held"}) {
     metrics_->setGauge(name, [v = metrics_->gaugeValue(name)] { return v; });
   }
 }
@@ -162,6 +165,12 @@ void NameNode::stop() {
     monitor_.request_stop();
     monitor_.join();
   }
+  // Release held beats before unbinding: unbind drains in-flight handlers,
+  // and a held beat would otherwise sit out its full interval.
+  {
+    std::lock_guard<std::mutex> guard(lock_);
+    releaseHeldBeatsLocked();
+  }
   network_->unbind(host_, kNameNodePort);
   {
     std::lock_guard<std::mutex> guard(lock_);
@@ -190,6 +199,10 @@ void NameNode::crash() {
   if (monitor_.joinable()) {
     monitor_.request_stop();
     monitor_.join();
+  }
+  {
+    std::lock_guard<std::mutex> guard(lock_);
+    releaseHeldBeatsLocked();
   }
   // Unbind is a drain barrier: after it returns no handler is mid-mutation,
   // so dropping the unsynced tail below races with nothing.
@@ -248,21 +261,29 @@ std::vector<std::string> NameNode::listFilesRecursive(
   return namespace_.listFilesRecursive(path);
 }
 
+void NameNode::queueCommandLocked(const std::string& host,
+                                  DataNodeCommand command) {
+  const auto it = datanodes_.find(host);
+  if (it == datanodes_.end()) return;
+  it->second.pending_commands.push_back(std::move(command));
+  if (it->second.held_beat != nullptr) it->second.held_beat->notify_one();
+}
+
+void NameNode::releaseHeldBeatsLocked() {
+  for (auto& [dn_host, descriptor] : datanodes_) {
+    if (descriptor.held_beat != nullptr) descriptor.held_beat->notify_one();
+  }
+}
+
 void NameNode::queueInvalidateLocked(const std::vector<Block>& freed) {
   for (const Block& block : freed) {
     for (const std::string& replica_host : blocks_.liveReplicas(block.id)) {
-      auto it = datanodes_.find(replica_host);
-      if (it != datanodes_.end()) {
-        it->second.pending_commands.push_back(
-            {DataNodeCommand::Kind::kDelete, block.id, {}});
-      }
+      queueCommandLocked(replica_host,
+                         {DataNodeCommand::Kind::kDelete, block.id, {}});
     }
     for (const std::string& replica_host : blocks_.corruptReplicas(block.id)) {
-      auto it = datanodes_.find(replica_host);
-      if (it != datanodes_.end()) {
-        it->second.pending_commands.push_back(
-            {DataNodeCommand::Kind::kDelete, block.id, {}});
-      }
+      queueCommandLocked(replica_host,
+                         {DataNodeCommand::Kind::kDelete, block.id, {}});
     }
     blocks_.removeBlock(block.id);
     pending_replications_.erase(block.id);
@@ -425,13 +446,19 @@ void NameNode::registerDataNode(const std::string& host,
   descriptor.reported = false;
   descriptor.last_heartbeat_ms = steadyMillis();
   descriptor.pending_commands.clear();
+  if (descriptor.held_beat != nullptr) {
+    // A beat held for the previous registration answers at once.
+    descriptor.held_beat->notify_one();
+    descriptor.held_beat = nullptr;
+  }
   logInfo(kLog) << "registered datanode " << host;
 }
 
 HeartbeatReply NameNode::heartbeat(const std::string& host,
                                    uint64_t capacity_bytes,
-                                   uint64_t used_bytes, uint64_t num_blocks) {
-  std::lock_guard<std::mutex> guard(lock_);
+                                   uint64_t used_bytes, uint64_t num_blocks,
+                                   bool may_wait, std::stop_token cancel) {
+  std::unique_lock<std::mutex> guard(lock_);
   HeartbeatReply reply;
   const auto it = datanodes_.find(host);
   if (it == datanodes_.end()) {
@@ -449,6 +476,24 @@ HeartbeatReply NameNode::heartbeat(const std::string& host,
     descriptor.reported = false;  // its replicas were dropped; re-report
   }
   reply.request_block_report = !descriptor.reported;
+  if (may_wait && started_ && !reply.request_block_report &&
+      descriptor.pending_commands.empty() &&
+      descriptor.held_beat == nullptr) {
+    // Nothing to say: hold the beat until there is (the descriptor lives in
+    // a node-stable map that never erases, so the reference stays valid).
+    std::condition_variable_any wake;
+    descriptor.held_beat = &wake;
+    wake.wait_for(guard, cancel,
+                  std::chrono::milliseconds(
+                      conf_.getInt("dfs.heartbeat.interval.ms", 100)),
+                  [&] {
+                    return !descriptor.pending_commands.empty() ||
+                           !started_ || descriptor.held_beat != &wake;
+                  });
+    if (descriptor.held_beat == &wake) descriptor.held_beat = nullptr;
+    // A cancelled caller is going away: its commands wait for the next beat.
+    if (cancel.stop_requested()) return reply;
+  }
   reply.commands = std::move(descriptor.pending_commands);
   descriptor.pending_commands.clear();
   return reply;
@@ -646,6 +691,14 @@ uint64_t NameNode::liveDataNodes() const {
   return n;
 }
 
+size_t NameNode::heldHeartbeats() const {
+  std::lock_guard<std::mutex> guard(lock_);
+  return static_cast<size_t>(
+      std::count_if(datanodes_.begin(), datanodes_.end(), [](const auto& dn) {
+        return dn.second.held_beat != nullptr;
+      }));
+}
+
 int64_t NameNode::maxHeartbeatStalenessMillis() const {
   const int64_t now = steadyMillis();
   std::lock_guard<std::mutex> guard(lock_);
@@ -691,11 +744,7 @@ void NameNode::handleCorruptReplicasLocked() {
     const auto live = blocks_.liveReplicas(id);
     if (live.size() < blocks_.expectedReplication(id)) continue;  // repair first
     for (const std::string& bad_host : blocks_.corruptReplicas(id)) {
-      auto it = datanodes_.find(bad_host);
-      if (it != datanodes_.end()) {
-        it->second.pending_commands.push_back(
-            {DataNodeCommand::Kind::kDelete, id, {}});
-      }
+      queueCommandLocked(bad_host, {DataNodeCommand::Kind::kDelete, id, {}});
       blocks_.removeReplica(id, bad_host);
     }
   }
@@ -716,11 +765,7 @@ void NameNode::handleOverReplicationLocked() {
               });
     for (size_t i = 0; i < excess; ++i) {
       const std::string& victim = live[i];
-      auto it = datanodes_.find(victim);
-      if (it != datanodes_.end()) {
-        it->second.pending_commands.push_back(
-            {DataNodeCommand::Kind::kDelete, id, {}});
-      }
+      queueCommandLocked(victim, {DataNodeCommand::Kind::kDelete, id, {}});
       blocks_.removeReplica(id, victim);
     }
   }
@@ -759,8 +804,7 @@ void NameNode::scheduleReplicationLocked() {
                                          exclude, rng_);
     if (targets.empty()) continue;
 
-    datanodes_[source].pending_commands.push_back(
-        {DataNodeCommand::Kind::kReplicate, id, targets});
+    queueCommandLocked(source, {DataNodeCommand::Kind::kReplicate, id, targets});
     pending_replications_[id] = now;
     ++scheduled;
   }
@@ -848,9 +892,10 @@ void NameNode::installRpc() {
       return {};
     }
     if (m == "heartbeat") {
-      const auto [dn_host, capacity, used, nblocks] =
-          unpack<std::string, uint64_t, uint64_t, uint64_t>(req.body);
-      return pack(heartbeat(dn_host, capacity, used, nblocks));
+      const auto [dn_host, capacity, used, nblocks, may_wait] =
+          unpack<std::string, uint64_t, uint64_t, uint64_t, bool>(req.body);
+      return pack(
+          heartbeat(dn_host, capacity, used, nblocks, may_wait, req.cancel));
     }
     if (m == "blockReport") {
       const auto [dn_host, report] =

@@ -33,6 +33,8 @@ const char* faultActionName(FaultAction action) {
       return "error";
     case FaultAction::kDelay:
       return "delay";
+    case FaultAction::kCorrupt:
+      return "corrupt";
   }
   return "unknown";
 }
@@ -85,7 +87,7 @@ std::optional<FaultDecision> FaultPlan::decide(std::string_view from,
     if ((groupContains(side_a, from) && groupContains(side_b, to)) ||
         (groupContains(side_a, to) && groupContains(side_b, from))) {
       ++injected_;
-      return FaultDecision{FaultAction::kDrop, 0, "partition"};
+      return FaultDecision{FaultAction::kDrop, 0, 0, "partition"};
     }
   }
   for (size_t i = 0; i < rules_.size(); ++i) {
@@ -105,7 +107,12 @@ std::optional<FaultDecision> FaultPlan::decide(std::string_view from,
     if (!fire) continue;
     ++state.fires;
     ++injected_;
-    return FaultDecision{rule.action, rule.delay_micros,
+    // The byte position is drawn from the same per-rule stream, only when
+    // the rule fires: a corrupt rule replays its positions as exactly as
+    // its verdicts.
+    const uint64_t corrupt_at =
+        rule.action == FaultAction::kCorrupt ? state.rng.next() : 0;
+    return FaultDecision{rule.action, rule.delay_micros, corrupt_at,
                          "rule " + std::to_string(i)};
   }
   return std::nullopt;

@@ -18,8 +18,9 @@
 /// Network consults (when one is installed) for every RPC and bulk
 /// transfer. Rules can drop a request before delivery, drop the response
 /// after the handler ran (the at-least-once hazard), inject a connection
-/// error, or add latency — each either probabilistically from a seeded
-/// RNG or scripted to fire on exactly the Nth matching call.
+/// error, add latency, or corrupt one byte of the request body in flight —
+/// each either probabilistically from a seeded RNG or scripted to fire on
+/// exactly the Nth matching call.
 ///
 /// Determinism contract: each rule owns its own RNG stream derived from
 /// (plan seed, rule index), and draws once per matching call while its
@@ -38,6 +39,11 @@ enum class FaultAction : uint8_t {
                   ///< Exercises at-least-once delivery and idempotency.
   kError,         ///< connection reset before delivery; handler never runs.
   kDelay,         ///< the call proceeds after an extra delay_micros sleep.
+  kCorrupt,       ///< the callee receives the body with one byte flipped
+                  ///< (position drawn from the rule's RNG). Copy-on-write:
+                  ///< the caller's buffer, and any view of it the caller
+                  ///< keeps or forwards, stay clean. An empty body and a
+                  ///< bulk transfer pass unharmed.
 };
 
 const char* faultActionName(FaultAction action);
@@ -76,6 +82,8 @@ struct FaultRule {
 struct FaultDecision {
   FaultAction action;
   int64_t delay_micros = 0;
+  /// kCorrupt: a seeded draw; the flipped byte is corrupt_at % body size.
+  uint64_t corrupt_at = 0;
   std::string detail;  ///< human-readable cause ("rule 2", "partition")
 };
 

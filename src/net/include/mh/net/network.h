@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stop_token>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,7 +39,7 @@
 ///    latency turn byte counts into realistic wall-clock costs when an
 ///    experiment needs them (defaults are free/instant so unit tests fly).
 ///  * **Fault injection** — an optional FaultPlan (fault_plan.h) can drop,
-///    delay, or error individual calls and sever host groups. With no plan
+///    delay, error or corrupt individual calls and sever host groups. With no plan
 ///    installed the fast path costs exactly one relaxed atomic load per
 ///    call — no lock, no RNG draw.
 ///
@@ -59,6 +60,10 @@ struct RpcRequest {
   /// already installed for them — this field is the explicit copy for
   /// handlers that hand work to another thread.
   TraceContext trace;
+  /// The caller's cancellation — the stand-in for a client closing its
+  /// connection. A handler that blocks (a held heartbeat) waits on it too,
+  /// so a caller that shuts down is never stuck inside a peer's handler.
+  std::stop_token cancel;
 };
 
 /// Endpoint handler: receives a request, returns a serialized response.
@@ -134,10 +139,11 @@ class Network {
   /// reply size under `tag` (control traffic defaults to "rpc"; data-plane
   /// calls pass "read" / "pipeline" / "replication" / "shuffle" so
   /// experiments can attribute traffic), paced by the bandwidth model, and
-  /// timed into the `rpc.<method>.micros` histogram.
+  /// timed into the `rpc.<method>.micros` histogram. `cancel` reaches the
+  /// handler as RpcRequest::cancel.
   BufferView call(const std::string& from, const std::string& to, int port,
                   std::string method, BufferView body,
-                  std::string_view tag = "rpc");
+                  std::string_view tag = "rpc", std::stop_token cancel = {});
 
   /// Old name of call(), kept only for perfbench/layers.cpp.
   BufferView callBuf(const std::string& from, const std::string& to, int port,
@@ -238,10 +244,12 @@ class Network {
 
   /// Slow path, entered only when a plan is installed: asks the plan for a
   /// verdict and carries it out. Throws NetworkError for drop/error faults,
-  /// sleeps for delay faults, and returns true when the *response* must be
+  /// sleeps for delay faults, swaps `*body` (when given) for a corrupted
+  /// copy on corrupt faults, and returns true when the *response* must be
   /// discarded after the handler runs.
   bool applyFault(const std::string& from, const std::string& to,
-                  std::string_view method, std::string_view tag);
+                  std::string_view method, std::string_view tag,
+                  BufferView* body);
 
   mutable std::mutex mutex_;
   /// Signaled when an endpoint's inflight count drops to zero; unbind()

@@ -152,12 +152,12 @@ Network::Pin Network::route(const std::string& from, const std::string& to,
 
 BufferView Network::call(const std::string& from, const std::string& to,
                          int port, std::string method, BufferView body,
-                         std::string_view tag) {
+                         std::string_view tag, std::stop_token cancel) {
   const Pin endpoint = route(from, to, port);
   // Zero-fault fast path: one relaxed load, no lock, no RNG draw.
   bool drop_response = false;
   if (faults_enabled_.load(std::memory_order_relaxed)) {
-    drop_response = applyFault(from, to, method, tag);
+    drop_response = applyFault(from, to, method, tag, &body);
   }
   // A view crossing the fabric costs the bandwidth model the same as a copy
   // would: zero-copy changes who owns the bytes, never what they cost.
@@ -170,7 +170,8 @@ BufferView Network::call(const std::string& from, const std::string& to,
   // copy for handlers that defer work to another thread.
   const TraceContext trace_ctx =
       tracer_.enabled() ? currentTraceContext() : TraceContext{};
-  RpcRequest request{std::move(method), std::move(body), from, trace_ctx};
+  RpcRequest request{std::move(method), std::move(body), from, trace_ctx,
+                     std::move(cancel)};
   BufferView reply = endpoint->handler(request);
   const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - started)
@@ -196,7 +197,7 @@ void Network::transfer(const std::string& from, const std::string& to,
   if (faults_enabled_.load(std::memory_order_relaxed)) {
     // A bulk move has no separate response leg: losing either direction
     // loses the transfer.
-    if (applyFault(from, to, "transfer", tag)) {
+    if (applyFault(from, to, "transfer", tag, nullptr)) {
       throw NetworkError("injected fault: transfer lost " + from + " -> " +
                          to);
     }
@@ -237,7 +238,8 @@ MetricsSnapshotter* Network::snapshotter() {
 }
 
 bool Network::applyFault(const std::string& from, const std::string& to,
-                         std::string_view method, std::string_view tag) {
+                         std::string_view method, std::string_view tag,
+                         BufferView* body) {
   const auto plan = faultPlan();
   if (!plan) return false;  // raced with a concurrent clear
   const auto decision = plan->decide(from, to, method, tag);
@@ -259,6 +261,9 @@ bool Network::applyFault(const std::string& from, const std::string& to,
         break;
       case FaultAction::kDelay:
         net_metrics_->counter("faults.delayed").add();
+        break;
+      case FaultAction::kCorrupt:
+        net_metrics_->counter("faults.corrupted").add();
         break;
     }
   }
@@ -287,6 +292,16 @@ bool Network::applyFault(const std::string& from, const std::string& to,
       return false;
     case FaultAction::kDropResponse:
       return true;
+    case FaultAction::kCorrupt:
+      if (body != nullptr && !body->empty()) {
+        // Copy-on-write: the callee gets a private corrupted copy; every
+        // other view of the original buffer keeps the clean bytes.
+        Bytes corrupted(body->view());
+        char& victim = corrupted[decision->corrupt_at % corrupted.size()];
+        victim = static_cast<char>(victim ^ 0x5A);
+        *body = BufferView(std::move(corrupted));
+      }
+      return false;
   }
   return false;
 }

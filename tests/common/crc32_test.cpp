@@ -3,14 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "mh/common/rng.h"
 
 namespace mh {
 namespace {
 
-/// Straightforward table-free bytewise CRC-32C — the oracle the slice-by-8
-/// production implementation must match bit-for-bit on every input.
+/// Straightforward table-free bytewise CRC-32C — the oracle both production
+/// paths (SSE4.2 and slice-by-8) must match bit-for-bit on every input.
 uint32_t referenceCrc32c(std::string_view data, uint32_t seed = 0) {
   uint32_t crc = ~seed;
   for (const char c : data) {
@@ -92,6 +93,88 @@ TEST(Crc32cTest, SeededChainingMatchesReferenceAtRandomCuts) {
     const uint32_t ref_head =
         referenceCrc32c(std::string_view(data).substr(0, cut));
     EXPECT_EQ(ref_head, head);
+  }
+}
+
+// ---- hardware vs portable ------------------------------------------------
+// crc32c() runs the SSE4.2 path when CPUID reports it and slice-by-8
+// otherwise; detail::crc32cPortable is always slice-by-8. On a machine with
+// SSE4.2 these tests compare the two paths; elsewhere both are portable and
+// the tests still pin them to the bytewise oracle.
+
+TEST(Crc32cTest, HardwarePortableAndReferenceAgreeOnRandomLengthsAndOffsets) {
+  Rng rng(2024);
+  std::string blob(4096 + 8, '\0');
+  for (auto& c : blob) c = static_cast<char>(rng.uniform(256));
+  for (int trial = 0; trial < 400; ++trial) {
+    const size_t offset = rng.uniform(8);  // misaligned loads
+    const size_t len = rng.uniform(4097);
+    const std::string_view data(blob.data() + offset, len);
+    const uint32_t expected = referenceCrc32c(data);
+    ASSERT_EQ(crc32c(data), expected) << "offset " << offset << " len " << len;
+    ASSERT_EQ(detail::crc32cPortable(data), expected)
+        << "offset " << offset << " len " << len;
+  }
+}
+
+TEST(Crc32cTest, SeedContinuationAgreesAtEverySplit) {
+  Rng rng(64);
+  std::string data(64, '\0');
+  for (auto& c : data) c = static_cast<char>(rng.uniform(256));
+  const uint32_t whole = referenceCrc32c(data);
+  const std::string_view view(data);
+  for (size_t cut = 0; cut <= view.size(); ++cut) {
+    const std::string_view head = view.substr(0, cut);
+    const std::string_view tail = view.substr(cut);
+    EXPECT_EQ(crc32c(tail, crc32c(head)), whole) << "cut " << cut;
+    EXPECT_EQ(detail::crc32cPortable(tail, detail::crc32cPortable(head)),
+              whole)
+        << "cut " << cut;
+    // Seeds cross paths: a CRC started on one continues on the other.
+    EXPECT_EQ(crc32c(tail, detail::crc32cPortable(head)), whole)
+        << "cut " << cut;
+    EXPECT_EQ(detail::crc32cPortable(tail, referenceCrc32c(head)), whole)
+        << "cut " << cut;
+  }
+}
+
+TEST(Crc32cTest, ChunksEqualPerChunkCrcs) {
+  constexpr size_t kChunk = 512;
+  Rng rng(512);
+  std::string blob(64 * 1024 + 1, '\0');
+  for (auto& c : blob) c = static_cast<char>(rng.uniform(256));
+  // 1536 is exactly three chunks (one interleaved group); 1537 adds a
+  // one-byte tail after it.
+  for (const size_t len : {0u, 1u, 511u, 512u, 513u, 1024u, 1536u, 1537u,
+                           64u * 1024u}) {
+    for (const size_t offset : {0u, 1u}) {
+      const std::string_view data(blob.data() + offset, len);
+      const size_t n = (len + kChunk - 1) / kChunk;
+      std::vector<uint32_t> got(n + 1, 0xDEADBEEFu);  // + a guard slot
+      crc32cChunks(data, kChunk, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], referenceCrc32c(data.substr(i * kChunk, kChunk)))
+            << "len " << len << " offset " << offset << " chunk " << i;
+      }
+      EXPECT_EQ(got[n], 0xDEADBEEFu) << "wrote past the last chunk, len "
+                                     << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChunksHonourOddChunkWidths) {
+  Rng rng(3);
+  std::string data(1000, '\0');
+  for (auto& c : data) c = static_cast<char>(rng.uniform(256));
+  for (const size_t chunk : {1u, 7u, 100u, 333u, 1000u, 4096u}) {
+    const size_t n = (data.size() + chunk - 1) / chunk;
+    std::vector<uint32_t> got(n);
+    crc32cChunks(data, chunk, got.data());
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i],
+                referenceCrc32c(std::string_view(data).substr(i * chunk, chunk)))
+          << "chunk " << chunk << " index " << i;
+    }
   }
 }
 

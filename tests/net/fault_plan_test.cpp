@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <vector>
@@ -97,6 +98,35 @@ TEST(FaultPlanTest, SameSeedReplaysSameDecisions) {
   EXPECT_NE(da, dc);
 }
 
+TEST(FaultPlanTest, CorruptPositionsReplayForSameSeed) {
+  const auto positions = [](uint64_t seed) {
+    FaultPlan plan(seed);
+    plan.addRule({.match = {.method = "writeBlock"},
+                  .action = FaultAction::kCorrupt,
+                  .probability = 0.5});
+    std::vector<uint64_t> drawn;
+    for (int i = 0; i < 200; ++i) {
+      const auto d = plan.decide("client", "node01", "writeBlock", "pipeline");
+      drawn.push_back(d ? d->corrupt_at : 0);
+      if (d) {
+        EXPECT_EQ(d->action, FaultAction::kCorrupt);
+      }
+    }
+    return drawn;
+  };
+  const auto a = positions(17), b = positions(17), c = positions(18);
+  EXPECT_EQ(a, b);
+  EXPECT_NE(a, c);
+  // Fired calls draw positions spread over the range, not one constant.
+  std::vector<uint64_t> fired;
+  for (const uint64_t at : a) {
+    if (at != 0) fired.push_back(at % 4096);
+  }
+  ASSERT_GT(fired.size(), 50u);
+  std::sort(fired.begin(), fired.end());
+  EXPECT_GT(std::unique(fired.begin(), fired.end()) - fired.begin(), 40);
+}
+
 TEST(FaultPlanTest, PartitionIsBidirectionalAndHeals) {
   FaultPlan plan(1);
   plan.partition({"node01", "node02"}, {"jt"});
@@ -130,6 +160,45 @@ TEST(NetworkFaultTest, NoPlanFastPathHasNoFaultMachinery) {
   // Counters are created lazily by the first injected fault; a fault-free
   // network must not even mention them.
   EXPECT_EQ(net.metrics().render().find("faults."), std::string::npos);
+}
+
+TEST(NetworkFaultTest, CorruptFlipsOneByteOfTheCalleesCopyOnly) {
+  Network net;
+  net.addHost("client");
+  std::vector<BufferView> received;
+  net.bind("dn", 50010, [&](const RpcRequest& req) -> BufferView {
+    received.push_back(req.body);
+    return {};
+  });
+  auto plan = std::make_shared<FaultPlan>(5);
+  plan->addRule({.match = {.method = "writeBlock"},
+                 .action = FaultAction::kCorrupt,
+                 .nth = 1});
+  net.setFaultPlan(plan);
+  const Bytes original(1000, 'a');
+  const Buffer body = Buffer::copyOf(original);
+  net.call("client", "dn", 50010, "writeBlock", body, "pipeline");
+  net.call("client", "dn", 50010, "writeBlock", body, "pipeline");
+  ASSERT_EQ(received.size(), 2u);
+
+  // The first delivery differs from the original in exactly one byte, in a
+  // private buffer; the caller's buffer and the second delivery are clean.
+  size_t differing = 0;
+  for (size_t i = 0; i < original.size(); ++i) {
+    if (received[0].view()[i] != original[i]) ++differing;
+  }
+  EXPECT_EQ(differing, 1u);
+  EXPECT_NE(received[0].buffer().shared(), body.shared());
+  EXPECT_EQ(body.view(), original);
+  EXPECT_EQ(received[1].view(), original);
+  EXPECT_EQ(received[1].buffer().shared(), body.shared());
+  EXPECT_EQ(net.metrics().child("network").counterValue("faults.corrupted"),
+            1);
+
+  // An empty body has nothing to corrupt; the call goes through.
+  plan->addRule({.match = {.method = "ping"},
+                 .action = FaultAction::kCorrupt});
+  EXPECT_NO_THROW(net.call("client", "dn", 50010, "ping", Bytes()));
 }
 
 TEST(NetworkFaultTest, DropAndErrorFaultsThrowBeforeHandler) {
