@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "mh/common/stopwatch.h"
 #include "mh/common/trace.h"
+#include "testutil/sanitizers.h"
 
 namespace {
 
@@ -51,6 +53,19 @@ TEST(TraceFastPathTest, DisabledTracingAllocatesNothing) {
   EXPECT_EQ(tc.idsAllocated(), 0u)
       << "disabled tracing must not allocate span ids";
   EXPECT_EQ(tc.size(), 0u);
+}
+
+TEST(TraceFastPathTest, DisabledInstantCostsUnder100Nanoseconds) {
+  if (testutil::kSanitized) {
+    GTEST_SKIP() << "wall-clock bounds are not checked in sanitizer builds";
+  }
+  constexpr int kCalls = 10'000'000;
+  TraceCollector tc;
+  Stopwatch watch;
+  for (int i = 0; i < kCalls; ++i) tc.instant("bench", "NOP");
+  const double ns_per_call =
+      static_cast<double>(watch.elapsedMicros()) * 1000.0 / kCalls;
+  EXPECT_LT(ns_per_call, 100.0);
 }
 
 TEST(TraceFastPathTest, AmbientContextReadIsAllocationFree) {

@@ -12,6 +12,7 @@
 #include "mh/hdfs/edit_log.h"
 #include "mh/hdfs/mini_cluster.h"
 #include "testutil/aggressive_timers.h"
+#include "testutil/sanitizers.h"
 
 /// \file namenode_restart_test.cpp
 /// NameNode durability end-to-end: with `dfs.namenode.name.dir` set, the
@@ -25,18 +26,6 @@ namespace mh::hdfs {
 namespace {
 
 namespace fs = std::filesystem;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 class NameNodeRestartTest : public ::testing::Test {
  protected:
@@ -230,7 +219,7 @@ TEST_F(NameNodeRestartTest, RollEditsStartsANewSegment) {
 // builds run a reduced count; the full 1M lives in
 // bench/bench_namenode_restart.cpp with CI-gated rates.
 TEST_F(NameNodeRestartTest, StressManyFilesJournalCheckpointReplayRoundTrip) {
-  const int kFiles = kSanitized ? 2'000 : 20'000;
+  const int kFiles = testutil::kSanitized ? 2'000 : 20'000;
   constexpr int kPerDir = 500;
 
   Config conf = journalingConf();

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "mh/common/error.h"
 #include "mh/common/rng.h"
+#include "mh/common/stopwatch.h"
 #include "mh/hdfs/mini_cluster.h"
 #include "testutil/aggressive_timers.h"
+#include "testutil/sanitizers.h"
 
 namespace mh::hdfs {
 namespace {
@@ -175,6 +181,72 @@ TEST(ShortCircuitTest, ReadsAreViewsOfTheResidentReplica) {
   EXPECT_EQ(view, payload);
   EXPECT_EQ(view.view().data(),
             store->readBlock(located[0].block.id).view().data());
+}
+
+/// Best wall time of three runs of `read`, in microseconds.
+template <typename Fn>
+int64_t bestOfThreeMicros(Fn&& read) {
+  int64_t best = INT64_MAX;
+  for (int rep = 0; rep < 3; ++rep) {
+    Stopwatch watch;
+    read();
+    best = std::min(best, watch.elapsedMicros());
+  }
+  return best;
+}
+
+TEST(ShortCircuitTest, CompressedReplicasDecodeLocallyWithoutRpc) {
+  // Blocks stored as mh-lz frames: a co-located reader checks and decodes
+  // the resident replica with no RPC and no wire bytes, while an off-node
+  // reader pulls the raw bytes through readBlock (the DataNode decodes
+  // server-side) over a fabric paced like the teaching cluster's gigabit
+  // NICs.
+  Config conf = scConf();
+  conf.setInt("dfs.replication", 2);
+  conf.setInt("dfs.blocksize", 1024 * 1024);
+  conf.set("dfs.block.compression.codec", "mh-lz");
+  MiniDfsCluster cluster({.num_datanodes = 2, .conf = conf});
+  static const char* kSentences[] = {
+      "the cluster keeps every replica on a different rack when it can ",
+      "a map task prefers the node that already holds its split ",
+      "reducers merge sorted runs without ever holding one whole ",
+      "the namenode leaves safe mode once the block reports arrive ",
+  };
+  constexpr size_t kFileBytes = 4 * 1024 * 1024;  // 4 blocks
+  Rng rng(8);
+  Bytes payload;
+  while (payload.size() < kFileBytes) payload += kSentences[rng.uniform(4)];
+  payload.resize(kFileBytes);
+  cluster.client().writeFile("/sc/packed.txt", payload);
+  auto& datanode = cluster.metrics().child("datanode.node01");
+  EXPECT_LT(datanode.counterValue("block.compressed.bytes"),
+            datanode.counterValue("block.raw.bytes"));
+
+  auto local = scClient(cluster, "node01");
+  const auto before = cluster.network()->messages("read");
+  EXPECT_EQ(local.readFile("/sc/packed.txt"), payload);
+  EXPECT_EQ(cluster.network()->messages("read"), before);
+  EXPECT_EQ(scReads(cluster), 4);
+
+  if (testutil::kSanitized) {
+    GTEST_SKIP() << "wall-clock bounds are not checked in sanitizer builds";
+  }
+  cluster.network()->setLatencyMicros(200);
+  cluster.network()->setBandwidthBytesPerSec(125'000'000);  // 1 Gbps
+  auto remote = cluster.client("client");
+  Bytes copied;
+  const int64_t rpc_us =
+      bestOfThreeMicros([&] { copied = remote.readFile("/sc/packed.txt"); });
+  std::vector<BufferView> views;
+  const int64_t sc_us = bestOfThreeMicros(
+      [&] { views = local.readFileViews("/sc/packed.txt"); });
+  EXPECT_EQ(copied, payload);
+  Bytes decoded;
+  for (const BufferView& view : views) decoded.append(view.view());
+  EXPECT_EQ(decoded, payload);
+  EXPECT_GE(static_cast<double>(rpc_us) / static_cast<double>(sc_us), 2.0)
+      << "copying readBlock " << rpc_us << " us vs short-circuit " << sc_us
+      << " us";
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <map>
 #include <string>
-#include <vector>
 
+#include "mh/apps/airline.h"
 #include "mh/common/rng.h"
+#include "mh/data/airline.h"
 #include "mh/mr/mini_mr_cluster.h"
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
@@ -36,14 +37,15 @@ std::string makeCorpus(int lines, uint64_t seed) {
 }
 
 struct SeamRun {
-  std::vector<Bytes> parts;  ///< part file bytes, name order
+  std::map<std::string, Bytes> parts;  ///< part file bytes by name
   JobResult result;
   int64_t dn_raw = 0, dn_compressed = 0;  ///< datanode block.{raw,comp}.bytes
   int64_t tt_raw = 0, tt_compressed = 0;  ///< tracker shuffle.{raw,comp}
 };
 
 SeamRun runWithSeams(const std::string& corpus, const std::string& block,
-                     const std::string& mapout, const std::string& shuffle) {
+                     const std::string& mapout, const std::string& shuffle,
+                     JobSpec spec = wordCountSpec({"/in"}, "/out", false, 3)) {
   Config conf = testutil::aggressiveTimers();
   conf.setInt("dfs.replication", 2);
   conf.setInt("dfs.blocksize", 4096);
@@ -55,7 +57,6 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
 
   // Map-output and shuffle codecs are job-level settings: they ride the
   // JobSpec conf to every task, not the daemons' cluster conf.
-  JobSpec spec = wordCountSpec({"/in"}, "/out", false, 3);
   spec.conf.set("mapred.map.output.compression.codec", mapout);
   spec.conf.set("mapred.shuffle.compression", shuffle);
 
@@ -63,12 +64,8 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
   run.result = cluster.runJob(std::move(spec));
   if (!run.result.succeeded()) return run;
 
-  std::vector<std::string> files = client.listFilesRecursive("/out");
-  std::sort(files.begin(), files.end());
-  for (const auto& f : files) {
-    if (f.find("part-") == std::string::npos) continue;
-    run.parts.push_back(client.readFile(f));
-  }
+  HdfsFs fs(client);
+  run.parts = readPartFiles(fs, "/out");
   for (const auto& host : cluster.trackerHosts()) {
     auto& dn = cluster.metrics().child("datanode." + host);
     run.dn_raw += dn.counterValue("block.raw.bytes");
@@ -132,6 +129,36 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   EXPECT_GT(all.dn_compressed, 0);
   EXPECT_GT(all.tt_raw, 0);
   EXPECT_GT(all.result.counters.value(kTaskGroup, kSpillCompressedBytes), 0);
+
+  // Zipfian words and no combiner: the shuffle carries every occurrence of
+  // the hot words, which is what the seams are asked to shrink.
+  const std::string zipfian = zipfCorpus(600, 42);
+  const SeamRun zipf_off = runWithSeams(zipfian, "none", "none", "none");
+  const SeamRun zipf_all = runWithSeams(zipfian, "mh-lz", "mh-lz", "mh-lz");
+  ASSERT_TRUE(zipf_off.result.succeeded()) << zipf_off.result.error;
+  ASSERT_TRUE(zipf_all.result.succeeded()) << zipf_all.result.error;
+  EXPECT_EQ(zipf_all.parts, zipf_off.parts);
+  const int64_t zipf_off_bytes =
+      zipf_off.result.counters.value(kShuffleGroup, kShuffleBytes);
+  const int64_t zipf_all_bytes =
+      zipf_all.result.counters.value(kShuffleGroup, kShuffleBytes);
+  EXPECT_GE(static_cast<double>(zipf_off_bytes),
+            1.5 * static_cast<double>(zipf_all_bytes))
+      << zipf_off_bytes << " shuffle bytes off vs " << zipf_all_bytes
+      << " with every seam on";
+
+  // A combiner job over CSV: the airline mean-delay job with the two task
+  // seams on.
+  data::AirlineGenerator gen({.seed = 9, .rows = 1'000});
+  const std::string csv = gen.generateCsv();
+  const JobSpec airline = apps::makeAirlineDelayJob(
+      apps::AirlineVariant::kCombiner, {"/in"}, "/out", 2);
+  const SeamRun air_off = runWithSeams(csv, "none", "none", "none", airline);
+  const SeamRun air_on = runWithSeams(csv, "none", "mh-lz", "mh-lz", airline);
+  ASSERT_TRUE(air_off.result.succeeded()) << air_off.result.error;
+  ASSERT_TRUE(air_on.result.succeeded()) << air_on.result.error;
+  EXPECT_EQ(air_off.parts.size(), 2u);
+  EXPECT_EQ(air_on.parts, air_off.parts);
 }
 
 TEST(CompressionSeamsTest, MapOutputPlusShuffleServesStoredFramesAsIs) {

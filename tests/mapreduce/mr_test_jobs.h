@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 
+#include "mh/common/rng.h"
 #include "mh/common/strings.h"
 #include "mh/mr/job.h"
 
@@ -60,6 +61,35 @@ inline JobSpec wordCountSpec(std::vector<std::string> inputs,
     spec.combiner = [] { return std::make_unique<SumCombiner>(); };
   }
   return spec;
+}
+
+/// Skewed text like real word-count input: `lines` lines of 3–8 "w<rank>"
+/// tokens drawn from a 400-word Zipf(1.1) vocabulary.
+inline std::string zipfCorpus(int lines, uint64_t seed) {
+  Rng rng(seed);
+  const ZipfSampler zipf(400, 1.1);
+  std::string out;
+  for (int line = 0; line < lines; ++line) {
+    const uint64_t words = 3 + rng.uniform(6);
+    for (uint64_t w = 0; w < words; ++w) {
+      out += "w" + std::to_string(zipf.sample(rng));
+      out.push_back(w + 1 == words ? '\n' : ' ');
+    }
+  }
+  return out;
+}
+
+/// The bytes of every part file under `dir`, keyed by file name: the
+/// byte-identity oracle for two runs of the same job.
+inline std::map<std::string, Bytes> readPartFiles(FileSystemView& fs,
+                                                  const std::string& dir) {
+  std::map<std::string, Bytes> parts;
+  for (const auto& file : fs.listFiles(dir)) {
+    const std::string base = file.substr(file.find_last_of('/') + 1);
+    if (base.rfind("part-", 0) != 0) continue;
+    parts[base] = fs.readRange(file, 0, fs.fileLength(file));
+  }
+  return parts;
 }
 
 /// Parses "word\tcount" part files from all partitions into one map.

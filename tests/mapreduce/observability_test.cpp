@@ -315,6 +315,51 @@ TEST(CriticalPathJobTest, ShuffleDelayJobIsShuffleDominated) {
   EXPECT_TRUE(fault_in_tree);
 }
 
+TEST(MetricsTimeSeriesTest, FixedWindowAroundATracedJobSamplesEveryTick) {
+  // The snapshotter samples a live cluster across a fixed window that
+  // contains a whole traced job. The sample count depends on the window,
+  // not on how long the job runs, and the series shows the job's progress
+  // between a sample read before submit and one read after it finished.
+  constexpr int64_t kIntervalMs = 50;
+  constexpr int64_t kWindowMs = 10 * kIntervalMs;
+  MiniMrCluster cluster({.num_nodes = 3, .conf = fastConf()});
+  cluster.tracer().setEnabled(true);
+  cluster.client().writeFile("/in/corpus.txt", makeCorpus(300, 78));
+
+  const auto window_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kWindowMs);
+  MetricsSnapshotter& snapshotter =
+      cluster.network()->startSnapshotter({.interval_ms = kIntervalMs});
+  const auto wait_for_samples = [&](size_t n) {
+    while (snapshotter.size() < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  wait_for_samples(1);
+  const JobResult result =
+      cluster.runJob(wordCountSpec({"/in"}, "/out", false, 2));
+  // The sampler is one thread: the sample after the next one to land was
+  // read entirely after the job finished.
+  const size_t after_finish = snapshotter.size() + 1;
+  wait_for_samples(after_finish + 1);
+  std::this_thread::sleep_until(window_end);
+  cluster.network()->stopSnapshotter();
+  ASSERT_TRUE(result.succeeded()) << result.error;
+
+  const auto snaps = snapshotter.snapshots();
+  EXPECT_GE(snaps.size(), static_cast<size_t>(kWindowMs / kIntervalMs - 1));
+  const auto maps_completed = [](const MetricsSnapshotter::Snapshot& snap) {
+    double total = 0;
+    for (const auto& [name, value] : snap.values) {
+      if (name.ends_with("/tasks.maps.completed")) total += value;
+    }
+    return total;
+  };
+  EXPECT_EQ(maps_completed(snaps.front()), 0.0);
+  EXPECT_EQ(maps_completed(snaps[after_finish]),
+            cluster.jobTracker().listJobs().front().maps_total);
+}
+
 TEST_F(ObservabilityTest, SignalCatalogMatchesDocs) {
   // Satellite 4: docs/OBSERVABILITY.md's signal catalog is kept honest by
   // the code — every metric and trace-event name a real traced job emits

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "mh/mr/mini_mr_cluster.h"
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
+#include "testutil/sanitizers.h"
 
 /// \file pipelined_shuffle_test.cpp
 /// The pipelined shuffle (slowstart reduce launch + incremental merge):
@@ -263,17 +265,9 @@ TEST(PipelinedShuffleTest, SlowstartOverlapsShuffleWithMapPhase) {
   ASSERT_TRUE(full_result.succeeded()) << full_result.error;
   EXPECT_EQ(full_result.counters.value(kShuffleGroup, kShufflePipelinedRuns),
             static_cast<int64_t>(status.maps_total));
-  size_t parts = 0;
-  for (const auto& file : fs.listFiles("/out")) {
-    const std::string base = file.substr(file.find_last_of('/') + 1);
-    if (base.rfind("part-", 0) != 0) continue;
-    ++parts;
-    const std::string twin = "/out-full/" + base;
-    EXPECT_EQ(fs.readRange(twin, 0, fs.fileLength(twin)),
-              fs.readRange(file, 0, fs.fileLength(file)))
-        << base;
-  }
-  EXPECT_EQ(parts, 1u);
+  const auto parts = readPartFiles(fs, "/out");
+  EXPECT_EQ(parts.size(), 1u);
+  EXPECT_EQ(readPartFiles(fs, "/out-full"), parts);
 }
 
 TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
@@ -337,6 +331,110 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
   EXPECT_GE(result.counters.value(counters::kShuffleGroup,
                                   counters::kShufflePipelinedRefetches),
             1);
+}
+
+// ------------------------------------------------ slowstart wall clock
+
+constexpr uint32_t kPacedReducers = 2;
+
+struct PacedShuffleRun {
+  JobResult result;
+  uint32_t maps_total = 0;
+  double shuffle_share = 0.0;  ///< of the critical-path wall clock
+  std::map<std::string, Bytes> parts;
+};
+
+/// A slow-map zipfian WordCount on links paced at 512 KiB/s with one fetch
+/// copy per reducer, so the shuffle is a visible phase (as on a congested
+/// link). Both runs share every knob but `slowstart`, which alone decides
+/// whether the shuffle runs under the map phase or after it.
+PacedShuffleRun runPacedShuffle(double slowstart, const std::string& corpus) {
+  Config conf;
+  conf.setInt("dfs.replication", 2);
+  conf.setInt("dfs.blocksize", 2048);
+  conf.setInt("mapred.tasktracker.map.tasks.maximum", 1);
+  conf.setInt("mapred.tasktracker.heartbeat.ms", 10);
+  conf.setInt("mapred.jobtracker.monitor.interval.ms", 10);
+  conf.setInt("mapred.reduce.parallel.copies", 1);
+  conf.setDouble("mapred.reduce.slowstart.completed.maps", slowstart);
+  MiniMrCluster cluster({.num_nodes = 3, .conf = conf});
+  cluster.network()->setBandwidthBytesPerSec(512 * 1024);
+  cluster.tracer().setEnabled(true);
+  cluster.client().writeFile("/in/corpus.txt", corpus);
+
+  // ~0.6 ms of "compute" per line keeps the map phase long enough to hide
+  // the shuffle. 64 B of padding per token makes the shuffle ~1 MB; the
+  // reducer only counts, so the output stays tiny.
+  JobSpec spec;
+  spec.name = "zipf-wordcount";
+  spec.input_paths = {"/in"};
+  spec.output_dir = "/out";
+  spec.num_reducers = kPacedReducers;
+  spec.mapper = mapperFromLambda(
+      [](std::string_view, std::string_view value, TaskContext& ctx) {
+        static const std::string kPad(64, 'x');
+        std::this_thread::sleep_for(std::chrono::microseconds(600));
+        for (const auto& w : splitWhitespace(value)) {
+          ctx.emit(Bytes(w), Bytes(kPad));
+        }
+      });
+  spec.reducer = reducerFromLambda(
+      [](std::string_view key, ValuesIterator& values, TaskContext& ctx) {
+        int64_t count = 0;
+        while (values.next()) ++count;
+        ctx.emitTyped<std::string, std::string>(std::string(key),
+                                                std::to_string(count));
+      });
+
+  PacedShuffleRun run;
+  run.result = cluster.runJob(std::move(spec));
+  if (!run.result.succeeded()) return run;
+  run.maps_total = cluster.jobTracker().listJobs().front().maps_total;
+  const auto path =
+      computeCriticalPath(cluster.tracer().snapshot(), run.result.trace_id);
+  int64_t phase_sum = 0;
+  for (const auto& p : path.phases) phase_sum += p.micros;
+  EXPECT_TRUE(path.found);
+  EXPECT_EQ(phase_sum, path.total_us) << "phases must partition wall clock";
+  if (path.total_us > 0) {
+    run.shuffle_share = static_cast<double>(path.phaseMicros("shuffle")) /
+                        static_cast<double>(path.total_us);
+  }
+  HdfsFs fs(cluster.client());
+  run.parts = readPartFiles(fs, "/out");
+  return run;
+}
+
+TEST(PipelinedShuffleSpeedupTest, EarlyReducesHidePacedShuffleUnderSlowMaps) {
+  const std::string corpus = zipfCorpus(2000, 17);
+  const PacedShuffleRun serial = runPacedShuffle(1.0, corpus);
+  const PacedShuffleRun overlapped = runPacedShuffle(0.05, corpus);
+  ASSERT_TRUE(serial.result.succeeded()) << serial.result.error;
+  ASSERT_TRUE(overlapped.result.succeeded()) << overlapped.result.error;
+
+  EXPECT_EQ(serial.parts.size(), kPacedReducers);
+  EXPECT_EQ(overlapped.parts, serial.parts);
+  // Both runs fold every map's run through the one reduce-shuffle path.
+  using namespace counters;
+  const int64_t runs_expected =
+      static_cast<int64_t>(serial.maps_total) * kPacedReducers;
+  for (const PacedShuffleRun* run : {&serial, &overlapped}) {
+    EXPECT_GE(run->result.counters.value(kShuffleGroup, kShufflePipelinedRuns),
+              runs_expected);
+  }
+  EXPECT_GT(overlapped.result.counters.value(kShuffleGroup,
+                                             kShufflePipelinedBytes),
+            0);
+
+  if (testutil::kSanitized) {
+    GTEST_SKIP() << "wall-clock bounds are not checked in sanitizer builds";
+  }
+  EXPECT_LT(overlapped.shuffle_share, serial.shuffle_share);
+  const double speedup = static_cast<double>(serial.result.elapsed_millis) /
+                         static_cast<double>(overlapped.result.elapsed_millis);
+  EXPECT_GE(speedup, 1.3) << serial.result.elapsed_millis << " ms at slowstart "
+                          << "1.0 vs " << overlapped.result.elapsed_millis
+                          << " ms at 0.05";
 }
 
 }  // namespace
