@@ -20,7 +20,7 @@
 ///  * kCached — "a Java object that reads the additional file once and
 ///    stores the content in memory": loaded in setup(), reused.
 ///
-/// Config key "movies.side.path" carries the movies.csv location.
+/// Config key movies.side.path carries the movies.csv location.
 
 namespace mh::apps {
 

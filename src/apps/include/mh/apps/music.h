@@ -11,7 +11,7 @@
 /// \file music.h
 /// Assignment 2 part 2 (§III-B): "identify the album that has the highest
 /// average rating" over Yahoo-Music-style data on HDFS. Songs map to albums
-/// via the songs.tsv side table (config key "music.songs.path"); the
+/// via the songs.tsv side table (config key music.songs.path); the
 /// average is computed with the DelaySum monoid and the winner selected by
 /// chaining the generic select-max job over this job's output.
 

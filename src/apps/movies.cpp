@@ -129,9 +129,10 @@ class JoiningMapper : public mr::Mapper {
   explicit JoiningMapper(SideDataMode mode) : mode_(mode) {}
 
   void setup(mr::TaskContext& ctx) override {
-    side_path_ = ctx.conf().get("movies.side.path");
+    side_path_ = ctx.conf().get(keys::kMoviesSidePath);
     if (side_path_.empty()) {
-      throw InvalidArgumentError("movies.side.path is not configured");
+      throw InvalidArgumentError(std::string(keys::kMoviesSidePath.name) +
+                                 " is not configured");
     }
     if (mode_ == SideDataMode::kCached) {
       table_ = MovieTable::load(ctx.fs(), side_path_);
@@ -273,7 +274,7 @@ mr::JobSpec makeGenreStatsJob(std::vector<std::string> ratings_inputs,
   spec.input_paths = std::move(ratings_inputs);
   spec.output_dir = std::move(output);
   spec.num_reducers = num_reducers;
-  spec.conf.set("movies.side.path", std::move(movies_side_path));
+  spec.conf.set(keys::kMoviesSidePath, std::move(movies_side_path));
   spec.mapper = [mode] { return std::make_unique<GenreStatsMapper>(mode); };
   spec.combiner = [] { return std::make_unique<StatSummaryCombiner>(); };
   spec.reducer = [] { return std::make_unique<GenreStatsReducer>(); };
@@ -288,7 +289,7 @@ mr::JobSpec makeTopRaterJob(std::vector<std::string> ratings_inputs,
   spec.input_paths = std::move(ratings_inputs);
   spec.output_dir = std::move(output);
   spec.num_reducers = 1;  // the global maximum needs one reducer
-  spec.conf.set("movies.side.path", std::move(movies_side_path));
+  spec.conf.set(keys::kMoviesSidePath, std::move(movies_side_path));
   spec.mapper = [] {
     return std::make_unique<TopRaterMapper>(SideDataMode::kCached);
   };

@@ -51,9 +51,10 @@ namespace {
 class AlbumRatingMapper : public mr::Mapper {
  public:
   void setup(mr::TaskContext& ctx) override {
-    const std::string path = ctx.conf().get("music.songs.path");
+    const std::string path = ctx.conf().get(keys::kMusicSongsPath);
     if (path.empty()) {
-      throw InvalidArgumentError("music.songs.path is not configured");
+      throw InvalidArgumentError(std::string(keys::kMusicSongsPath.name) +
+                                 " is not configured");
     }
     songs_ = SongTable::load(ctx.fs(), path);
     ctx.allocateHeap(songs_.approxBytes());
@@ -112,7 +113,7 @@ mr::JobSpec makeAlbumAverageJob(std::vector<std::string> ratings_inputs,
   spec.input_paths = std::move(ratings_inputs);
   spec.output_dir = std::move(output);
   spec.num_reducers = num_reducers;
-  spec.conf.set("music.songs.path", std::move(songs_side_path));
+  spec.conf.set(keys::kMusicSongsPath, std::move(songs_side_path));
   spec.mapper = [] { return std::make_unique<AlbumRatingMapper>(); };
   spec.combiner = [] { return std::make_unique<AlbumSumCombiner>(); };
   spec.reducer = [] { return std::make_unique<AlbumMeanReducer>(); };

@@ -24,10 +24,6 @@
 ///    scripts would not be able to start a new Hadoop cluster due to
 ///    required ports being blocked off ... the student would have to wait
 ///    15 minutes for the scheduler to clean up these daemons."
-///
-/// Config keys (defaults):
-///   batch.cleanup.delay.secs        900
-///   batch.reassign.before.cleanup   true   (the paper's failure mode)
 
 namespace mh::batch {
 
@@ -120,7 +116,8 @@ class BatchScheduler {
   double nextEventTime() const;
   void processEventsAt(double t);
 
-  Config conf_;
+  double cleanup_delay_;
+  bool reassign_early_;
   BatchCallbacks callbacks_;
   std::vector<Node> nodes_;
   std::map<BatchJobId, Job> jobs_;

@@ -26,7 +26,10 @@ const char* batchJobStateName(BatchJobState state) {
 
 BatchScheduler::BatchScheduler(int total_nodes, Config conf,
                                BatchCallbacks callbacks)
-    : conf_(std::move(conf)), callbacks_(std::move(callbacks)) {
+    : cleanup_delay_(conf.get(keys::kBatchCleanupDelaySecs)),
+      reassign_early_(conf.get(keys::kBatchReassignBeforeCleanup)),
+      callbacks_(std::move(callbacks)) {
+  conf.validate(keys::Scope::kDaemon);
   if (total_nodes < 1) throw InvalidArgumentError("need >= 1 node");
   nodes_.resize(static_cast<size_t>(total_nodes));
   for (int n = 0; n < total_nodes; ++n) {
@@ -114,10 +117,6 @@ bool BatchScheduler::startJobNow(BatchJobId id) {
 void BatchScheduler::vacate(BatchJobId id, EndReason reason) {
   Job& job = jobs_.at(id);
   std::vector<std::string> names;
-  const double cleanup_delay =
-      conf_.getDouble("batch.cleanup.delay.secs", 900.0);
-  const bool reassign_early =
-      conf_.getBool("batch.reassign.before.cleanup", true);
 
   for (const int idx : job.node_indices) {
     Node& node = nodes_[static_cast<size_t>(idx)];
@@ -130,8 +129,8 @@ void BatchScheduler::vacate(BatchJobId id, EndReason reason) {
     } else {
       // Ghost daemons possible; the epilogue will scrub them later.
       node.dirty = true;
-      node.cleanup_at = now_ + cleanup_delay;
-      node.state = reassign_early ? NodeState::kFree : NodeState::kCleanup;
+      node.cleanup_at = now_ + cleanup_delay_;
+      node.state = reassign_early_ ? NodeState::kFree : NodeState::kCleanup;
     }
   }
   switch (reason) {
@@ -223,12 +222,10 @@ void BatchScheduler::processEventsAt(double t) {
   }
   // Epilogue cleanups. A busy node's cleanup is deferred — the script must
   // not kill the current occupant's daemons.
-  const double cleanup_delay =
-      conf_.getDouble("batch.cleanup.delay.secs", 900.0);
   for (Node& node : nodes_) {
     if (node.dirty && node.cleanup_at <= t) {
       if (node.state == NodeState::kBusy) {
-        node.cleanup_at = t + cleanup_delay;
+        node.cleanup_at = t + cleanup_delay_;
         continue;
       }
       node.dirty = false;

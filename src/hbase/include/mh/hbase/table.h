@@ -83,7 +83,7 @@ class Table {
   uint64_t lastSeq() const { return next_seq_ - 1; }
 
  private:
-  Table(mr::FileSystemView& fs, std::string dir, Config conf);
+  Table(mr::FileSystemView& fs, std::string dir, const Config& conf);
 
   void recover();
   void logToWal(const Cell& cell);
@@ -93,7 +93,7 @@ class Table {
 
   mr::FileSystemView& fs_;
   std::string dir_;
-  Config conf_;
+  size_t wal_segment_ops_;
 
   std::map<std::pair<std::string, std::string>, Cell> memstore_;
   std::vector<std::vector<Cell>> hfiles_;  // loaded, each sorted

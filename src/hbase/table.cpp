@@ -23,14 +23,18 @@ uint64_t suffixNumber(const std::string& path, const char* prefix) {
 
 }  // namespace
 
-Table::Table(mr::FileSystemView& fs, std::string dir, Config conf)
-    : fs_(fs), dir_(std::move(dir)), conf_(std::move(conf)) {}
+Table::Table(mr::FileSystemView& fs, std::string dir, const Config& conf)
+    : fs_(fs),
+      dir_(std::move(dir)),
+      wal_segment_ops_(conf.get(keys::kHbaseWalSegmentOps)) {
+  conf.validate(keys::Scope::kDaemon);
+}
 
 std::unique_ptr<Table> Table::open(mr::FileSystemView& fs,
                                    const std::string& root,
                                    const std::string& name, Config conf) {
-  auto table = std::unique_ptr<Table>(
-      new Table(fs, root + "/" + name, std::move(conf)));
+  auto table =
+      std::unique_ptr<Table>(new Table(fs, root + "/" + name, conf));
   fs.mkdirs(table->dir_);
   table->recover();
   return table;
@@ -90,9 +94,7 @@ void Table::writeWalSegment() {
 
 void Table::logToWal(const Cell& cell) {
   wal_buffer_.push_back(cell);
-  const auto segment_ops =
-      static_cast<size_t>(conf_.getInt("hbase.wal.segment.ops", 64));
-  if (wal_buffer_.size() >= segment_ops) writeWalSegment();
+  if (wal_buffer_.size() >= wal_segment_ops_) writeWalSegment();
 }
 
 void Table::syncWal() { writeWalSegment(); }

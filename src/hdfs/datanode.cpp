@@ -22,6 +22,7 @@ DataNode::DataNode(Config conf, std::shared_ptr<net::Network> network,
       host_(std::move(host)),
       store_(std::move(store)),
       namenode_(std::move(network), host_, std::move(namenode_host)) {
+  conf_.validate(keys::Scope::kDaemon);
   metrics_ = &network_->metrics().child("datanode." + host_);
   tracer_ = &network_->tracer();
   blocks_read_ = &metrics_->counter("blocks.read");
@@ -35,7 +36,7 @@ DataNode::DataNode(Config conf, std::shared_ptr<net::Network> network,
   // At-rest compression: the store encodes on write and decodes on read;
   // everything resident (checksums, scans, replication) is the stored form.
   store_->configureCodec(
-      codecFromName(conf_.get("dfs.block.compression.codec", "none")),
+      codecFromName(conf_.get(keys::kBlockCompressionCodec)),
       metrics_, tracer_, "datanode." + host_);
   metrics_->setGauge("store.used_bytes", [store = store_] {
     return static_cast<double>(store->usedBytes());
@@ -70,10 +71,8 @@ void DataNode::start() {
   network_->setHostUp(host_, true);
   // Offer co-located clients the short-circuit read path (HDFS-347).
   ShortCircuitRegistry::instance().publish(network_.get(), host_, store_);
-  const uint64_t capacity = static_cast<uint64_t>(
-      conf_.getInt("dfs.datanode.capacity", 1'073'741'824));
-  namenode_.registerDataNode(capacity,
-                             conf_.get("dfs.datanode.rack", "/default-rack"));
+  const uint64_t capacity = conf_.get(keys::kDatanodeCapacity);
+  namenode_.registerDataNode(capacity, conf_.get(keys::kDatanodeRack));
   blockReportNow();
 
   heartbeat_thread_ = std::jthread(
@@ -83,8 +82,8 @@ void DataNode::start() {
 }
 
 void DataNode::heartbeatLoop(std::stop_token token) {
-  const auto interval = std::chrono::milliseconds(
-      conf_.getInt("dfs.heartbeat.interval.ms", 100));
+  const auto interval =
+      std::chrono::milliseconds(conf_.get(keys::kDfsHeartbeatIntervalMs));
   // The first beat goes out right after registering, as Hadoop's
   // offerService does. Each beat may be held by the NameNode for up to an
   // interval, so the next one goes out at once — unless the last one
@@ -191,14 +190,12 @@ void DataNode::heartbeatNow() {
 }
 
 void DataNode::beatOnce(bool may_wait, std::stop_token cancel) {
-  const uint64_t capacity = static_cast<uint64_t>(
-      conf_.getInt("dfs.datanode.capacity", 1'073'741'824));
+  const uint64_t capacity = conf_.get(keys::kDatanodeCapacity);
   const HeartbeatReply reply =
       namenode_.heartbeat(capacity, store_->usedBytes(), store_->blockCount(),
                           may_wait, std::move(cancel));
   if (reply.reregister) {
-    namenode_.registerDataNode(capacity,
-                               conf_.get("dfs.datanode.rack", "/default-rack"));
+    namenode_.registerDataNode(capacity, conf_.get(keys::kDatanodeRack));
     blockReportNow();
     return;
   }

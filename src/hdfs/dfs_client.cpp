@@ -17,6 +17,8 @@ namespace mh::hdfs {
 
 namespace {
 constexpr const char* kLog = "dfsclient";
+/// Cap on the exponential backoff between read sweeps.
+constexpr int64_t kRetryBackoffMaxMs = 200;
 }  // namespace
 
 DfsClient::DfsClient(Config conf, std::shared_ptr<net::Network> network,
@@ -25,7 +27,8 @@ DfsClient::DfsClient(Config conf, std::shared_ptr<net::Network> network,
       network_(network),
       namenode_(std::move(network), std::move(client_host),
                 std::move(namenode_host)) {
-  short_circuit_ = conf_.getBool("dfs.client.read.shortcircuit", false);
+  conf_.validate(keys::Scope::kDaemon);
+  short_circuit_ = conf_.get(keys::kClientReadShortcircuit);
   short_circuit_reads_ =
       &network_->metrics().child("dfsclient").counter("short.circuit.reads");
 }
@@ -45,8 +48,7 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
   }
   namenode_.create(path, replication, block_size);
   const uint64_t bs = namenode_.getFileStatus(path).block_size;
-  const int64_t write_tries =
-      std::max<int64_t>(1, conf_.getInt("dfs.client.retries", 3));
+  const int64_t write_tries = conf_.get(keys::kClientRetries);
 
   uint64_t offset = 0;
   do {  // empty files still produce zero blocks; loop handles data.size()==0
@@ -182,16 +184,13 @@ BufferView DfsClient::readBlockRange(const LocatedBlock& located,
   // DataNode) is worth a few bounded-backoff sweeps over the replica set
   // before giving up. Mutating namenode RPCs are deliberately NOT retried
   // here — they are not idempotent.
-  const auto sweeps =
-      std::max<int64_t>(1, conf_.getInt("dfs.client.retries", 3));
-  const int64_t backoff_ms = conf_.getInt("dfs.client.retry.backoff.ms", 5);
-  const int64_t backoff_max_ms =
-      conf_.getInt("dfs.client.retry.backoff.max.ms", 200);
+  const int64_t sweeps = conf_.get(keys::kClientRetries);
+  const int64_t backoff_ms = conf_.get(keys::kClientRetryBackoffMs);
   std::string last_error;
   for (int64_t sweep = 0; sweep < sweeps; ++sweep) {
     if (sweep > 0) {
-      const int64_t delay =
-          std::min(backoff_max_ms, backoff_ms << std::min<int64_t>(sweep, 20));
+      const int64_t delay = std::min(
+          kRetryBackoffMaxMs, backoff_ms << std::min<int64_t>(sweep, 20));
       if (delay > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay));
       }
@@ -231,8 +230,7 @@ std::vector<BufferView> DfsClient::readFileViews(const std::string& path) {
   // Fetch block ranges in parallel (each block still walks its replicas
   // best-first with checksum fallover inside readBlockRange), then
   // assemble in block order.
-  const auto copies = static_cast<size_t>(
-      std::max<int64_t>(1, conf_.getInt("dfs.client.parallel.reads", 4)));
+  const size_t copies = conf_.get(keys::kClientParallelReads);
   const size_t workers = std::min(n, copies);
   if (workers <= 1) {
     for (size_t i = 0; i < n; ++i) {

@@ -22,7 +22,7 @@ namespace mh::hdfs {
 struct PlacementCandidate {
   std::string host;
   uint64_t free_bytes = 0;
-  std::string rack = "/default-rack";
+  std::string rack;
 };
 
 /// Chooses up to `count` distinct target hosts following HDFS's default

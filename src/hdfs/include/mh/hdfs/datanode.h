@@ -40,11 +40,6 @@
 ///                so the next cluster booted on this host fails to bind.
 ///  * crash()   — the host drops off the network (OOM-killed JVM); the
 ///                NameNode notices via heartbeat expiry and re-replicates.
-///
-/// Config keys (defaults):
-///   dfs.heartbeat.interval.ms     100
-///   dfs.blockreport.interval.ms   10000
-///   dfs.datanode.capacity         1073741824
 
 namespace mh::hdfs {
 

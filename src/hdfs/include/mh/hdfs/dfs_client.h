@@ -16,7 +16,7 @@
 /// through the replica pipeline (client -> dn1 -> dn2 -> dn3) with the
 /// block's chunk CRCs computed once, here; when the pipeline tail rejects
 /// them (bytes corrupted in transit) the block is rewritten, up to
-/// `dfs.client.retries` (default 3) tries, then IoError. Reads prefer
+/// `dfs.client.retries` tries, then IoError. Reads prefer
 /// the replica on the caller's own host — the data-locality read path that
 /// MapReduce tasks rely on. Checksum failures on read are reported to the
 /// NameNode and the client falls over to the next replica; so does a
@@ -48,7 +48,7 @@ class DfsClient {
                  uint16_t replication = 0, uint64_t block_size = 0);
 
   /// Reads the whole file, preferring local replicas. Blocks are fetched
-  /// in parallel (up to `dfs.client.parallel.reads`, default 4, in flight)
+  /// in parallel (up to `dfs.client.parallel.reads` in flight)
   /// and assembled in order; per-block replica retry and error reporting
   /// behave exactly as in the serial path. This is the owned-copy
   /// convenience wrapper over readFileViews().

@@ -34,13 +34,6 @@
 /// Checkpointing follows the secondary-NameNode idiom: roll the current
 /// segment, write fsimage_<lastTxn>, then retire every segment (and older
 /// image) the new image covers.
-///
-/// Config keys (defaults):
-///   dfs.namenode.name.dir              ""       journaling off when empty
-///   dfs.namenode.edits.sync            always   always | batch
-///   dfs.namenode.edits.sync.batch.txns 64       auto-sync threshold (batch)
-///   dfs.namenode.checkpoint.txns       100000   checkpoint every N txns
-///   dfs.namenode.checkpoint.period.ms  0        and/or every period (0=off)
 
 namespace mh::hdfs {
 

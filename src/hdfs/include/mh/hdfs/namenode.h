@@ -38,17 +38,7 @@
 /// release every held beat, and the caller's cancellation (the DataNode
 /// stopping, or a manual heartbeat) releases its own.
 ///
-/// Config keys (defaults):
-///   dfs.replication                           3
-///   dfs.blocksize                             65536
-///   dfs.heartbeat.interval.ms                 100   (longest hold)
-///   dfs.namenode.heartbeat.expiry.ms          1000
-///   dfs.namenode.monitor.interval.ms          50
-///   dfs.safemode.threshold                    0.999
-///   dfs.namenode.replication.max.streams      64
-///   dfs.namenode.pending.replication.timeout.ms  2000
-///
-/// Durability (see edit_log.h for the journal/checkpoint keys): when
+/// Durability (docs/CONFIG.md lists the journal/checkpoint keys): when
 /// `dfs.namenode.name.dir` is set, every namespace mutation is journaled to
 /// an on-disk edit log before the RPC returns, the monitor writes periodic
 /// fsimage checkpoints, and the plain constructor recovers image + edits
@@ -70,10 +60,9 @@ class NameNode {
 
   /// Restart from a saved fsimage. The namespace and expected blocks are
   /// restored, but no replica locations are known, so the NameNode starts in
-  /// **safe mode** and leaves only when block reports cover
-  /// dfs.safemode.threshold of the blocks — the paper's "at least fifteen
-  /// minutes for all the Data Nodes to check for data integrity and report
-  /// back to the Name Node".
+  /// **safe mode** and leaves only when block reports cover 99.9% of the
+  /// blocks — the paper's "at least fifteen minutes for all the Data Nodes
+  /// to check for data integrity and report back to the Name Node".
   NameNode(Config conf, std::shared_ptr<net::Network> network,
            std::string host, std::string_view fsimage);
 
@@ -138,8 +127,9 @@ class NameNode {
 
   // ----- datanode protocol ------------------------------------------------
 
-  void registerDataNode(const std::string& host, uint64_t capacity_bytes,
-                        const std::string& rack = "/default-rack");
+  void registerDataNode(
+      const std::string& host, uint64_t capacity_bytes,
+      const std::string& rack = std::string(keys::kDatanodeRack.def));
 
   /// With `may_wait` and nothing to say, holds the beat until a command is
   /// queued for `host`, the interval passes, `cancel` fires, or the
@@ -199,7 +189,7 @@ class NameNode {
 
  private:
   struct DataNodeDescriptor {
-    std::string rack = "/default-rack";
+    std::string rack;
     uint64_t capacity = 0;
     uint64_t used = 0;
     uint64_t num_blocks = 0;
@@ -248,7 +238,8 @@ class NameNode {
   std::map<BlockId, int64_t> pending_replications_;  // block -> scheduled at
   bool safe_mode_ = false;
   bool started_ = false;
-  mutable Rng rng_;
+  static constexpr uint64_t kPlacementSeed = 1234;  ///< runs replay
+  mutable Rng rng_{kPlacementSeed};
 
   std::jthread monitor_;
 };

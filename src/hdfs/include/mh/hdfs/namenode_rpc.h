@@ -91,8 +91,7 @@ class NameNodeRpc {
 
   // ----- datanode protocol ------------------------------------------------
 
-  void registerDataNode(uint64_t capacity_bytes,
-                        const std::string& rack = "/default-rack") {
+  void registerDataNode(uint64_t capacity_bytes, const std::string& rack) {
     call("registerDataNode", pack(local_host_, capacity_bytes, rack));
   }
 

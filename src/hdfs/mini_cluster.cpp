@@ -85,7 +85,7 @@ std::string MiniDfsCluster::addDataNode() {
   }
   stores_.emplace(host, store);
   Config node_conf = conf_;
-  node_conf.set("dfs.datanode.rack", rackOf(host));
+  node_conf.set(keys::kDatanodeRack, rackOf(host));
   auto dn = std::make_unique<DataNode>(node_conf, network_, host, store,
                                        namenode_->host());
   dn->start();
@@ -100,7 +100,7 @@ void MiniDfsCluster::crashNameNode() {
 }
 
 void MiniDfsCluster::restartNameNode() {
-  if (!conf_.get("dfs.namenode.name.dir").empty()) {
+  if (!conf_.get(keys::kNamenodeNameDir).empty()) {
     // Journaling cluster: recover from disk (image + edit segments). Works
     // whether the old NameNode stopped cleanly, crashed, or is already gone.
     if (namenode_ != nullptr) {

@@ -16,14 +16,18 @@ namespace mh::hdfs {
 
 namespace {
 constexpr const char* kLog = "namenode";
+/// Fraction of known blocks that must be reported to leave safe mode.
+constexpr double kSafeModeThreshold = 0.999;
+/// Most re-replications one monitor pass schedules.
+constexpr int64_t kReplicationMaxStreams = 64;
 }  // namespace
 
 NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
                    std::string host)
     : conf_(std::move(conf)),
       network_(std::move(network)),
-      host_(std::move(host)),
-      rng_(static_cast<uint64_t>(conf_.getInt("dfs.namenode.seed", 1234))) {
+      host_(std::move(host)) {
+  conf_.validate(keys::Scope::kDaemon);
   network_->addHost(host_);
   metrics_ = &network_->metrics().child("namenode");
   tracer_ = &network_->tracer();
@@ -42,7 +46,7 @@ NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
   metrics_->setGauge("heartbeats.held", [this] {
     return static_cast<double>(heldHeartbeats());
   });
-  if (!conf_.get("dfs.namenode.name.dir").empty()) {
+  if (!conf_.get(keys::kNamenodeNameDir).empty()) {
     recoverOrFormatStorage();
   }
   last_checkpoint_steady_ms_ = steadyMillis();
@@ -69,8 +73,7 @@ NameNode::NameNode(Config conf, std::shared_ptr<net::Network> network,
     safe_mode_ = true;
     logInfo(kLog) << "restarted with " << blocks_.blockCount()
                   << " blocks; entering safe mode until "
-                  << conf_.getDouble("dfs.safemode.threshold", 0.999)
-                  << " of blocks are reported";
+                  << kSafeModeThreshold << " of blocks are reported";
   }
 }
 
@@ -85,12 +88,10 @@ NameNode::~NameNode() {
 }
 
 void NameNode::recoverOrFormatStorage() {
-  const std::filesystem::path dir(conf_.get("dfs.namenode.name.dir"));
+  const std::filesystem::path dir(conf_.get(keys::kNamenodeNameDir));
   EditLog::Options opts;
   opts.dir = dir;
-  opts.sync = conf_.get("dfs.namenode.edits.sync", "always");
-  opts.batch_txns = static_cast<uint64_t>(
-      conf_.getInt("dfs.namenode.edits.sync.batch.txns", 64));
+  opts.sync = conf_.get(keys::kNamenodeEditsSync);
   opts.metrics = metrics_;
   opts.tracer = tracer_;
   if (!EditLog::hasState(dir)) {
@@ -142,8 +143,8 @@ void NameNode::start() {
     std::lock_guard<std::mutex> guard(lock_);
     started_ = true;
   }
-  const auto interval = std::chrono::milliseconds(
-      conf_.getInt("dfs.namenode.monitor.interval.ms", 50));
+  const auto interval =
+      std::chrono::milliseconds(conf_.get(keys::kNamenodeMonitorIntervalMs));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
     LoopWaker waker;
     while (!token.stop_requested()) {
@@ -319,14 +320,10 @@ void NameNode::create(const std::string& path, uint16_t replication,
                       uint64_t block_size) {
   std::lock_guard<std::mutex> guard(lock_);
   checkNotInSafeModeLocked("create");
-  const auto repl = replication != 0
-                        ? replication
-                        : static_cast<uint16_t>(
-                              conf_.getInt("dfs.replication", 3));
-  const auto bs =
-      block_size != 0
-          ? block_size
-          : static_cast<uint64_t>(conf_.getInt("dfs.blocksize", 65536));
+  const uint16_t repl =
+      replication != 0 ? replication : conf_.get(keys::kDfsReplication);
+  const uint64_t bs =
+      block_size != 0 ? block_size : conf_.get(keys::kDfsBlocksize);
   namespace_.createFile(path, repl, bs);
   EditRecord rec;
   rec.op = EditOp::kCreate;
@@ -485,7 +482,7 @@ HeartbeatReply NameNode::heartbeat(const std::string& host,
     descriptor.held_beat = &wake;
     wake.wait_for(guard, cancel,
                   std::chrono::milliseconds(
-                      conf_.getInt("dfs.heartbeat.interval.ms", 100)),
+                      conf_.get(keys::kDfsHeartbeatIntervalMs)),
                   [&] {
                     return !descriptor.pending_commands.empty() ||
                            !started_ || descriptor.held_beat != &wake;
@@ -552,11 +549,10 @@ bool NameNode::blockReceived(const std::string& host, Block block) {
 
 void NameNode::maybeLeaveSafeModeLocked() {
   if (!safe_mode_) return;
-  const double threshold = conf_.getDouble("dfs.safemode.threshold", 0.999);
   const uint64_t total = blocks_.blockCount();
   const uint64_t reported = blocks_.reportedBlocks();
   if (static_cast<double>(reported) >=
-      threshold * static_cast<double>(total)) {
+      kSafeModeThreshold * static_cast<double>(total)) {
     safe_mode_ = false;
     logInfo(kLog) << "leaving safe mode: " << reported << "/" << total
                   << " blocks reported";
@@ -667,8 +663,8 @@ uint64_t NameNode::checkpointLocked() {
 
 void NameNode::maybeCheckpointLocked() {
   if (edits_ == nullptr || edits_->txnsSinceCheckpoint() == 0) return;
-  const int64_t txns = conf_.getInt("dfs.namenode.checkpoint.txns", 100000);
-  const int64_t period = conf_.getInt("dfs.namenode.checkpoint.period.ms", 0);
+  const int64_t txns = conf_.get(keys::kNamenodeCheckpointTxns);
+  const int64_t period = conf_.get(keys::kNamenodeCheckpointPeriodMs);
   const bool txns_due =
       txns > 0 &&
       edits_->txnsSinceCheckpoint() >= static_cast<uint64_t>(txns);
@@ -726,8 +722,7 @@ void NameNode::monitorPassLocked() {
 }
 
 void NameNode::expireHeartbeatsLocked() {
-  const int64_t expiry =
-      conf_.getInt("dfs.namenode.heartbeat.expiry.ms", 1000);
+  const int64_t expiry = conf_.get(keys::kNamenodeHeartbeatExpiryMs);
   const int64_t now = steadyMillis();
   for (auto& [dn_host, descriptor] : datanodes_) {
     if (descriptor.alive && now - descriptor.last_heartbeat_ms > expiry) {
@@ -774,13 +769,11 @@ void NameNode::handleOverReplicationLocked() {
 void NameNode::scheduleReplicationLocked() {
   const int64_t now = steadyMillis();
   const int64_t pending_timeout =
-      conf_.getInt("dfs.namenode.pending.replication.timeout.ms", 2000);
-  const int64_t max_streams =
-      conf_.getInt("dfs.namenode.replication.max.streams", 64);
+      conf_.get(keys::kNamenodePendingReplicationTimeoutMs);
   int64_t scheduled = 0;
 
   for (const BlockId id : blocks_.underReplicated()) {
-    if (scheduled >= max_streams) break;
+    if (scheduled >= kReplicationMaxStreams) break;
     const auto pending_it = pending_replications_.find(id);
     if (pending_it != pending_replications_.end() &&
         now - pending_it->second < pending_timeout) {

@@ -45,11 +45,6 @@ class InputFormat {
 
 /// Records are lines; key = MrCodec<int64_t> byte offset of the line start,
 /// value = the line without its terminator (trailing '\r' stripped).
-///
-/// Config keys (defaults):
-///   mapred.linerecordreader.readahead.bytes  65536 — chunk size for
-///     reading the final line's tail past the split end (one storage/RPC
-///     round-trip per chunk).
 class TextInputFormat final : public InputFormat {
  public:
   std::unique_ptr<RecordReader> createReader(FileSystemView& fs,

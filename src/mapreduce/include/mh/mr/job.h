@@ -45,7 +45,7 @@ struct JobSpec {
 
   /// Fills defaulted factories; throws InvalidArgumentError on an unusable
   /// spec (no mapper/reducer, no inputs, no output, zero reducers or more
-  /// than kMaxReducers).
+  /// than kMaxReducers) or a conf the key table rejects (Config::validate).
   void validateAndDefault();
 };
 

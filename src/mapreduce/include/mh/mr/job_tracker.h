@@ -31,28 +31,6 @@
 /// pass) answers the held beats in place before releasing them, so each
 /// held tracker gets its share of a new wave even if its thread is slow to
 /// run; stop() releases them unanswered.
-///
-/// Config keys (defaults):
-///   mapred.max.attempts               4
-///   mapred.tasktracker.expiry.ms      1000
-///   mapred.jobtracker.monitor.interval.ms  50
-///   mapred.tasktracker.heartbeat.ms   50     (longest a held heartbeat
-///                                     waits for news; the trackers' liveness
-///                                     and backstop period)
-///   mapred.task.timeout.ms            600000 (<= 0 disables; a Running
-///                                     attempt older than this is failed and
-///                                     rescheduled — rescues assignments
-///                                     whose heartbeat reply was lost)
-///   mapred.speculative.execution      false  (launch backup attempts for
-///                                     straggler maps; first success wins)
-///   mapred.speculative.min.ms         500    (minimum runtime before a
-///                                     task can be considered a straggler)
-///   mapred.reduce.slowstart.completed.maps  0.05  (fraction of the job's
-///                                     maps that must succeed before reduces
-///                                     launch; 1.0 restores the blocking
-///                                     all-maps-first schedule. Clamped to
-///                                     [0, 1]; the job conf overrides the
-///                                     cluster conf.)
 
 namespace mh::mr {
 
@@ -92,9 +70,9 @@ class JobTracker {
 
   // ----- TaskTracker protocol ----------------------------------------------
 
-  void registerTracker(const std::string& host, uint32_t map_slots,
-                       uint32_t reduce_slots,
-                       const std::string& rack = "/default-rack");
+  void registerTracker(
+      const std::string& host, uint32_t map_slots, uint32_t reduce_slots,
+      const std::string& rack = std::string(keys::kDatanodeRack.def));
 
   /// One beat: processes `reports`, then answers with assignments for the
   /// free slots, events past `cursors`, and purges for the `held_jobs` that
@@ -153,6 +131,8 @@ class JobTracker {
     std::shared_ptr<const JobSpec> spec;  ///< null once finished
     std::vector<TaskInProgress> maps;
     std::vector<TaskInProgress> reduces;
+    /// Succeeded maps before reduces launch, resolved from slowstart.
+    size_t slowstart_maps = 1;
     JobState state = JobState::kRunning;
     std::string error;
     Counters counters;
@@ -191,7 +171,7 @@ class JobTracker {
   };
 
   struct TrackerInfo {
-    std::string rack = "/default-rack";
+    std::string rack;
     uint32_t map_slots = 0;
     uint32_t reduce_slots = 0;
     int64_t last_heartbeat_ms = 0;
@@ -217,9 +197,8 @@ class JobTracker {
   /// the job's O(tasks) scheduling state (see wait()).
   void finishJobLocked(JobInProgress& job, JobState state);
   bool allMapsDoneLocked(const JobInProgress& job) const;
-  /// True once the job's succeeded-map count reaches the slowstart
-  /// threshold (ceil(slowstart * maps), at least 1 for a non-empty map
-  /// phase), so reduces may launch with a partial location list.
+  /// True once `slowstart_maps` maps succeeded: reduces may launch with a
+  /// partial location list.
   bool reduceLaunchableLocked(const JobInProgress& job) const;
   /// Appends a success/invalidation event for `map_index` to the job's
   /// event feed (monotonic ids; success events carry the tracker host and

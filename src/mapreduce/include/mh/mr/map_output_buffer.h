@@ -40,10 +40,6 @@
 /// discipline is visible on the same gauge as the reduce side's shuffle
 /// working set.
 ///
-/// Config keys (defaults):
-///   io.sort.mb             32    collect budget, MiB (clamped to [1, 2047])
-///   io.sort.spill.percent  0.80  fill fraction that triggers a spill
-///
 /// Counter semantics (Hadoop-faithful):
 ///   MAP_SPILLS       — number of sort/spill passes this task ran
 ///   SPILLED_RECORDS  — records written to spill runs, plus records written

@@ -77,8 +77,8 @@ class MapOutputStore {
   /// map's per-partition runs. A replacement bumps the slot generation and
   /// the `mapoutput.replaced.runs` counter, and invalidates any node
   /// aggregate the prior attempt contributed to. When in-node combining is
-  /// on for the job, runs above the `mapred.innode.combine.min.runs` /
-  /// `.min.bytes` thresholds are merged into the node aggregate here (the
+  /// on for the job and the node holds runs from at least two maps, they
+  /// are merged into the node aggregate here (the
   /// INNODE_COMBINE_* counters land in `counters`, typically the map
   /// task's, so attempt replacement keeps them exactly-once).
   void put(JobId job, uint32_t map_index, std::vector<Bytes> partitions,

@@ -160,6 +160,7 @@ class IncrementalMerger {
 
   size_t pendingRuns() const;
   size_t segmentCount() const;
+  size_t foldFanin() const { return opts_.fold_fanin; }
   /// Bytes currently resident (pending runs + folded segments) — what the
   /// owner should have charged to its heap budget.
   int64_t heldBytes() const { return held_bytes_; }

@@ -37,27 +37,6 @@
 /// OutOfMemoryError (`policy=fail-task`, default) or takes the whole
 /// tracker down (`policy=crash-tracker`) — run-time errors "created memory
 /// leaks on the Java heap and consequently crashed the task tracker".
-///
-/// Config keys (defaults):
-///   mapred.tasktracker.map.tasks.maximum     2
-///   mapred.tasktracker.reduce.tasks.maximum  1
-///   mapred.tasktracker.heartbeat.ms          50   (liveness/backstop
-///                                            period: the longest a tracker
-///                                            goes without beating, and the
-///                                            longest the JobTracker holds a
-///                                            may-wait beat)
-///   mapred.tasktracker.memory.bytes          (unlimited)
-///   mapred.tasktracker.oom.policy            fail-task | crash-tracker
-///   mapred.reduce.parallel.copies            5
-///   mapred.shuffle.fetch.retries             3
-///   mapred.shuffle.fetch.backoff.ms          5    (exponential base; actual
-///                                            sleep is seeded full jitter in
-///                                            [0, capped backoff])
-///   mapred.shuffle.fetch.backoff.max.ms      200
-///   mapred.reduce.merge.fold.fanin           8    (pipelined shuffle: fold
-///                                            an eligible block into one
-///                                            segment once it reaches this
-///                                            many fetched runs)
 
 namespace mh::mr {
 
@@ -65,7 +44,7 @@ struct JobSpec;
 
 /// Fetches partition `assignment.task_index`'s run from every map host in
 /// `assignment.map_outputs`, with up to `mapred.reduce.parallel.copies`
-/// (default 5) fetches in flight at once. Hosts are visited in an order
+/// fetches in flight at once. Hosts are visited in an order
 /// permuted by a job-seeded RNG (deterministic per seed, so chaos replays
 /// are stable) to spread concurrent reducers across serving trackers, but
 /// results land in canonical map order regardless of visit order. Runs
@@ -213,6 +192,9 @@ class TaskTracker {
 
   uint32_t map_slots_;
   uint32_t reduce_slots_;
+  /// Heap budget and OOM policy, resolved once from the conf.
+  int64_t heap_budget_;
+  bool oom_crashes_tracker_;
   std::unique_ptr<ThreadPool> map_pool_;
   std::unique_ptr<ThreadPool> reduce_pool_;
   std::atomic<uint32_t> busy_maps_{0};

@@ -1,7 +1,5 @@
 #include "mh/mr/input_format.h"
 
-#include <algorithm>
-
 #include "mh/common/error.h"
 #include "mh/mr/kv_stream.h"
 
@@ -38,7 +36,7 @@ class LineRecordReader final : public RecordReader {
  public:
   LineRecordReader(FileSystemView& fs, const InputSplit& split,
                    uint64_t readahead)
-      : fs_(fs), split_(split), readahead_(std::max<uint64_t>(1, readahead)) {
+      : fs_(fs), split_(split), readahead_(readahead) {
     base_ = fs_.readRangeView(split.path, split.offset, split.length);
     read_end_ = split.offset + base_.size();
     if (split.offset > 0) {
@@ -162,9 +160,8 @@ class KvRecordReader final : public RecordReader {
 
 std::unique_ptr<RecordReader> TextInputFormat::createReader(
     FileSystemView& fs, const InputSplit& split, const Config& conf) {
-  const uint64_t readahead = static_cast<uint64_t>(std::max<int64_t>(
-      1, conf.getInt("mapred.linerecordreader.readahead.bytes", 64 * 1024)));
-  return std::make_unique<LineRecordReader>(fs, split, readahead);
+  return std::make_unique<LineRecordReader>(
+      fs, split, static_cast<uint64_t>(conf.get(keys::kReadaheadBytes)));
 }
 
 std::unique_ptr<RecordReader> KvInputFormat::createReader(

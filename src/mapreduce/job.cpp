@@ -18,6 +18,7 @@ void JobSpec::validateAndDefault() {
     throw InvalidArgumentError("job needs <= " + std::to_string(kMaxReducers) +
                                " reducers");
   }
+  conf.validate(keys::Scope::kJob);
   if (!partitioner) {
     partitioner = [] { return std::make_unique<HashPartitioner>(); };
   }

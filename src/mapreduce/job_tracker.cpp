@@ -32,6 +32,7 @@ JobTracker::JobTracker(Config conf, std::shared_ptr<net::Network> network,
       registry_(std::move(registry)),
       host_(std::move(host)),
       namenode_host_(std::move(namenode_host)) {
+  conf_.validate(keys::Scope::kDaemon);
   network_->addHost(host_);
   metrics_ = &network_->metrics().child("jobtracker");
   tracer_ = &network_->tracer();
@@ -84,8 +85,8 @@ void JobTracker::start() {
     std::lock_guard<std::mutex> guard(lock_);
     started_ = true;
   }
-  const auto interval = std::chrono::milliseconds(
-      conf_.getInt("mapred.jobtracker.monitor.interval.ms", 50));
+  const auto interval =
+      std::chrono::milliseconds(conf_.get(keys::kJobTrackerMonitorIntervalMs));
   monitor_ = std::jthread([this, interval](std::stop_token token) {
     LoopWaker waker;
     while (!token.stop_requested()) {
@@ -116,6 +117,12 @@ void JobTracker::stop() {
 
 JobId JobTracker::submit(JobSpec spec) {
   spec.validateAndDefault();
+  // A job key resolves from the job conf, then the cluster conf, then the
+  // table default, which the typed reads supply.
+  keys::forEach([&](const auto& key) {
+    if (key.scope != keys::Scope::kJob || spec.conf.contains(key.name)) return;
+    if (const auto value = conf_.getRaw(key.name)) spec.conf.set(key, *value);
+  });
 
   // Mint the job's trace identity up front and make it ambient for the
   // whole submit path, so the split-computation RPCs against the NameNode
@@ -156,6 +163,11 @@ JobId JobTracker::submit(JobSpec spec) {
   job.root_span_id = root_span_id;
   job.trace_start_us = trace_start_us;
   job.maps.resize(splits.size());
+  // At least one map must finish first (a reduce with no known locations
+  // would spin); slowstart=1.0 restores the all-maps-first schedule.
+  job.slowstart_maps = std::max<size_t>(
+      1, std::ceil(shared_spec->conf.get(keys::kReduceSlowstart) *
+                   static_cast<double>(splits.size())));
   for (size_t i = 0; i < splits.size(); ++i) {
     job.maps[i].split = splits[i];
   }
@@ -397,25 +409,11 @@ bool JobTracker::allMapsDoneLocked(const JobInProgress& job) const {
 }
 
 bool JobTracker::reduceLaunchableLocked(const JobInProgress& job) const {
-  if (job.maps.empty()) return true;  // nothing to wait for
-  double slowstart = conf_.getDouble(
-      "mapred.reduce.slowstart.completed.maps", 0.05);
-  if (job.spec->conf.getRaw("mapred.reduce.slowstart.completed.maps")) {
-    slowstart = job.spec->conf.getDouble(
-        "mapred.reduce.slowstart.completed.maps", slowstart);
-  }
-  slowstart = std::clamp(slowstart, 0.0, 1.0);
   size_t completed = 0;
   for (const auto& t : job.maps) {
     if (t.state == TaskState::kSucceeded) ++completed;
   }
-  // At least one map must have finished (a reduce with zero known
-  // locations would just spin), and slowstart=1.0 restores the blocking
-  // all-maps-first schedule exactly.
-  const auto threshold = std::max<size_t>(
-      1, static_cast<size_t>(
-             std::ceil(slowstart * static_cast<double>(job.maps.size()))));
-  return completed >= threshold;
+  return completed >= job.slowstart_maps;
 }
 
 void JobTracker::emitMapEventLocked(JobInProgress& job, uint32_t map_index,
@@ -558,8 +556,7 @@ void JobTracker::processReportLocked(const std::string& tracker_host,
   job.counters.increment(
       counters::kJobGroup,
       report.is_map ? counters::kFailedMaps : counters::kFailedReduces);
-  const auto max_attempts =
-      static_cast<uint32_t>(conf_.getInt("mapred.max.attempts", 4));
+  const uint32_t max_attempts = conf_.get(keys::kMaxAttempts);
   if (task.failures >= max_attempts) {
     failJobLocked(job, "task " + std::string(report.is_map ? "map" : "reduce") +
                            std::to_string(report.task_index) + " failed " +
@@ -578,7 +575,7 @@ void JobTracker::assignTasksLocked(const std::string& tracker_host,
   const auto tracker_it = trackers_.find(tracker_host);
   const std::string& tracker_rack = tracker_it != trackers_.end()
                                         ? tracker_it->second.rack
-                                        : std::string("/default-rack");
+                                        : std::string(keys::kDatanodeRack.def);
   const auto localityOf = [&](const InputSplit& split) {
     for (const auto& host : split.hosts) {
       if (host == tracker_host) return Locality::kNodeLocal;
@@ -626,16 +623,15 @@ void JobTracker::assignTasksLocked(const std::string& tracker_host,
   }
 
   // Speculative backups for straggler maps.
-  if (conf_.getBool("mapred.speculative.execution", false)) {
+  if (conf_.get(keys::kSpeculativeExecution)) {
     assignSpeculativeLocked(tracker_host, free_map_slots, out);
   }
 
   // Reduce tasks: launched once the job's succeeded-map count reaches the
-  // slowstart threshold (mapred.reduce.slowstart.completed.maps, default
-  // 0.05). The assignment carries the location list known NOW plus the
-  // event-feed cursor it is current through; locations for maps that
-  // finish later ride the heartbeat map-completion feed, so the reduce's
-  // shuffle overlaps the rest of the map wave.
+  // slowstart threshold. The assignment carries the location list known
+  // NOW plus the event-feed cursor it is current through; locations for
+  // maps that finish later ride the heartbeat map-completion feed, so the
+  // reduce's shuffle overlaps the rest of the map wave.
   for (auto& [id, job] : jobs_) {
     if (job.state != JobState::kRunning) continue;
     if (!reduceLaunchableLocked(job)) continue;
@@ -674,7 +670,7 @@ void JobTracker::assignTasksLocked(const std::string& tracker_host,
 void JobTracker::assignSpeculativeLocked(const std::string& tracker_host,
                                          uint32_t& free_map_slots,
                                          std::vector<TaskAssignment>& out) {
-  const int64_t min_runtime = conf_.getInt("mapred.speculative.min.ms", 500);
+  const int64_t min_runtime = conf_.get(keys::kSpeculativeMinMs);
   const int64_t now = steadyMillis();
   for (auto& [id, job] : jobs_) {
     if (job.state != JobState::kRunning || free_map_slots == 0) continue;
@@ -750,10 +746,9 @@ TrackerHeartbeatReply JobTracker::trackerHeartbeat(
   // next state change answers it in place (see answerHeldBeatsLocked); at
   // the deadline it takes one last look, e.g. for a straggler backup.
   held_beats_.push_back(&beat);
-  news_.wait_for(guard,
-                 std::chrono::milliseconds(
-                     conf_.getInt("mapred.tasktracker.heartbeat.ms", 50)),
-                 [&] { return beat.answered || !started_; });
+  news_.wait_for(
+      guard, std::chrono::milliseconds(conf_.get(keys::kTrackerHeartbeatMs)),
+      [&] { return beat.answered || !started_; });
   std::erase(held_beats_, &beat);
   if (!beat.answered) answerLocked(beat);
   return std::move(beat.reply);
@@ -822,7 +817,7 @@ void JobTracker::runMonitorOnce() {
 }
 
 void JobTracker::expireTrackersLocked() {
-  const int64_t expiry = conf_.getInt("mapred.tasktracker.expiry.ms", 1000);
+  const int64_t expiry = conf_.get(keys::kTrackerExpiryMs);
   const int64_t now = steadyMillis();
   for (auto& [host, info] : trackers_) {
     if (!info.alive || now - info.last_heartbeat_ms <= expiry) continue;
@@ -885,11 +880,10 @@ void JobTracker::timeoutTasksLocked() {
   // Failing attempts older than the timeout reschedules them; stale
   // reports from the abandoned attempt are ignored by the attempt-number
   // check in processReportLocked.
-  const int64_t timeout = conf_.getInt("mapred.task.timeout.ms", 600'000);
+  const int64_t timeout = conf_.get(keys::kTaskTimeoutMs);
   if (timeout <= 0) return;
   const int64_t now = steadyMillis();
-  const auto max_attempts =
-      static_cast<uint32_t>(conf_.getInt("mapred.max.attempts", 4));
+  const uint32_t max_attempts = conf_.get(keys::kMaxAttempts);
   for (auto& [id, job] : jobs_) {
     if (job.state != JobState::kRunning) continue;
     const auto sweep = [&](std::vector<TaskInProgress>& tasks, bool is_map) {

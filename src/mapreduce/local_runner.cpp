@@ -18,8 +18,7 @@ JobResult LocalJobRunner::run(JobSpec spec) {
 
     // Map phase.
     std::vector<MapTaskResult> map_results(splits.size());
-    const auto threads = static_cast<size_t>(
-        spec.conf.getInt("mapred.local.map.threads", 1));
+    const size_t threads = spec.conf.get(keys::kLocalMapThreads);
     if (threads <= 1) {
       for (size_t i = 0; i < splits.size(); ++i) {
         map_results[i] = runMapTask(spec, fs_, splits[i]);
@@ -62,8 +61,7 @@ JobResult LocalJobRunner::run(JobSpec spec) {
 
     // Reduce phase: each partition commits its own part file, so partitions
     // can run in parallel just like map splits do.
-    const auto reduce_threads = static_cast<size_t>(
-        spec.conf.getInt("mapred.local.reduce.threads", 1));
+    const size_t reduce_threads = spec.conf.get(keys::kLocalReduceThreads);
     if (reduce_threads <= 1) {
       for (uint32_t p = 0; p < spec.num_reducers; ++p) {
         const auto rr = runReduceTask(spec, fs_, p, 0, partition_runs[p]);

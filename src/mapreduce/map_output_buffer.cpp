@@ -87,20 +87,16 @@ MapOutputBuffer::MapOutputBuffer(const JobSpec& spec, Counters& counters,
       trace_component_(trace_component),
       metrics_(metrics),
       partitions_(spec.num_reducers),
-      codec_(codecFromName(
-          spec.conf.get("mapred.map.output.compression.codec", "none"))) {
+      codec_(codecFromName(spec.conf.get(keys::kMapOutputCodec))) {
   if (partitions_ == 0 || partitions_ > kMaxReducers) {
     throw InvalidArgumentError("map output needs 1.." +
                                std::to_string(kMaxReducers) + " partitions");
   }
-  // Offsets are 32-bit, so the budget must stay under 4 GiB; 2047 MiB
-  // leaves headroom for one oversized record past the threshold.
-  const int64_t sort_mb =
-      std::clamp<int64_t>(spec.conf.getInt("io.sort.mb", 32), 1, 2047);
-  const double spill_percent = std::clamp(
-      spec.conf.getDouble("io.sort.spill.percent", 0.80), 0.05, 1.0);
+  // Offsets are 32-bit: the table caps io.sort.mb at 2047 MiB, which leaves
+  // headroom under 4 GiB for one oversized record past the threshold.
   spill_threshold_ = static_cast<size_t>(
-      static_cast<double>(sort_mb << 20) * spill_percent);
+      static_cast<double>(spec.conf.get(keys::kIoSortMb) << 20) *
+      spec.conf.get(keys::kIoSortSpillPercent));
 }
 
 MapOutputBuffer::~MapOutputBuffer() {

@@ -16,6 +16,9 @@ namespace {
 
 using namespace counters;
 
+/// Fewest maps whose runs a put merges into the node aggregate.
+constexpr size_t kInnodeCombineMinRuns = 2;
+
 /// Stable key sort + kv_stream framing — the same contract as the map-side
 /// combine output (combiners may change keys, so emissions are re-sorted).
 int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out) {
@@ -138,33 +141,22 @@ void MapOutputStore::put(JobId job, uint32_t map_index,
   }
 
   const std::shared_ptr<const JobSpec> spec = specFor(job);
-  if (spec && spec->combiner &&
-      spec->conf.getBool("mapred.innode.combine", false)) {
+  if (spec && spec->combiner && spec->conf.get(keys::kInnodeCombine)) {
     maybeCombineOnPut(job, *spec, counters);
   }
 }
 
 void MapOutputStore::maybeCombineOnPut(JobId job, const JobSpec& spec,
                                        Counters* counters) {
-  const int64_t min_runs =
-      spec.conf.getInt("mapred.innode.combine.min.runs", 2);
-  const int64_t min_bytes =
-      spec.conf.getInt("mapred.innode.combine.min.bytes", 0);
   std::vector<uint32_t> members;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto job_it = jobs_.find(job);
     if (job_it == jobs_.end()) return;
-    int64_t stored = 0;
     for (const auto& [map_index, slot] : job_it->second.maps) {
-      if (slot.runs.empty()) continue;
-      members.push_back(map_index);
-      stored += static_cast<int64_t>(runsBytes(slot.runs));
+      if (!slot.runs.empty()) members.push_back(map_index);
     }
-    if (static_cast<int64_t>(members.size()) < std::max<int64_t>(2, min_runs) ||
-        stored < min_bytes) {
-      return;
-    }
+    if (members.size() < kInnodeCombineMinRuns) return;
   }
   try {
     nodeRuns(job, &spec, members, counters);
@@ -222,8 +214,7 @@ std::vector<std::shared_ptr<const Bytes>> MapOutputStore::nodeRuns(
 
   const size_t num_partitions = sources[0].runs.size();
   const CodecKind codec =
-      spec ? codecFromName(
-                 spec->conf.get("mapred.map.output.compression.codec", "none"))
+      spec ? codecFromName(spec->conf.get(keys::kMapOutputCodec))
            : CodecKind::kNone;
   const bool combine = spec != nullptr && spec->combiner != nullptr;
 

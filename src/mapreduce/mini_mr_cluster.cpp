@@ -20,7 +20,7 @@ MiniMrCluster::MiniMrCluster(MiniMrOptions options)
   job_tracker_->start();
   for (const auto& host : dfs_->dataNodeHosts()) {
     Config node_conf = conf_;
-    node_conf.set("dfs.datanode.rack", dfs_->rackOf(host));
+    node_conf.set(keys::kDatanodeRack, dfs_->rackOf(host));
     auto tracker = std::make_unique<TaskTracker>(
         node_conf, dfs_->network(), host, registry_, job_tracker_->host(),
         dfs_->nameNode().host());

@@ -86,9 +86,9 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   // them at the merge input. The conf gate keeps raw bytes that merely
   // resemble a codec header from being misdecoded when both seams are off.
   const bool seams_on =
-      codecFromName(spec.conf.get("mapred.map.output.compression.codec",
-                                  "none")) != CodecKind::kNone ||
-      codecFromName(spec.conf.get("mapred.shuffle.compression", "none")) !=
+      codecFromName(spec.conf.get(keys::kMapOutputCodec)) !=
+          CodecKind::kNone ||
+      codecFromName(spec.conf.get(keys::kShuffleCompression)) !=
           CodecKind::kNone;
   // Merge setup — run decode plus loser-tree construction — gets its own
   // span so the critical-path report can attribute it separately from

@@ -18,6 +18,8 @@ namespace mh::mr {
 
 namespace {
 constexpr const char* kLog = "tasktracker";
+/// Cap on the exponential backoff between one fetch's retries.
+constexpr int64_t kFetchBackoffMaxMs = 200;
 }  // namespace
 
 namespace {
@@ -116,7 +118,7 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
                                          Counters& shuffle_counters,
                                          const JobSpec* spec) {
   const bool innode = spec != nullptr && spec->combiner != nullptr &&
-                      spec->conf.getBool("mapred.innode.combine", false);
+                      spec->conf.get(keys::kInnodeCombine);
   // In in-node mode maps are grouped by host in first-appearance order; the
   // serving tracker merges the whole group through the combiner into one run.
   const std::vector<FetchUnit> units =
@@ -135,11 +137,8 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
   // Transient faults (a rebooting tracker, a dropped reply) deserve a few
   // bounded-backoff retries before the expensive path — declaring a
   // fetch-failure and making the JobTracker re-execute the source map.
-  const auto attempts = static_cast<size_t>(
-      std::max<int64_t>(1, conf.getInt("mapred.shuffle.fetch.retries", 3)));
-  const int64_t backoff_ms = conf.getInt("mapred.shuffle.fetch.backoff.ms", 5);
-  const int64_t backoff_max_ms =
-      conf.getInt("mapred.shuffle.fetch.backoff.max.ms", 200);
+  const size_t attempts = conf.get(keys::kShuffleFetchRetries);
+  const int64_t backoff_ms = conf.get(keys::kShuffleFetchBackoffMs);
   std::atomic<int64_t> retries{0};
   // Each slot holds an error message when that fetch failed; distinct slots
   // are written by distinct fetches, so no lock is needed.
@@ -192,8 +191,9 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
           // decorrelating retry storms when many reducers lose the same
           // host at once. Seeded per (task identity, unit, retry) so a
           // chaos seed replays the same delays.
-          const int64_t cap = std::min(
-              backoff_max_ms, backoff_ms << std::min<size_t>(attempt, 20));
+          const int64_t cap =
+              std::min(kFetchBackoffMaxMs,
+                       backoff_ms << std::min<size_t>(attempt, 20));
           Rng jitter(fetchSeed(assignment, /*salt=*/0x8acc0ffull) ^
                      (static_cast<uint64_t>(i) << 32) ^ attempt);
           const int64_t delay =
@@ -208,8 +208,7 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
     }
   };
 
-  const auto copies = static_cast<size_t>(
-      std::max<int64_t>(1, conf.getInt("mapred.reduce.parallel.copies", 5)));
+  const size_t copies = conf.get(keys::kReduceParallelCopies);
   if (const size_t workers = std::min(n, copies); workers <= 1) {
     fetch_loop();
   } else {
@@ -270,10 +269,12 @@ TaskTracker::TaskTracker(Config conf, std::shared_ptr<net::Network> network,
       registry_(std::move(registry)),
       jobtracker_host_(std::move(jobtracker_host)),
       namenode_host_(std::move(namenode_host)),
-      map_slots_(static_cast<uint32_t>(
-          conf_.getInt("mapred.tasktracker.map.tasks.maximum", 2))),
-      reduce_slots_(static_cast<uint32_t>(
-          conf_.getInt("mapred.tasktracker.reduce.tasks.maximum", 1))) {
+      map_slots_(conf_.get(keys::kTrackerMapSlots)),
+      reduce_slots_(conf_.get(keys::kTrackerReduceSlots)),
+      heap_budget_(conf_.get(keys::kTrackerMemoryBytes)),
+      oom_crashes_tracker_(conf_.get(keys::kTrackerOomPolicy) ==
+                           "crash-tracker") {
+  conf_.validate(keys::Scope::kDaemon);
   network_->addHost(host_);
   metrics_ = &network_->metrics().child("tasktracker." + host_);
   tracer_ = &network_->tracer();
@@ -342,7 +343,7 @@ void TaskTracker::start() {
 
   network_->call(host_, jobtracker_host_, kJobTrackerPort, "registerTracker",
                  pack(host_, map_slots_, reduce_slots_,
-                      conf_.get("dfs.datanode.rack", "/default-rack")));
+                      conf_.get(keys::kDatanodeRack)));
 
   heartbeat_thread_ = std::jthread(
       [this](std::stop_token token) { heartbeatLoop(token); });
@@ -400,8 +401,8 @@ void TaskTracker::crash() {
 }
 
 void TaskTracker::heartbeatLoop(std::stop_token token) {
-  const auto interval = std::chrono::milliseconds(
-      conf_.getInt("mapred.tasktracker.heartbeat.ms", 50));
+  const auto interval =
+      std::chrono::milliseconds(conf_.get(keys::kTrackerHeartbeatMs));
   // Whether the last call to the JobTracker got through (at first, the
   // registration in start()).
   bool reachable = true;
@@ -505,7 +506,7 @@ void TaskTracker::heartbeatOnce() {
     network_->call(host_, jobtracker_host_, kJobTrackerPort,
                    "registerTracker",
                    pack(host_, map_slots_, reduce_slots_,
-                        conf_.get("dfs.datanode.rack", "/default-rack")));
+                        conf_.get(keys::kDatanodeRack)));
     return;
   }
   if (!reply.map_events.empty()) {
@@ -570,17 +571,11 @@ void TaskTracker::chargeHeap(int64_t delta) {
   // from destructors (e.g. ~MapOutputBuffer) during the unwind of a sibling
   // task's OOM, when the tracker may still be over budget — throwing there
   // would terminate() the process instead of failing the task.
-  if (delta <= 0) return;
-  const int64_t budget =
-      conf_.getInt("mapred.tasktracker.memory.bytes",
-                   std::numeric_limits<int64_t>::max());
-  if (used <= budget) return;
-  const std::string policy =
-      conf_.get("mapred.tasktracker.oom.policy", "fail-task");
-  if (policy == "crash-tracker") {
+  if (delta <= 0 || used <= heap_budget_) return;
+  if (oom_crashes_tracker_) {
     // The heap-leak cascade: the whole daemon dies, taking its map outputs
     // (and, on the real cluster, the co-located DataNode) with it.
-    logError(kLog) << host_ << " OOM (" << used << " > " << budget
+    logError(kLog) << host_ << " OOM (" << used << " > " << heap_budget_
                    << " bytes): crashing tracker";
     crashed_.store(true);
     network_->setHostUp(host_, false);
@@ -589,7 +584,7 @@ void TaskTracker::chargeHeap(int64_t delta) {
     outputs_.clear();
   }
   throw OutOfMemoryError("task heap " + std::to_string(used) + " > budget " +
-                         std::to_string(budget));
+                         std::to_string(heap_budget_));
 }
 
 bool TaskTracker::tryChargeHeap(int64_t delta) {
@@ -597,11 +592,8 @@ bool TaskTracker::tryChargeHeap(int64_t delta) {
     heap_used_.fetch_add(delta);
     return true;
   }
-  const int64_t budget =
-      conf_.getInt("mapred.tasktracker.memory.bytes",
-                   std::numeric_limits<int64_t>::max());
   const int64_t used = heap_used_.fetch_add(delta) + delta;
-  if (used > budget) {
+  if (used > heap_budget_) {
     heap_used_.fetch_sub(delta);
     return false;
   }
@@ -761,13 +753,9 @@ bool TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
 std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     const TaskAssignment& assignment, const JobSpec& spec,
     Counters& shuffle_counters, int64_t& charged_bytes) {
-  const bool innode = spec.combiner != nullptr &&
-                      spec.conf.getBool("mapred.innode.combine", false);
+  const bool innode =
+      spec.combiner != nullptr && spec.conf.get(keys::kInnodeCombine);
   const uint32_t total_maps = assignment.total_maps;
-  const auto fanin = static_cast<size_t>(std::max<int64_t>(
-      2, spec.conf.getInt(
-             "mapred.reduce.merge.fold.fanin",
-             conf_.getInt("mapred.reduce.merge.fold.fanin", 8))));
   const std::string component = "tasktracker." + host_;
   const std::string task_tag = "r" + std::to_string(assignment.task_index) +
                                " a" + std::to_string(assignment.attempt);
@@ -808,14 +796,12 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
   }
 
   IncrementalMerger merger(IncrementalMerger::Options{
-      .fold_fanin = fanin,
       // In-node covers are host-grouped, not contiguous map ranges, so they
       // fold freely; classic runs fold adjacent-only to stay byte-identical
       // with the one-shot merge (see merge.h).
       .adjacent_only = !innode,
-      .allow_decode =
-          codecFromName(spec.conf.get("mapred.shuffle.compression",
-                                      "none")) != CodecKind::kNone,
+      .allow_decode = codecFromName(spec.conf.get(
+                          keys::kShuffleCompression)) != CodecKind::kNone,
       .metrics = metrics_,
       .trace = tracer_,
       .component = component});
@@ -922,7 +908,7 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
                                    counters::kShufflePipelinedBytes, bytes);
         for (const uint32_t m : unit.maps) sources[m].fetched = true;
       }
-      if (merger.pendingRuns() >= fanin) {
+      if (merger.pendingRuns() >= merger.foldFanin()) {
         const int64_t held_before = merger.heldBytes();
         TraceSpan fold_span(tracer_, component, "MERGE_FOLD " + task_tag);
         merger.foldOnce();
@@ -972,8 +958,8 @@ void TaskTracker::installRpc() {
   // byte accounting into the registry.
   const auto shuffle_for = [this](JobId job) {
     try {
-      return codecFromName(registry_->get(job)->conf.get(
-          "mapred.shuffle.compression", "none"));
+      return codecFromName(
+          registry_->get(job)->conf.get(keys::kShuffleCompression));
     } catch (const std::exception&) {
       // Unknown job spec (purged mid-serve): serve the bytes as stored.
       return CodecKind::kNone;

@@ -200,6 +200,17 @@ TEST_F(LocalRunnerTest, InvalidSpecsFailCleanly) {
   JobSpec zero_reducers = wordCountSpec({p("x")}, p("out"));
   zero_reducers.num_reducers = 0;
   EXPECT_FALSE(runner.run(std::move(zero_reducers)).succeeded());
+
+  // Thread counts outside the key table's range fail validation, naming
+  // the key, before any thread starts.
+  for (const char* threads : {"-1", "257"}) {
+    JobSpec spec = wordCountSpec({p("x")}, p("out"));
+    spec.conf.set("mapred.local.map.threads", threads);
+    const JobResult result = runner.run(std::move(spec));
+    EXPECT_FALSE(result.succeeded());
+    EXPECT_NE(result.error.find("mapred.local.map.threads"), std::string::npos)
+        << result.error;
+  }
 }
 
 TEST_F(LocalRunnerTest, MissingInputFailsJob) {

@@ -455,5 +455,61 @@ TEST(MiniMrClusterTest, SubmitWithNoInputThrows) {
                InvalidArgumentError);
 }
 
+TEST(MiniMrClusterTest, SubmitRejectsABadJobConfBeforeAnyTask) {
+  // A typo, an unknown codec, an out-of-range fraction and a daemon key in
+  // a job conf are each rejected at submit, naming the key, before the job
+  // exists.
+  MiniMrCluster cluster({.num_nodes = 1, .conf = fastConf()});
+  cluster.client().writeFile("/in/a.txt", "a b a\n");
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"io.sort.mbb", "1"},
+           {"mapred.shuffle.compression", "lz4"},
+           {"mapred.reduce.slowstart.completed.maps", "1.5"},
+           {"dfs.replication", "2"}}) {
+    JobSpec spec = wordCountSpec({"/in"}, "/out");
+    spec.conf.set(key, value);
+    try {
+      cluster.jobTracker().submit(std::move(spec));
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(cluster.jobTracker().listJobs().empty());
+}
+
+TEST(MiniMrClusterTest, UnknownClusterKeyThrowsAtConstruction) {
+  Config conf = fastConf();
+  conf.setInt("mapred.tasktracker.heartbeat.mss", 20);
+  EXPECT_THROW(MiniMrCluster({.num_nodes = 1, .conf = conf}),
+               InvalidArgumentError);
+}
+
+TEST(MiniMrClusterTest, ClusterConfSuppliesJobKeysTheJobLeavesUnset) {
+  // A job key on the cluster conf is the default for every job; a job that
+  // sets the key itself wins.
+  Config conf = fastConf();
+  conf.setInt("dfs.blocksize", 1 << 20);  // one split, one map
+  conf.setInt("io.sort.mb", 1);
+  conf.setDouble("io.sort.spill.percent", 0.05);
+  MiniMrCluster cluster({.num_nodes = 1, .conf = conf});
+  cluster.client().writeFile("/in/corpus.txt", makeCorpus(8000, 11));
+
+  const JobResult small = cluster.runJob(wordCountSpec({"/in"}, "/small"));
+  ASSERT_TRUE(small.succeeded()) << small.error;
+  EXPECT_GT(small.counters.value(counters::kTaskGroup, counters::kMapSpills),
+            1);
+
+  JobSpec own = wordCountSpec({"/in"}, "/own");
+  own.conf.setInt("io.sort.mb", 32);
+  own.conf.setDouble("io.sort.spill.percent", 0.8);
+  const JobResult roomy = cluster.runJob(std::move(own));
+  ASSERT_TRUE(roomy.succeeded()) << roomy.error;
+  EXPECT_EQ(roomy.counters.value(counters::kTaskGroup, counters::kMapSpills),
+            1);
+}
+
 }  // namespace
 }  // namespace mh::mr
