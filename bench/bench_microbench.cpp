@@ -157,8 +157,9 @@ void BM_LongKeyCollectFinish(benchmark::State& state) {
 }
 BENCHMARK(BM_LongKeyCollectFinish)->Unit(benchmark::kMillisecond);
 
-/// `k` sorted runs of `n` records each, the reduce merge's input shape.
-std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {
+/// `k` sorted runs of `n` records each over `distinct` keys, the reduce
+/// merge's input shape.
+std::vector<Bytes> makeSortedRuns(size_t k, size_t n, size_t distinct) {
   Rng rng(4);
   std::vector<Bytes> runs;
   runs.reserve(k);
@@ -166,7 +167,7 @@ std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {
     std::vector<mh::mr::KeyValue> records;
     records.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      records.push_back({"key" + std::to_string(rng.uniform(n / 2 + 1)),
+      records.push_back({"key" + std::to_string(rng.uniform(distinct)),
                          Bytes(24, static_cast<char>('a' + r))});
     }
     std::stable_sort(records.begin(), records.end(),
@@ -177,11 +178,14 @@ std::vector<Bytes> makeSortedRuns(size_t k, size_t n) {
 }
 
 /// The shipping reduce merge: stream the runs through the loser tree,
-/// grouped by key, zero-copy.
+/// grouped by key, zero-copy. Args are {runs, records per run, distinct
+/// keys}: the first two sets almost never repeat a key; the last is
+/// WordCount-shaped, ~650 values per key, where the winner keeps its key
+/// for long stretches and the tree replay is skipped.
 void BM_ReduceMergeStreaming(benchmark::State& state) {
-  const auto runs =
-      makeSortedRuns(static_cast<size_t>(state.range(0)),
-                     static_cast<size_t>(state.range(1)));
+  const auto runs = makeSortedRuns(static_cast<size_t>(state.range(0)),
+                                   static_cast<size_t>(state.range(1)),
+                                   static_cast<size_t>(state.range(2)));
   const std::vector<std::string_view> views(runs.begin(), runs.end());
   for (auto _ : state) {
     mh::mr::KvRunMerger merger(views);
@@ -195,8 +199,9 @@ void BM_ReduceMergeStreaming(benchmark::State& state) {
                           state.range(0) * state.range(1));
 }
 BENCHMARK(BM_ReduceMergeStreaming)
-    ->Args({4, 10'000})
-    ->Args({8, 100'000})
+    ->Args({4, 10'000, 5'001})
+    ->Args({8, 100'000, 50'001})
+    ->Args({4, 100'000, 615})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MemBlockStoreWriteRead(benchmark::State& state) {

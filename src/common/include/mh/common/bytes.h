@@ -126,6 +126,10 @@ class ByteReader {
   bool readBool() { return readU8() != 0; }
 
   uint64_t readVarU64() {
+    // One-byte varints (values below 128) are the common case.
+    if (pos_ < in_.size() && static_cast<uint8_t>(in_[pos_]) < 0x80) {
+      return static_cast<uint8_t>(in_[pos_++]);
+    }
     uint64_t v = 0;
     int shift = 0;
     while (true) {

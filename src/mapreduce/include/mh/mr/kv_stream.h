@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +18,21 @@
 /// them at the merge input.
 
 namespace mh::mr {
+
+/// Big-endian first 8 bytes of the key, zero-padded. Prefix inequality
+/// decides byte-lexicographic key order without touching the key bytes;
+/// equal prefixes with one key of at most 8 bytes mean that key is a prefix
+/// of the other, so the shorter is smaller ("ab" < "ab\0"). Only two keys of
+/// 9+ bytes can tie on the prefix and still differ.
+inline uint64_t keyPrefix(std::string_view key) {
+  uint64_t prefix = 0;
+  const size_t n = std::min<size_t>(key.size(), 8);
+  for (size_t i = 0; i < n; ++i) {
+    prefix |= static_cast<uint64_t>(static_cast<uint8_t>(key[i]))
+              << (56 - 8 * i);
+  }
+  return prefix;
+}
 
 /// Appends framed records to a buffer.
 class KvWriter {
@@ -46,6 +63,17 @@ class KvReader {
     return true;
   }
 
+  /// next(), also returning the record's whole frame: the bytes a copy
+  /// into another run appends verbatim.
+  bool next(std::string_view& key, std::string_view& value,
+            std::string_view& frame) {
+    const size_t begin = reader_.position();
+    if (!next(key, value)) return false;
+    const size_t size = reader_.position() - begin;
+    frame = {value.data() + value.size() - size, size};
+    return true;
+  }
+
  private:
   ByteReader reader_;
 };
@@ -56,18 +84,23 @@ std::vector<KeyValue> decodeKvRun(std::string_view run);
 /// Encodes records into one run.
 Bytes encodeKvRun(const std::vector<KeyValue>& records);
 
+/// Frames combiner emissions into `out` in stable key order. Combiners
+/// usually preserve keys, but the engine has never assumed so: emissions
+/// that come out of key order are re-sorted first. Returns records written.
+int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out);
+
 /// Presents a set of possibly codec-compressed kv runs as plain decoded
 /// views for the KvRunMerger. Compressed runs (`isEncodedStream`) decode
 /// into fresh refcounted buffers owned by this set; raw runs pass through
-/// as views of their original buffers — zero copy either way downstream.
-/// The set must outlive the merger consuming `views()`.
+/// as the caller's views — zero copy either way downstream. The set, and
+/// the caller's raw runs, must outlive the merger consuming `views()`.
 ///
 /// `allow_decode=false` pins every run as raw — the caller's seams are all
 /// off, so bytes that merely resemble a codec header are not misdecoded.
 class DecodedRunSet {
  public:
   /// `metrics`/`trace`/`component` meter DECOMPRESS work (all optional).
-  DecodedRunSet(const std::vector<BufferView>& runs, bool allow_decode,
+  DecodedRunSet(std::vector<std::string_view> runs, bool allow_decode,
                 MetricsRegistry* metrics = nullptr,
                 TraceCollector* trace = nullptr,
                 std::string_view component = "kvstream");
@@ -84,7 +117,7 @@ class DecodedRunSet {
   int64_t decodedHeapBytes() const { return decoded_heap_bytes_; }
 
  private:
-  std::vector<BufferView> owned_;  ///< originals or fresh decoded buffers
+  std::vector<Buffer> decoded_;  ///< buffers the compressed runs decoded to
   std::vector<std::string_view> views_;
   int64_t raw_bytes_ = 0;
   int64_t encoded_bytes_ = 0;

@@ -31,8 +31,9 @@
 /// partition — a *spill* — and resets the arena. A map task's collect
 /// working set is therefore bounded regardless of input size. `finish()`
 /// spills the remainder and, when a task spilled more than once, merges
-/// the per-partition spill runs through the loser-tree `KvRunMerger` with
-/// a final combine pass.
+/// the per-partition spill runs through the loser-tree `KvRunMerger`:
+/// with a combiner, through a final combine pass; without one, by copying
+/// each record's frame verbatim.
 ///
 /// The arena, index, radix buffer, and retained spill runs are charged
 /// against the TaskTracker heap budget through the task's HeapFn
@@ -50,6 +51,8 @@
 ///                      final merge's combine pass
 
 namespace mh::mr {
+
+class KvRunMerger;
 
 class MapOutputBuffer {
  public:
@@ -75,9 +78,10 @@ class MapOutputBuffer {
                uint32_t partition);
 
   /// Spills whatever is still buffered, then merges all spill runs into
-  /// the task's final sorted run per partition (loser-tree merge + final
-  /// combine when spills > 1). Call exactly once, after the mapper's
-  /// cleanup().
+  /// the task's final sorted run per partition when spills > 1: a
+  /// loser-tree merge that runs a final combine pass, or, with no
+  /// combiner, copies each record's frame verbatim. Call exactly once,
+  /// after the mapper's cleanup().
   std::vector<Bytes> finish();
 
   /// Sort/spill passes so far (the MAP_SPILLS counter).
@@ -105,7 +109,6 @@ class MapOutputBuffer {
 
   static uint32_t partitionOf(const IndexEntry& e) { return e.meta >> 4; }
   std::string_view keyAt(const IndexEntry& e) const;
-  std::string_view valueAt(const IndexEntry& e) const;
   /// The record's whole kv_stream frame, as a spill run stores it.
   std::string_view frameAt(const IndexEntry& e) const;
 
@@ -119,10 +122,10 @@ class MapOutputBuffer {
   /// Encodes one finished run in place when the map-output codec is on,
   /// bumping the SPILL_RAW/COMPRESSED_BYTES counters. No-op otherwise.
   void maybeEncodeRun(Bytes& run);
-  /// Runs the combiner over the key-grouped records described by
-  /// `index_[begin, end)` (one partition), appending re-sorted framed
-  /// output to `out`. Returns records written.
-  int64_t combineIndexRange(size_t begin, size_t end, Bytes& out);
+  /// Runs the combiner over `merger`'s key groups, framing its output into
+  /// `out`, and adds the pass to COMBINE_INPUT/OUTPUT_RECORDS with one
+  /// increment each. Returns records written.
+  int64_t combine(KvRunMerger& merger, Bytes& out);
   /// Re-syncs the heap charge to the current capacities; may throw
   /// OutOfMemoryError from the HeapFn (the charge is recorded first, so
   /// the destructor releases exactly what was added).

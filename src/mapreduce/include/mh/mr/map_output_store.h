@@ -185,7 +185,7 @@ class MapOutputStore {
       ServeStats* stats,
       const std::function<std::vector<std::shared_ptr<const Bytes>>*()>&
           find_cache,
-      uint32_t partition, size_t num_partitions);
+      uint32_t partition);
 
   mutable std::mutex mutex_;
   std::map<JobId, JobSlots> jobs_;

@@ -2,23 +2,37 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "mh/mr/api.h"
+#include "mh/mr/job.h"
 #include "mh/mr/kv_stream.h"
 
 /// \file merge.h
-/// Streaming k-way merge over sorted kv_stream runs — the reduce-side merge.
+/// Streaming k-way merge over sorted kv_stream runs — the map side's final
+/// spill merge, the reduce-side merge, and the pipelined shuffle's folds.
 ///
-/// Map tasks emit runs that are already key-sorted, so the reduce merge
-/// never needs to decode whole runs into memory and re-sort: a tournament
-/// (loser) tree over one cursor per run yields records in global key order
-/// with one comparison path per record. Groups are exposed lazily: the
-/// caller pulls a key and a ValuesIterator whose views point straight into
-/// the run buffers (zero-copy); unconsumed values are skipped when the next
-/// group is requested.
+/// Map tasks emit runs that are already key-sorted, so no merge ever needs
+/// to decode whole runs into memory and re-sort: a tournament (loser) tree
+/// over one cursor per run yields records in global key order with one
+/// comparison path per record. Groups are exposed lazily: the caller pulls
+/// a key and a ValuesIterator whose views point straight into the run
+/// buffers (zero-copy); unconsumed values are skipped when the next group
+/// is requested. Merges that only re-frame records (no combiner) pull whole
+/// frames instead and append them verbatim.
+///
+/// Comparisons are integer compares. Each cursor caches its key's 8-byte
+/// big-endian prefix (`keyPrefix`, the one the map-side radix sort uses)
+/// when it advances: unequal prefixes settle the order, and equal prefixes
+/// with a key of at most 8 bytes settle it by length. Only two 9+-byte keys
+/// that share a prefix compare their remaining bytes.
+///
+/// While the winner's next record keeps the key it just left, it still
+/// beats every rival, so the tree replay is skipped: a key group drawn from
+/// one run costs one prefix compare per record, not a log(k) climb.
 ///
 /// Ties are broken by run index, so duplicate keys come out in run order and
 /// within-run order — the same stability contract as Hadoop's merge (and as
@@ -29,9 +43,9 @@ namespace mh::mr {
 /// Merges k sorted runs into one key-grouped stream.
 ///
 /// The run buffers must outlive the merger; every string_view it hands out
-/// (keys and values) points into them. A torn frame in any run surfaces as
-/// InvalidArgumentError from the constructor (first record) or from group
-/// iteration (later records), exactly as KvReader would have thrown.
+/// (keys, values and frames) points into them. A torn frame in any run
+/// surfaces as InvalidArgumentError from the constructor (first record) or
+/// from iteration (later records), exactly as KvReader would have thrown.
 class KvRunMerger {
  public:
   /// `runs` are views over encoded kv_stream runs; empty runs are skipped.
@@ -47,6 +61,12 @@ class KvRunMerger {
   /// The current group's values, in run order then within-run order.
   ValuesIterator& values() { return values_; }
 
+  /// Pops the next record, in merge order, as its whole kv_stream frame;
+  /// nullopt when every run is exhausted. Appending the frames rebuilds
+  /// the merged run byte for byte. Drain a merger either by frames or by
+  /// groups, not both.
+  std::optional<std::string_view> nextFrame();
+
   /// Number of non-empty runs under the merge (the MERGE_SEGMENTS counter).
   size_t segmentCount() const { return cursors_.size(); }
 
@@ -57,9 +77,16 @@ class KvRunMerger {
   /// One run's read head.
   struct Cursor {
     explicit Cursor(std::string_view run) : reader(run) {}
+    /// Steps to the next record; false (and exhausted) at the run's end.
+    bool advance();
+    /// True when this cursor's key is `key`, whose prefix is `prefix`.
+    bool hasKey(std::string_view key, uint64_t prefix) const;
+
     KvReader reader;
     std::string_view key;
     std::string_view value;
+    std::string_view frame;
+    uint64_t prefix = 0;  ///< keyPrefix(key)
     bool exhausted = false;
   };
 
@@ -76,17 +103,30 @@ class KvRunMerger {
 
   bool beats(size_t a, size_t b) const;
   void replay(size_t leaf);
-  void advanceCursor(size_t index);
+  /// Advances the winner's cursor and re-runs the tournament unless its
+  /// new key equals the one it left. True when that replay was skipped.
+  bool advanceWinner();
   std::optional<std::string_view> nextValueInGroup();
 
   std::vector<Cursor> cursors_;  ///< non-empty runs, in original run order
   std::vector<size_t> tree_;     ///< loser tree; tree_[0] is the winner
   size_t winner_ = 0;
   std::string_view group_key_;
+  uint64_t group_prefix_ = 0;
+  /// The winner's current record belongs to the open group.
   bool in_group_ = false;
   int64_t records_read_ = 0;
   GroupValues values_{*this};
 };
+
+/// Runs one fresh instance of `spec`'s combiner over every key group of
+/// `merger` and frames its emissions into `out` (writeSortedRecords). The
+/// combiner's TaskContext writes `counters` and reaches `heap` and `fs`.
+/// Returns records written.
+int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
+                     Counters& counters, Bytes& out,
+                     TaskContext::HeapFn heap = {},
+                     FileSystemView* fs = nullptr);
 
 /// The pipelined shuffle's reduce-side accumulator: runs fetched while the
 /// map phase is still going are registered here and folded into a bounded

@@ -20,24 +20,30 @@ Bytes encodeKvRun(const std::vector<KeyValue>& records) {
   return out;
 }
 
-DecodedRunSet::DecodedRunSet(const std::vector<BufferView>& runs,
+int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out) {
+  const auto by_key = [](const KeyValue& a, const KeyValue& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
+    std::stable_sort(records.begin(), records.end(), by_key);
+  }
+  KvWriter writer(out);
+  for (const KeyValue& kv : records) writer.write(kv);
+  return static_cast<int64_t>(records.size());
+}
+
+DecodedRunSet::DecodedRunSet(std::vector<std::string_view> runs,
                              bool allow_decode, MetricsRegistry* metrics,
-                             TraceCollector* trace,
-                             std::string_view component) {
-  owned_.reserve(runs.size());
-  views_.reserve(runs.size());
-  for (const BufferView& run : runs) {
-    if (allow_decode && isEncodedStream(run.view())) {
-      Buffer decoded = codecDecode(run.view(), metrics, trace, component);
+                             TraceCollector* trace, std::string_view component)
+    : views_(std::move(runs)) {
+  for (std::string_view& run : views_) {
+    if (allow_decode && isEncodedStream(run)) {
+      decoded_.push_back(codecDecode(run, metrics, trace, component));
       encoded_bytes_ += static_cast<int64_t>(run.size());
-      raw_bytes_ += static_cast<int64_t>(decoded.size());
-      decoded_heap_bytes_ += static_cast<int64_t>(decoded.size());
-      owned_.emplace_back(std::move(decoded));
-    } else {
-      raw_bytes_ += static_cast<int64_t>(run.size());
-      owned_.push_back(run);
+      decoded_heap_bytes_ += static_cast<int64_t>(decoded_.back().size());
+      run = decoded_.back().view();
     }
-    views_.push_back(owned_.back().view());
+    raw_bytes_ += static_cast<int64_t>(run.size());
   }
 }
 

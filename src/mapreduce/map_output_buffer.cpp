@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <utility>
 
 #include "mh/common/stopwatch.h"
 #include "mh/mr/kv_stream.h"
@@ -13,18 +14,6 @@ namespace mh::mr {
 namespace {
 
 using namespace counters;
-
-/// Big-endian first-8-bytes of the key, zero-padded: prefix inequality
-/// decides byte-lexicographic key order without touching the key bytes.
-uint64_t keyPrefix(std::string_view key) {
-  uint64_t prefix = 0;
-  const size_t n = std::min<size_t>(key.size(), 8);
-  for (size_t i = 0; i < n; ++i) {
-    prefix |= static_cast<uint64_t>(static_cast<uint8_t>(key[i]))
-              << (56 - 8 * i);
-  }
-  return prefix;
-}
 
 /// Keys of 9 or more bytes share the top length class: only they can tie
 /// on the prefix without being equal.
@@ -49,27 +38,6 @@ uint32_t readLength(const char*& p) {
     v |= static_cast<uint32_t>(b & 0x7F) << shift;
     if (b < 0x80) return v;
   }
-}
-
-/// Combiners usually preserve keys, but the engine has never assumed so:
-/// emissions that come out of key order are re-sorted (stably) before they
-/// are framed into a run. Adds the pass's COMBINE_OUTPUT_RECORDS in one
-/// increment, so the emit callback does no per-record counter work.
-int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out,
-                           Counters& counters) {
-  if (!records.empty()) {
-    counters.increment(kTaskGroup, kCombineOutputRecords,
-                       static_cast<int64_t>(records.size()));
-  }
-  const auto by_key = [](const KeyValue& a, const KeyValue& b) {
-    return a.key < b.key;
-  };
-  if (!std::is_sorted(records.begin(), records.end(), by_key)) {
-    std::stable_sort(records.begin(), records.end(), by_key);
-  }
-  KvWriter writer(out);
-  for (const KeyValue& kv : records) writer.write(kv);
-  return static_cast<int64_t>(records.size());
 }
 
 }  // namespace
@@ -108,13 +76,6 @@ std::string_view MapOutputBuffer::keyAt(const IndexEntry& e) const {
   const char* p = arena_.data() + e.offset;
   const uint32_t key_len = readLength(p);
   return {p, key_len};
-}
-
-std::string_view MapOutputBuffer::valueAt(const IndexEntry& e) const {
-  const char* p = arena_.data() + e.offset;
-  p += readLength(p);
-  const uint32_t val_len = readLength(p);
-  return {p, val_len};
 }
 
 std::string_view MapOutputBuffer::frameAt(const IndexEntry& e) const {
@@ -240,47 +201,14 @@ void MapOutputBuffer::sortIndex() {
   sort_micros_ += watch.elapsedMicros();
 }
 
-int64_t MapOutputBuffer::combineIndexRange(size_t begin, size_t end,
-                                           Bytes& out) {
-  counters_.increment(kTaskGroup, kCombineInputRecords,
-                      static_cast<int64_t>(end - begin));
-  std::vector<KeyValue> combined;
-  TaskContext ctx(
-      spec_.conf, counters_,
-      [&](Bytes key, Bytes value) {
-        combined.push_back({std::move(key), std::move(value)});
-      },
-      heap_, fs_);
-
-  /// Iterates one key group's values straight off the sorted index.
-  class IndexSliceValues final : public ValuesIterator {
-   public:
-    IndexSliceValues(const MapOutputBuffer& buffer, size_t begin, size_t end)
-        : buffer_(buffer), pos_(begin), end_(end) {}
-    std::optional<std::string_view> next() override {
-      if (pos_ >= end_) return std::nullopt;
-      return buffer_.valueAt(buffer_.index_[pos_++]);
-    }
-
-   private:
-    const MapOutputBuffer& buffer_;
-    size_t pos_;
-    size_t end_;
-  };
-
-  const auto combiner = spec_.combiner();
-  combiner->setup(ctx);
-  size_t i = begin;
-  while (i < end) {
-    const std::string_view key = keyAt(index_[i]);
-    size_t j = i + 1;
-    while (j < end && keyAt(index_[j]) == key) ++j;
-    IndexSliceValues values(*this, i, j);
-    combiner->reduce(key, values, ctx);
-    i = j;
+int64_t MapOutputBuffer::combine(KvRunMerger& merger, Bytes& out) {
+  const int64_t written =
+      combineMerge(spec_, merger, counters_, out, heap_, fs_);
+  counters_.increment(kTaskGroup, kCombineInputRecords, merger.recordsRead());
+  if (written > 0) {
+    counters_.increment(kTaskGroup, kCombineOutputRecords, written);
   }
-  combiner->cleanup(ctx);
-  return writeSortedRecords(combined, out, counters_);
+  return written;
 }
 
 void MapOutputBuffer::maybeEncodeRun(Bytes& run) {
@@ -310,13 +238,16 @@ void MapOutputBuffer::spill() {
     const uint32_t p = partitionOf(index_[i]);
     size_t j = i + 1;
     while (j < index_.size() && partitionOf(index_[j]) == p) ++j;
+    // The arena already holds each record as its run frame: copy them
+    // verbatim, in sorted order.
     Bytes& out = runs[p];
+    for (size_t k = i; k < j; ++k) out.append(frameAt(index_[k]));
     if (spec_.combiner) {
-      records_out += combineIndexRange(i, j, out);
+      // The combiner reads those frames back as a one-run merge.
+      const Bytes sorted = std::exchange(out, Bytes());
+      KvRunMerger merger({sorted});
+      records_out += combine(merger, out);
     } else {
-      // The arena already holds each record as its run frame: copy them
-      // verbatim, in sorted order.
-      for (size_t k = i; k < j; ++k) out.append(frameAt(index_[k]));
       records_out += static_cast<int64_t>(j - i);
     }
     i = j;
@@ -364,48 +295,20 @@ std::vector<Bytes> MapOutputBuffer::finish() {
     for (uint32_t p = 0; p < partitions_; ++p) {
       // Encoded spill runs decode transiently for this partition's merge;
       // the decoded buffers die with the iteration.
-      std::vector<Buffer> decoded;
-      std::vector<std::string_view> views;
-      decoded.reserve(spills_.size());
-      views.reserve(spills_.size());
-      for (const auto& spill : spills_) {
-        if (codec_ != CodecKind::kNone && isEncodedStream(spill[p])) {
-          decoded.push_back(
-              codecDecode(spill[p], metrics_, trace_, trace_component_));
-          views.push_back(decoded.back().view());
-        } else {
-          views.push_back(spill[p]);
-        }
-      }
-      KvRunMerger merger(views);
+      std::vector<std::string_view> runs;
+      runs.reserve(spills_.size());
+      for (const auto& spill : spills_) runs.push_back(spill[p]);
+      const DecodedRunSet decoded(std::move(runs), codec_ != CodecKind::kNone,
+                                  metrics_, trace_, trace_component_);
+      KvRunMerger merger(decoded.views());
 
       int64_t records_out = 0;
       if (spec_.combiner) {
-        std::vector<KeyValue> combined;
-        TaskContext ctx(
-            spec_.conf, counters_,
-            [&](Bytes key, Bytes value) {
-              combined.push_back({std::move(key), std::move(value)});
-            },
-            heap_, fs_);
-        const auto combiner = spec_.combiner();
-        combiner->setup(ctx);
-        while (merger.nextGroup()) {
-          combiner->reduce(merger.key(), merger.values(), ctx);
-        }
-        combiner->cleanup(ctx);
-        counters_.increment(kTaskGroup, kCombineInputRecords,
-                            merger.recordsRead());
-        records_out = writeSortedRecords(combined, result[p], counters_);
+        records_out = combine(merger, result[p]);
       } else {
-        KvWriter writer(result[p]);
-        while (merger.nextGroup()) {
-          const std::string_view key = merger.key();
-          while (const auto value = merger.values().next()) {
-            writer.write(key, *value);
-            ++records_out;
-          }
-        }
+        result[p].reserve(static_cast<size_t>(decoded.rawBytes()));
+        while (const auto frame = merger.nextFrame()) result[p].append(*frame);
+        records_out = merger.recordsRead();
       }
       // Hadoop counts the final merge's rewrite as spilled records too —
       // and the re-encoded final run counts toward the byte counters the

@@ -19,15 +19,16 @@ using namespace counters;
 /// Fewest maps whose runs a put merges into the node aggregate.
 constexpr size_t kInnodeCombineMinRuns = 2;
 
-/// Stable key sort + kv_stream framing — the same contract as the map-side
-/// combine output (combiners may change keys, so emissions are re-sorted).
-int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out) {
-  std::stable_sort(
-      records.begin(), records.end(),
-      [](const KeyValue& a, const KeyValue& b) { return a.key < b.key; });
-  KvWriter writer(out);
-  for (const KeyValue& kv : records) writer.write(kv);
-  return static_cast<int64_t>(records.size());
+/// `slot`'s wire cache (a MapSlot's or a NodeRun's) while `run` is still one
+/// of its runs: pointer identity ties the cache to THIS attempt's bytes, so
+/// a replacement in between leaves the cache to someone else.
+template <typename Slot>
+std::vector<std::shared_ptr<const Bytes>>* wireCacheOf(
+    Slot& slot, const std::shared_ptr<const Bytes>& run) {
+  if (slot.runs.size() != slot.wire.size()) return nullptr;
+  const bool ours =
+      std::find(slot.runs.begin(), slot.runs.end(), run) != slot.runs.end();
+  return ours ? &slot.wire : nullptr;
 }
 
 }  // namespace
@@ -231,43 +232,22 @@ std::vector<std::shared_ptr<const Bytes>> MapOutputStore::nodeRuns(
   for (size_t p = 0; p < num_partitions; ++p) {
     // Encoded per-map runs decode transiently for this partition's merge;
     // the decoded buffers die with the iteration.
-    std::vector<Buffer> decoded;
-    std::vector<std::string_view> views;
-    decoded.reserve(sources.size());
-    views.reserve(sources.size());
+    std::vector<std::string_view> runs;
+    runs.reserve(sources.size());
     for (const Source& source : sources) {
-      const Bytes& run = *source.runs[p];
-      stored_in += static_cast<int64_t>(run.size());
-      if (codec != CodecKind::kNone && isEncodedStream(run)) {
-        decoded.push_back(codecDecode(run, metrics_, trace_, component_));
-        views.push_back(decoded.back().view());
-      } else {
-        views.push_back(run);
-      }
+      runs.push_back(*source.runs[p]);
+      stored_in += static_cast<int64_t>(runs.back().size());
     }
-    KvRunMerger merger(views);
+    const DecodedRunSet decoded(std::move(runs), codec != CodecKind::kNone,
+                                metrics_, trace_, component_);
+    KvRunMerger merger(decoded.views());
     Bytes out;
     if (combine) {
-      std::vector<KeyValue> combined;
-      TaskContext ctx(spec->conf, scratch, [&](Bytes k, Bytes v) {
-        combined.push_back({std::move(k), std::move(v)});
-      });
-      const auto combiner = spec->combiner();
-      combiner->setup(ctx);
-      while (merger.nextGroup()) {
-        combiner->reduce(merger.key(), merger.values(), ctx);
-      }
-      combiner->cleanup(ctx);
-      records_out += writeSortedRecords(combined, out);
+      records_out += combineMerge(*spec, merger, scratch, out);
     } else {
-      KvWriter writer(out);
-      while (merger.nextGroup()) {
-        const std::string_view group_key = merger.key();
-        while (const auto value = merger.values().next()) {
-          writer.write(group_key, *value);
-          ++records_out;
-        }
-      }
+      out.reserve(static_cast<size_t>(decoded.rawBytes()));
+      while (const auto frame = merger.nextFrame()) out.append(*frame);
+      records_out += merger.recordsRead();
     }
     records_in += merger.recordsRead();
     if (codec != CodecKind::kNone && !out.empty()) {
@@ -376,8 +356,7 @@ BufferView MapOutputStore::serveRun(
     ServeStats* stats,
     const std::function<std::vector<std::shared_ptr<const Bytes>>*()>&
         find_cache,
-    uint32_t partition, size_t num_partitions) {
-  (void)num_partitions;
+    uint32_t partition) {
   const bool encoded = isEncodedStream(*run);
   if (shuffle != CodecKind::kNone) {
     if (encoded) {
@@ -437,16 +416,9 @@ BufferView MapOutputStore::serveMapOutput(JobId job, uint32_t map_index,
     if (job_it == jobs_.end()) return nullptr;
     const auto it = job_it->second.maps.find(map_index);
     if (it == job_it->second.maps.end()) return nullptr;
-    MapSlot& slot = it->second;
-    // Pointer identity ties the cache slot to THIS attempt's run; a
-    // replacement in between means the cache belongs to someone else now.
-    if (slot.runs.size() != slot.wire.size()) return nullptr;
-    for (size_t p = 0; p < slot.runs.size(); ++p) {
-      if (slot.runs[p] == run) return &slot.wire;
-    }
-    return nullptr;
+    return wireCacheOf(it->second, run);
   };
-  return serveRun(run, shuffle, stats, find_cache, partition, 0);
+  return serveRun(run, shuffle, stats, find_cache, partition);
 }
 
 BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
@@ -471,23 +443,13 @@ BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
     if (key.size() == 1) {
       const auto it = job_it->second.maps.find(key[0]);
       if (it == job_it->second.maps.end()) return nullptr;
-      MapSlot& slot = it->second;
-      if (slot.runs.size() != slot.wire.size()) return nullptr;
-      for (size_t p = 0; p < slot.runs.size(); ++p) {
-        if (slot.runs[p] == run) return &slot.wire;
-      }
-      return nullptr;
+      return wireCacheOf(it->second, run);
     }
     const auto it = job_it->second.combined.find(key);
     if (it == job_it->second.combined.end()) return nullptr;
-    NodeRun& node = it->second;
-    if (node.runs.size() != node.wire.size()) return nullptr;
-    for (size_t p = 0; p < node.runs.size(); ++p) {
-      if (node.runs[p] == run) return &node.wire;
-    }
-    return nullptr;
+    return wireCacheOf(it->second, run);
   };
-  return serveRun(run, shuffle, stats, find_cache, partition, runs.size());
+  return serveRun(run, shuffle, stats, find_cache, partition);
 }
 
 void MapOutputStore::purgeJob(JobId job) {

@@ -1,12 +1,39 @@
 #include "mh/mr/merge.h"
 
+#include <algorithm>
 #include <limits>
 
 namespace mh::mr {
 
 namespace {
 constexpr size_t kUnset = std::numeric_limits<size_t>::max();
+
+/// Orders two keys whose prefixes are equal: when either is at most 8
+/// bytes it is a prefix of the other, so length decides; otherwise the
+/// bytes past the prefix do.
+int comparePrefixTied(std::string_view a, std::string_view b) {
+  if (std::min(a.size(), b.size()) <= 8) {
+    return a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
+  }
+  return a.substr(8).compare(b.substr(8));
+}
 }  // namespace
+
+bool KvRunMerger::Cursor::advance() {
+  if (reader.next(key, value, frame)) {
+    prefix = keyPrefix(key);
+    return true;
+  }
+  exhausted = true;
+  key = value = frame = {};
+  return false;
+}
+
+bool KvRunMerger::Cursor::hasKey(std::string_view other,
+                                 uint64_t other_prefix) const {
+  return !exhausted && prefix == other_prefix && key.size() == other.size() &&
+         (key.size() <= 8 || key.substr(8) == other.substr(8));
+}
 
 KvRunMerger::KvRunMerger(const std::vector<std::string_view>& runs) {
   cursors_.reserve(runs.size());
@@ -14,9 +41,7 @@ KvRunMerger::KvRunMerger(const std::vector<std::string_view>& runs) {
     if (run.empty()) continue;
     Cursor cursor(run);
     // A non-empty run yields at least one record or throws on a torn frame.
-    if (cursor.reader.next(cursor.key, cursor.value)) {
-      cursors_.push_back(cursor);
-    }
+    if (cursor.advance()) cursors_.push_back(cursor);
   }
 
   // Single-run fast path: no tree, the one cursor is always the winner.
@@ -35,7 +60,9 @@ bool KvRunMerger::beats(size_t a, size_t b) const {
   const Cursor& cb = cursors_[b];
   if (ca.exhausted) return false;
   if (cb.exhausted) return true;
-  if (ca.key != cb.key) return ca.key < cb.key;
+  if (ca.prefix != cb.prefix) return ca.prefix < cb.prefix;
+  const int c = comparePrefixTied(ca.key, cb.key);
+  if (c != 0) return c < 0;
   return a < b;  // stable: equal keys drain in run order
 }
 
@@ -52,29 +79,25 @@ void KvRunMerger::replay(size_t leaf) {
   tree_[0] = contender;
 }
 
-void KvRunMerger::advanceCursor(size_t index) {
-  Cursor& cursor = cursors_[index];
-  if (!cursor.reader.next(cursor.key, cursor.value)) {
-    cursor.exhausted = true;
-    cursor.key = {};
-    cursor.value = {};
-  }
+bool KvRunMerger::advanceWinner() {
+  Cursor& cursor = cursors_[winner_];
+  const std::string_view left_key = cursor.key;
+  const uint64_t left_prefix = cursor.prefix;
+  // Same key again: it ties every rival it beat and still wins the tie.
+  if (cursor.advance() && cursor.hasKey(left_key, left_prefix)) return true;
   if (cursors_.size() > 1) {
-    replay(index);
+    replay(winner_);
     winner_ = tree_[0];
   }
+  return false;
 }
 
 std::optional<std::string_view> KvRunMerger::nextValueInGroup() {
   if (!in_group_) return std::nullopt;
-  const Cursor& cursor = cursors_[winner_];
-  if (cursor.exhausted || cursor.key != group_key_) {
-    in_group_ = false;
-    return std::nullopt;
-  }
-  const std::string_view value = cursor.value;
+  const std::string_view value = cursors_[winner_].value;
   ++records_read_;
-  advanceCursor(winner_);
+  in_group_ = advanceWinner() ||
+              cursors_[winner_].hasKey(group_key_, group_prefix_);
   return value;
 }
 
@@ -82,8 +105,36 @@ bool KvRunMerger::nextGroup() {
   while (in_group_) nextValueInGroup();  // skip what the reducer left behind
   if (cursors_.empty() || cursors_[winner_].exhausted) return false;
   group_key_ = cursors_[winner_].key;
+  group_prefix_ = cursors_[winner_].prefix;
   in_group_ = true;
   return true;
+}
+
+std::optional<std::string_view> KvRunMerger::nextFrame() {
+  if (cursors_.empty() || cursors_[winner_].exhausted) return std::nullopt;
+  const std::string_view frame = cursors_[winner_].frame;
+  ++records_read_;
+  advanceWinner();
+  return frame;
+}
+
+int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
+                     Counters& counters, Bytes& out, TaskContext::HeapFn heap,
+                     FileSystemView* fs) {
+  std::vector<KeyValue> combined;
+  TaskContext ctx(
+      spec.conf, counters,
+      [&](Bytes key, Bytes value) {
+        combined.push_back({std::move(key), std::move(value)});
+      },
+      std::move(heap), fs);
+  const auto combiner = spec.combiner();
+  combiner->setup(ctx);
+  while (merger.nextGroup()) {
+    combiner->reduce(merger.key(), merger.values(), ctx);
+  }
+  combiner->cleanup(ctx);
+  return writeSortedRecords(combined, out);
 }
 
 // ------------------------------------------------------ IncrementalMerger
@@ -207,20 +258,15 @@ bool IncrementalMerger::foldOnce() {
 
 Bytes IncrementalMerger::foldBlock(
     const std::vector<const Item*>& block) const {
-  std::vector<BufferView> runs;
+  std::vector<std::string_view> runs;
   runs.reserve(block.size());
   for (const Item* item : block) runs.push_back(item->data);
-  const DecodedRunSet decoded(runs, opts_.allow_decode, opts_.metrics,
-                              opts_.trace, opts_.component);
+  const DecodedRunSet decoded(std::move(runs), opts_.allow_decode,
+                              opts_.metrics, opts_.trace, opts_.component);
   KvRunMerger merger(decoded.views());
   Bytes out;
-  KvWriter writer(out);
-  while (merger.nextGroup()) {
-    const std::string_view key = merger.key();
-    while (const auto value = merger.values().next()) {
-      writer.write(key, *value);
-    }
-  }
+  out.reserve(static_cast<size_t>(decoded.rawBytes()));
+  while (const auto frame = merger.nextFrame()) out.append(*frame);
   return out;
 }
 

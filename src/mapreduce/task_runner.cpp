@@ -98,8 +98,9 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   {
     TraceSpan merge_span(trace, trace_component,
                          "MERGE r" + std::to_string(partition));
-    run_set = std::make_unique<DecodedRunSet>(input_runs, seams_on, metrics,
-                                              trace, trace_component);
+    run_set = std::make_unique<DecodedRunSet>(
+        std::vector<std::string_view>(input_runs.begin(), input_runs.end()),
+        seams_on, metrics, trace, trace_component);
     // Merge phase: each input run is already key-sorted, so stream them
     // through a k-way merge — no run is ever decoded whole beyond that
     // unwrap, and keys/values reach the reducer as views into the fetched

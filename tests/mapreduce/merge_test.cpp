@@ -6,6 +6,7 @@
 
 #include "mh/common/error.h"
 #include "mh/common/rng.h"
+#include "merge_key_pools.h"
 
 namespace mh::mr {
 namespace {
@@ -22,6 +23,13 @@ std::vector<KeyValue> drain(KvRunMerger& merger) {
       out.push_back({Bytes(merger.key()), Bytes(*value)});
     }
   }
+  return out;
+}
+
+/// Drains the merger frame by frame into one run.
+Bytes drainFrames(KvRunMerger& merger) {
+  Bytes out;
+  while (const auto frame = merger.nextFrame()) out.append(*frame);
   return out;
 }
 
@@ -180,6 +188,65 @@ TEST(KvRunMergerTest, RandomizedMergeMatchesConcatResortProperty) {
     KvRunMerger merger(viewsOf(runs));
     EXPECT_EQ(drain(merger), concatResort(runs)) << "trial " << trial;
   }
+}
+
+TEST(KvRunMergerTest, RandomizedAdversarialKeysMatchConcatResortProperty) {
+  // Keys that tie on the 8-byte prefix, embedded NUL and 0xFF bytes, and
+  // same-key stretches split across runs: groups and frames must both
+  // reproduce the concatenate-and-stable-sort oracle exactly.
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<Bytes> runs =
+        testkeys::adversarialRuns(rng, 1 + rng.uniform(9));
+    const std::vector<KeyValue> oracle = concatResort(runs);
+
+    KvRunMerger groups(viewsOf(runs));
+    EXPECT_EQ(drain(groups), oracle) << "trial " << trial;
+
+    KvRunMerger frames(viewsOf(runs));
+    EXPECT_EQ(drainFrames(frames), encodeKvRun(oracle)) << "trial " << trial;
+    EXPECT_EQ(frames.recordsRead(), static_cast<int64_t>(oracle.size()));
+  }
+}
+
+TEST(KvRunMergerTest, GroupEndingAtRunEndHandsOverToTheNextRun) {
+  // Run 0's last records share the group key, so the replay is skipped
+  // until the cursor runs dry; the exhausted cursor must then yield to run
+  // 1, which continues the same group before moving on.
+  const std::vector<Bytes> runs{
+      encodeKvRun({{"k", "0a"}, {"k", "0b"}}),
+      encodeKvRun({{"k", "1a"}, {"z", "1b"}}),
+      encodeKvRun({{"m", "2a"}}),
+  };
+  KvRunMerger merger(viewsOf(runs));
+  ASSERT_TRUE(merger.nextGroup());
+  EXPECT_EQ(merger.key(), "k");
+  std::vector<Bytes> values;
+  while (const auto v = merger.values().next()) values.emplace_back(*v);
+  EXPECT_EQ(values, (std::vector<Bytes>{"0a", "0b", "1a"}));
+  ASSERT_TRUE(merger.nextGroup());
+  EXPECT_EQ(merger.key(), "m");
+  ASSERT_TRUE(merger.nextGroup());
+  EXPECT_EQ(merger.key(), "z");
+  EXPECT_FALSE(merger.nextGroup());
+
+  KvRunMerger frames(viewsOf(runs));
+  EXPECT_EQ(drainFrames(frames), encodeKvRun(concatResort(runs)));
+
+  // One run whose only group runs to its end: no tree, and the group
+  // closes when the cursor is exhausted.
+  const std::vector<Bytes> single{encodeKvRun({{"a", "1"}, {"a", "2"}})};
+  KvRunMerger solo(viewsOf(single));
+  EXPECT_EQ(drain(solo), (std::vector<KeyValue>{{"a", "1"}, {"a", "2"}}));
+  EXPECT_FALSE(solo.nextGroup());
+}
+
+TEST(KvRunMergerTest, TornFrameMidRunThrowsFromNextFrame) {
+  Bytes torn = encodeKvRun({{"a", "1"}, {"a", "2"}});
+  torn.resize(torn.size() - 1);
+  const Bytes good = encodeKvRun({{"m", "3"}});
+  KvRunMerger merger({std::string_view(torn), std::string_view(good)});
+  EXPECT_THROW(drainFrames(merger), InvalidArgumentError);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "mh/common/trace_analysis.h"
 #include "mh/mr/merge.h"
 #include "mh/mr/mini_mr_cluster.h"
+#include "merge_key_pools.h"
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
 #include "testutil/sanitizers.h"
@@ -76,6 +77,49 @@ TEST(IncrementalMergerTest, FoldedAssemblyMatchesOneShotMergeByteForByte) {
   merger.foldOnce();
   EXPECT_GT(merger.segmentCount(), 0u);  // something actually folded
   EXPECT_EQ(drainViews(merger.assemble()), one_shot);
+}
+
+/// Every record of a merge over `views`, as its frames: the bytes a
+/// one-shot merge would write.
+Bytes mergedBytes(const std::vector<BufferView>& views) {
+  KvRunMerger merger(std::vector<std::string_view>(views.begin(), views.end()));
+  Bytes out;
+  while (const auto frame = merger.nextFrame()) out.append(*frame);
+  return out;
+}
+
+TEST(IncrementalMergerTest, AdversarialKeyFoldsMatchOneShotMergeByteForByte) {
+  // Frame-copy folds over keys that tie on the 8-byte prefix and same-key
+  // stretches split across maps: a fold of every run is the one-shot merge
+  // itself, and folds at random times assemble to the same bytes.
+  Rng rng(515);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t maps = 2 + rng.uniform(11);
+    std::vector<BufferView> runs;
+    for (Bytes& run : testkeys::adversarialRuns(rng, maps)) {
+      runs.push_back(BufferView(Buffer::fromString(std::move(run))));
+    }
+    const Bytes one_shot = mergedBytes(runs);
+
+    IncrementalMerger all({.fold_fanin = maps, .adjacent_only = true});
+    for (uint32_t m = 0; m < maps; ++m) all.addRun({m}, runs[m]);
+    ASSERT_TRUE(all.foldOnce());
+    ASSERT_EQ(all.assemble().size(), 1u);
+    EXPECT_EQ(all.assemble()[0].view(), one_shot) << "trial " << trial;
+
+    const size_t fanin = 2 + rng.uniform(3);
+    IncrementalMerger some({.fold_fanin = fanin, .adjacent_only = true});
+    std::vector<uint32_t> order(maps);
+    for (uint32_t m = 0; m < maps; ++m) order[m] = m;
+    for (size_t i = maps - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.uniform(i + 1)]);
+    }
+    for (const uint32_t m : order) {
+      some.addRun({m}, runs[m]);
+      if (rng.chance(0.5)) some.foldOnce();
+    }
+    EXPECT_EQ(mergedBytes(some.assemble()), one_shot) << "trial " << trial;
+  }
 }
 
 TEST(IncrementalMergerTest, ZeroLengthRunsStillCoverTheirMaps) {
