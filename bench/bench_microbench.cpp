@@ -82,9 +82,9 @@ void BM_KvRunEncodeDecode(benchmark::State& state) {
 BENCHMARK(BM_KvRunEncodeDecode);
 
 /// The shipping map path over one TextCorpusGenerator split:
-/// WordCountMapper::map -> MapOutputBuffer::collect -> finish (sort, spill,
-/// final merge), as runMapTask drives it. Reports input records (lines)
-/// per second.
+/// WordCountMapper::map emitting views -> MapOutputBuffer::collect ->
+/// finishSegments (sort, spill, segments shipped unmerged), as runMapTask
+/// drives it. Reports input records (lines) per second.
 void BM_WordCountMapCollect(benchmark::State& state) {
   const Bytes split =
       mh::data::TextCorpusGenerator(
@@ -102,13 +102,15 @@ void BM_WordCountMapCollect(benchmark::State& state) {
   for (auto _ : state) {
     mh::mr::Counters counters;
     mh::mr::MapOutputBuffer buffer(spec, counters, {}, nullptr, nullptr, {});
-    mh::mr::TaskContext ctx(spec.conf, counters, [&](Bytes key, Bytes value) {
-      buffer.collect(key, value,
-                     partitioner->partition(key, spec.num_reducers));
-    });
+    mh::mr::TaskContext ctx(
+        spec.conf, counters,
+        [&](std::string_view key, std::string_view value) {
+          buffer.collect(key, value,
+                         partitioner->partition(key, spec.num_reducers));
+        });
     const auto mapper = spec.mapper();
     for (const std::string_view line : lines) mapper->map({}, line, ctx);
-    benchmark::DoNotOptimize(buffer.finish());
+    benchmark::DoNotOptimize(buffer.finishSegments());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(lines.size()));
@@ -179,9 +181,13 @@ std::vector<Bytes> makeSortedRuns(size_t k, size_t n, size_t distinct) {
 
 /// The shipping reduce merge: stream the runs through the loser tree,
 /// grouped by key, zero-copy. Args are {runs, records per run, distinct
-/// keys}: the first two sets almost never repeat a key; the last is
+/// keys}: the first two sets almost never repeat a key; the last two are
 /// WordCount-shaped, ~650 values per key, where the winner keeps its key
-/// for long stretches and the tree replay is skipped.
+/// for long stretches and the tree replay is skipped. {4, ...} is four
+/// maps that each merged their spills; {20, ...} is the same records as
+/// four maps shipping five spill segments each, and {48, ...} as four maps
+/// shipping twelve. {12, ...} is one map's map-side merge of its twelve
+/// spills — the work a 12-spill map saves by shipping them.
 void BM_ReduceMergeStreaming(benchmark::State& state) {
   const auto runs = makeSortedRuns(static_cast<size_t>(state.range(0)),
                                    static_cast<size_t>(state.range(1)),
@@ -202,6 +208,9 @@ BENCHMARK(BM_ReduceMergeStreaming)
     ->Args({4, 10'000, 5'001})
     ->Args({8, 100'000, 50'001})
     ->Args({4, 100'000, 615})
+    ->Args({20, 20'000, 615})
+    ->Args({12, 8'334, 615})
+    ->Args({48, 8'334, 615})
     ->Unit(benchmark::kMillisecond);
 
 void BM_MemBlockStoreWriteRead(benchmark::State& state) {

@@ -22,6 +22,9 @@ class WordCountMapper : public mr::Mapper {
  public:
   void map(std::string_view key, std::string_view value,
            mr::TaskContext& ctx) override;
+
+ private:
+  std::string word_;  ///< the lower-cased word being emitted
 };
 
 /// Sums counts, re-emitting the binary int64 (usable as a combiner).

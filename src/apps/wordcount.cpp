@@ -20,8 +20,9 @@ const Bytes kOne = mr::MrCodec<int64_t>::enc(1);
 
 void WordCountMapper::map(std::string_view, std::string_view value,
                           mr::TaskContext& ctx) {
-  // Tokens are views into the line; the emitted key is the only string
-  // built per word.
+  // Tokens are views into the line, lower-cased into one reused buffer:
+  // emit copies the key before it returns, so nothing is allocated per
+  // word.
   size_t pos = 0;
   for (std::string_view token = nextWhitespaceToken(value, pos);
        !token.empty(); token = nextWhitespaceToken(value, pos)) {
@@ -30,7 +31,8 @@ void WordCountMapper::map(std::string_view, std::string_view value,
     while (begin < end && !isWordChar(token[begin])) ++begin;
     while (end > begin && !isWordChar(token[end - 1])) --end;
     if (begin < end) {
-      ctx.emit(toLowerAscii(token.substr(begin, end - begin)), kOne);
+      assignLowerAscii(word_, token.substr(begin, end - begin));
+      ctx.emit(word_, kOne);
     }
   }
 }

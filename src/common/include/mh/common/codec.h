@@ -92,6 +92,14 @@ Buffer codecDecode(std::string_view stream, MetricsRegistry* metrics = nullptr,
                    TraceCollector* trace = nullptr,
                    std::string_view component = "codec");
 
+/// codecDecode, appending the raw bytes to `out` instead of a fresh
+/// Buffer — for callers that assemble several decoded streams in one
+/// buffer.
+void codecDecodeAppend(std::string_view stream, Bytes& out,
+                       MetricsRegistry* metrics = nullptr,
+                       TraceCollector* trace = nullptr,
+                       std::string_view component = "codec");
+
 /// Decodes only the frames covering [offset, offset+len) of the raw bytes
 /// and returns a view positioned over exactly that range (len clamps to the
 /// raw end; an offset past the end throws InvalidArgumentError — mirroring

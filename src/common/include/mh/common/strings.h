@@ -42,6 +42,9 @@ std::string formatMillis(int64_t ms);
 /// untouched. Ignores the process locale.
 std::string toLowerAscii(std::string_view s);
 
+/// toLowerAscii into `out`, reusing its capacity.
+void assignLowerAscii(std::string& out, std::string_view s);
+
 /// True if `s` consists only of [0-9] and is non-empty.
 bool isDigits(std::string_view s);
 

@@ -90,11 +90,16 @@ std::string formatMillis(int64_t ms) {
 }
 
 std::string toLowerAscii(std::string_view s) {
-  std::string out(s);
+  std::string out;
+  assignLowerAscii(out, s);
+  return out;
+}
+
+void assignLowerAscii(std::string& out, std::string_view s) {
+  out.assign(s);
   for (auto& c : out) {
     if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
-  return out;
 }
 
 bool isDigits(std::string_view s) {

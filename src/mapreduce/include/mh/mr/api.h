@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string_view>
+#include <type_traits>
 
 #include "mh/common/config.h"
 #include "mh/common/error.h"
@@ -30,9 +31,15 @@ class OutOfMemoryError : public Error {
 };
 
 /// Runtime services available to a running task.
+///
+/// **Emitted records are views.** `emit` hands the key and value to the
+/// next stage as views that are valid only for the duration of the call:
+/// every sink (the map-side sort buffer, the reduce output writer, the
+/// combiner's collector) copies the bytes before it returns. A mapper or
+/// reducer may therefore emit from one buffer it reuses for every record.
 class TaskContext {
  public:
-  using EmitFn = std::function<void(Bytes, Bytes)>;
+  using EmitFn = std::function<void(std::string_view, std::string_view)>;
   using HeapFn = std::function<void(int64_t)>;
 
   TaskContext(const Config& conf, Counters& counters, EmitFn emit,
@@ -43,8 +50,26 @@ class TaskContext {
         heap_(std::move(heap)),
         fs_(fs) {}
 
-  /// Emits one raw record to the next stage.
-  void emit(Bytes key, Bytes value) { emit_(std::move(key), std::move(value)); }
+  /// Adapts a sink that takes owned `(Bytes, Bytes)` records, copying each
+  /// emitted view into the strings it is handed.
+  template <typename Fn>
+    requires(!std::is_invocable_v<Fn&, std::string_view, std::string_view> &&
+             std::is_invocable_v<Fn&, Bytes, Bytes>)
+  TaskContext(const Config& conf, Counters& counters, Fn emit,
+              HeapFn heap = {}, FileSystemView* fs = nullptr)
+      : TaskContext(conf, counters,
+                    EmitFn([emit = std::move(emit)](
+                               std::string_view key,
+                               std::string_view value) mutable {
+                      emit(Bytes(key), Bytes(value));
+                    }),
+                    std::move(heap), fs) {}
+
+  /// Emits one raw record to the next stage. The views need to stay valid
+  /// only until the call returns.
+  void emit(std::string_view key, std::string_view value) {
+    emit_(key, value);
+  }
 
   /// Typed emit through MrCodec.
   template <typename K, typename V>

@@ -78,6 +78,31 @@ class KvReader {
   ByteReader reader_;
 };
 
+/// A map's output for one partition, as it is stored and shipped: its
+/// sorted segments back to back, then a table of their byte lengths (one
+/// big-endian u64 each, in segment order), then the segment count (u64).
+/// The empty buffer holds zero segments. Each segment is a kv_stream run,
+/// codec-framed on its own when a compression seam is on. A map that did
+/// not merge its spills ships one segment per spill, in spill order; the
+/// reducer merges every segment of every map, and KvRunMerger's run-index
+/// tie-break keeps equal keys in (map, spill) order.
+
+/// Appends the table that closes a segmented output whose segments are
+/// already in `out`, with the given byte lengths, in order.
+void appendSegmentTable(Bytes& out, const std::vector<uint64_t>& lengths);
+
+/// Builds a segmented output from separate segments (copying them); empty
+/// segments are left out.
+Bytes joinSegments(const std::vector<std::string_view>& segments);
+
+/// The segments of a segmented output, in order, as views into it. Throws
+/// InvalidArgumentError when the table does not describe the buffer.
+std::vector<std::string_view> splitSegments(std::string_view output);
+
+/// splitSegments over a refcounted buffer: each segment is a slice that
+/// shares (and keeps alive) the whole buffer.
+std::vector<BufferView> splitSegments(const BufferView& output);
+
 /// Decodes a whole run into materialized records.
 std::vector<KeyValue> decodeKvRun(std::string_view run);
 

@@ -22,20 +22,27 @@
 /// prefix that tie on it land adjacent, and each such run is finished by a
 /// comparison sort on the remaining key bytes and insertion order. The
 /// record bytes never move until the spill copies each frame, verbatim and
-/// in index order, into its partition's run.
+/// in index order, into its partition's output.
 ///
 /// The buffer has a hard budget. When the working set (arena bytes, index
 /// bytes, and the radix sort's equally long second buffer) crosses
 /// `io.sort.mb * io.sort.spill.percent`, the buffer sorts, runs the
-/// combiner (per spill, as real Hadoop does), writes one kv_stream run per
-/// partition — a *spill* — and resets the arena. A map task's collect
-/// working set is therefore bounded regardless of input size. `finish()`
-/// spills the remainder and, when a task spilled more than once, merges
-/// the per-partition spill runs through the loser-tree `KvRunMerger`:
-/// with a combiner, through a final combine pass; without one, by copying
-/// each record's frame verbatim.
+/// combiner (per spill, as real Hadoop does), appends one sorted segment
+/// per partition to that partition's output — a *spill* — and resets the
+/// arena. A map task's collect working set is therefore bounded regardless
+/// of input size.
 ///
-/// The arena, index, radix buffer, and retained spill runs are charged
+/// The per-partition outputs are the map output: `finishSegments()` spills
+/// the remainder and closes each with its segment table (kv_stream.h). A
+/// map with no combiner ships its spill segments unmerged, however many
+/// there are; the reducer's k-way merge is the only merge they go through.
+/// A combiner job that spilled more than once merges each partition's
+/// segments into one through the loser-tree `KvRunMerger` and a final
+/// combine pass (which is what shrinks its shuffle), and ships that one
+/// segment. `finish()` merges the shipped segments for callers that want
+/// one run, by copying each record's frame verbatim.
+///
+/// The arena, index, radix buffer, and retained segments are charged
 /// against the TaskTracker heap budget through the task's HeapFn
 /// (capacity-accurate, released when the buffer dies), so a map's memory
 /// discipline is visible on the same gauge as the reduce side's shuffle
@@ -43,10 +50,11 @@
 ///
 /// Counter semantics (Hadoop-faithful):
 ///   MAP_SPILLS       — number of sort/spill passes this task ran
-///   SPILLED_RECORDS  — records written to spill runs, plus records written
-///                      again by the final multi-spill merge; equals map
-///                      output records for a single-spill, combiner-less
-///                      task and exceeds it once a task spills twice
+///   SPILLED_RECORDS  — records written to spill segments, plus records
+///                      written again by a final merge: each record counts
+///                      once per pass that writes it. Equals map output
+///                      records for a combiner-less task, which ships its
+///                      segments
 ///   COMBINE_INPUT/OUTPUT_RECORDS — grow with every spill *and* with the
 ///                      final merge's combine pass
 
@@ -77,11 +85,16 @@ class MapOutputBuffer {
   void collect(std::string_view key, std::string_view value,
                uint32_t partition);
 
-  /// Spills whatever is still buffered, then merges all spill runs into
-  /// the task's final sorted run per partition when spills > 1: a
-  /// loser-tree merge that runs a final combine pass, or, with no
-  /// combiner, copies each record's frame verbatim. Call exactly once,
-  /// after the mapper's cleanup().
+  /// Spills whatever is still buffered and returns the map output, one
+  /// segmented output (kv_stream.h) per partition: the spill segments
+  /// themselves, or — with a combiner and several spills — the one
+  /// segment the final combining merge wrote. Call at most once, after the
+  /// mapper's cleanup(), instead of finish().
+  std::vector<Bytes> finishSegments();
+
+  /// finishSegments(), then each partition's segments merged into one
+  /// sorted kv_stream run (codec-framed when the map-output codec is on).
+  /// Call at most once, instead of finishSegments().
   std::vector<Bytes> finish();
 
   /// Sort/spill passes so far (the MAP_SPILLS counter).
@@ -119,9 +132,15 @@ class MapOutputBuffer {
 
   void sortIndex();
   void spill();
-  /// Encodes one finished run in place when the map-output codec is on,
-  /// bumping the SPILL_RAW/COMPRESSED_BYTES counters. No-op otherwise.
-  void maybeEncodeRun(Bytes& run);
+  /// Encodes `out`'s bytes from `begin` on — one finished segment — in
+  /// place when the map-output codec is on, bumping the
+  /// SPILL_RAW/COMPRESSED_BYTES counters. No-op otherwise.
+  void maybeEncodeTail(Bytes& out, size_t begin);
+  /// Merges `segments` (spill segments, codec-framed when the codec is on)
+  /// into `out` as one segment, combining when the job has a combiner, and
+  /// adds the records written to SPILLED_RECORDS.
+  void mergeSegments(const std::vector<std::string_view>& segments,
+                     Bytes& out);
   /// Runs the combiner over `merger`'s key groups, framing its output into
   /// `out`, and adds the pass to COMBINE_INPUT/OUTPUT_RECORDS with one
   /// increment each. Returns records written.
@@ -151,9 +170,11 @@ class MapOutputBuffer {
   /// The radix sort's ping-pong buffer; it keeps its length (and heap
   /// charge) across spills, so each sort reuses it.
   std::vector<IndexEntry> radix_;
-  /// Encoded spill runs: spills_[s][p] is spill s's run for partition p.
-  std::vector<std::vector<Bytes>> spills_;
-  size_t spill_bytes_ = 0;  ///< total bytes across retained spill runs
+  /// outputs_[p] holds partition p's spill segments back to back, each
+  /// segment_lengths_[p][i] bytes long; empty segments are not recorded.
+  std::vector<Bytes> outputs_;
+  std::vector<std::vector<uint64_t>> segment_lengths_;
+  size_t spill_bytes_ = 0;  ///< total bytes across retained segments
 
   int64_t charged_ = 0;
   int64_t spill_count_ = 0;

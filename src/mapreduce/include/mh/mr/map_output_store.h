@@ -17,8 +17,10 @@
 #include "mh/mr/types.h"
 
 /// \file map_output_store.h
-/// Per-TaskTracker storage for finished map tasks' sorted partition runs.
-/// Reduce tasks fetch from here over the network (the shuffle); the
+/// Per-TaskTracker storage for finished map tasks' partition outputs. Each
+/// (map, partition) output is one buffer holding the map's sorted segments
+/// and their length table (kv_stream.h), served whole as one zero-copy
+/// view. Reduce tasks fetch from here over the network (the shuffle); the
 /// JobTracker tells trackers to purge a job's outputs once it finishes.
 ///
 /// Runs are held behind shared_ptr so serving a fetch only bumps a
@@ -40,11 +42,14 @@
 ///    once to the next build. Reducers name the exact map set they expect
 ///    (`serveNodeOutput`), so a map that re-ran elsewhere is never served
 ///    twice from two nodes' aggregates.
-///  * **Encode-once shuffle serving**: a run stored raw while
-///    `mapred.shuffle.compression` is on is encoded on first serve and the
-///    encoded form cached (charged to the tracker heap budget via the
-///    `TryChargeFn`; over budget the serve falls back to one-shot
-///    encoding), so fetch retries never pay the codec again.
+///    Only combiner jobs combine in-node, so every map output it merges
+///    holds one segment; a multi-segment output there is an
+///    IllegalStateError.
+///  * **Encode-once shuffle serving**: an output stored raw while
+///    `mapred.shuffle.compression` is on has each of its segments encoded
+///    on first serve and the encoded output cached (charged to the tracker
+///    heap budget via the `TryChargeFn`; over budget the serve falls back
+///    to one-shot encoding), so fetch retries never pay the codec again.
 
 namespace mh::mr {
 
@@ -98,9 +103,10 @@ class MapOutputStore {
     int64_t compressed_bytes = 0;
   };
 
-  /// One map's run for `partition`, in wire form under the job's shuffle
-  /// codec: stored-encoded runs ship as-is, raw runs encode once (cached),
-  /// encoded runs with shuffle compression off decode at serve.
+  /// One map's output for `partition`, in wire form under the job's
+  /// shuffle codec, segment by segment: stored-encoded segments ship as-is,
+  /// raw ones encode once (cached), encoded ones with shuffle compression
+  /// off decode at serve. Stats count segment bytes, not the table.
   BufferView serveMapOutput(JobId job, uint32_t map_index, uint32_t partition,
                             CodecKind shuffle, ServeStats* stats = nullptr);
 

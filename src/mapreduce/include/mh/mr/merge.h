@@ -128,20 +128,23 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
                      TaskContext::HeapFn heap = {},
                      FileSystemView* fs = nullptr);
 
-/// The pipelined shuffle's reduce-side accumulator: runs fetched while the
-/// map phase is still going are registered here and folded into a bounded
-/// number of pre-merged segments, so the final merge (once membership is
-/// complete) runs over a handful of segments instead of one run per map.
+/// The pipelined shuffle's reduce-side accumulator: map outputs fetched
+/// while the map phase is still going are registered here and folded into
+/// a bounded number of pre-merged segments, so the final merge (once
+/// membership is complete) runs over a handful of segments instead of
+/// every map's.
 ///
-/// **Identity contract.** Every run is keyed by the sorted set of map
-/// indices it covers (a single map in classic shuffle, a node-combined
-/// membership in in-node mode); covers are disjoint, and the canonical
-/// merge order is ascending lowest-covered-map. In `adjacent_only` mode a
-/// fold only consumes a block of covers forming a gap-free integer range,
-/// and `assemble()` emits segments and unfolded runs in canonical order —
-/// with KvRunMerger's stable tie-break (equal keys drain in run order) the
-/// final merged stream is byte-identical to a one-shot merge over all runs,
-/// no matter which blocks folded or when. In-node covers are not contiguous
+/// **Identity contract.** Every item — one fetched output: a map's sorted
+/// segments in spill order, or a node-combined run — is keyed by the
+/// sorted set of map indices it covers (a single map in classic shuffle, a
+/// node-combined membership in in-node mode); covers are disjoint, and the
+/// canonical merge order is ascending lowest-covered-map, then spill. In
+/// `adjacent_only` mode a fold only consumes a block of covers forming a
+/// gap-free integer range, and `assemble()` emits folded segments and
+/// unfolded items' segments in canonical order — with KvRunMerger's stable
+/// tie-break (equal keys drain in run order) the final merged stream is
+/// byte-identical to a one-shot merge over every map's segments, no matter
+/// which blocks folded or when. In-node covers are not contiguous
 /// ranges, so in-node callers run with `adjacent_only=false` (fold any
 /// block): membership grouping there is already timing-dependent, which is
 /// sound because in-node combining requires a combiner, and combiner jobs
@@ -150,15 +153,15 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 /// **Re-execution.** `invalidate(map)` discards whatever covers a map whose
 /// output went stale — a pending run, or a folded segment (which dissolves;
 /// its other members must be re-fetched). The merger never talks to the
-/// network: the caller re-fetches and `addRun`s again.
+/// network: the caller re-fetches and calls `addSegments` again.
 ///
 /// Not thread-safe; the owning reduce task drives it from one thread.
 class IncrementalMerger {
  public:
   struct Options {
-    /// Fold when an eligible block reaches this many pending runs. The
-    /// final merge therefore sees at most ~fanin unfolded runs per segment
-    /// gap plus the segments themselves.
+    /// Fold when an eligible block reaches this many pending items (map
+    /// outputs, not segments). The final merge therefore sees at most
+    /// ~fanin unfolded items per segment gap plus the segments themselves.
     size_t fold_fanin = 8;
     /// True (classic shuffle): only gap-free map-index ranges may fold,
     /// preserving byte-identity with the one-shot merge. False (in-node):
@@ -175,12 +178,19 @@ class IncrementalMerger {
 
   explicit IncrementalMerger(Options opts) : opts_(std::move(opts)) {}
 
-  /// Registers a fetched run covering `maps` (sorted ascending, non-empty).
-  /// A cover intersecting a pending run replaces it (a stale generation the
-  /// caller chose to overwrite); a cover intersecting a folded segment is
-  /// an error — invalidate() first. Zero-length runs are legal (an empty
-  /// partition) and still cover their maps.
-  void addRun(std::vector<uint32_t> maps, BufferView run);
+  /// Registers a fetched map output covering `maps` (sorted ascending,
+  /// non-empty): its sorted segments, in spill order, which merge as one
+  /// item. A cover intersecting a pending item replaces it (a stale
+  /// generation the caller chose to overwrite); a cover intersecting a
+  /// folded segment is an error — invalidate() first. An empty output (an
+  /// empty partition) is legal and still covers its maps.
+  void addSegments(std::vector<uint32_t> maps,
+                   std::vector<BufferView> segments);
+
+  /// addSegments for one plain sorted run.
+  void addRun(std::vector<uint32_t> maps, BufferView run) {
+    addSegments(std::move(maps), {std::move(run)});
+  }
 
   /// True when `map` is covered by a pending run or folded segment.
   bool covers(uint32_t map) const;
@@ -194,10 +204,13 @@ class IncrementalMerger {
   /// segment. Returns true when anything folded.
   bool foldOnce();
 
-  /// Segments and unfolded runs in canonical (lowest-covered-map) order —
-  /// the input_runs for runReduceTask.
+  /// Folded segments and unfolded items' segments in canonical
+  /// (lowest-covered-map, then spill) order — the input_runs for
+  /// runReduceTask.
   std::vector<BufferView> assemble() const;
 
+  /// Unfolded items: one per fetched map output (or node output), however
+  /// many segments it holds. Folding is triggered by this count.
   size_t pendingRuns() const;
   size_t segmentCount() const;
   size_t foldFanin() const { return opts_.fold_fanin; }
@@ -208,9 +221,11 @@ class IncrementalMerger {
  private:
   struct Item {
     std::vector<uint32_t> cover;  ///< sorted, disjoint from every other item
-    BufferView data;
-    bool segment = false;
+    std::vector<BufferView> runs;  ///< sorted runs, in merge order
+    bool segment = false;          ///< one folded segment
   };
+
+  static int64_t bytesOf(const Item& item);
 
   /// Merges `block` (in canonical order) into one raw segment.
   Bytes foldBlock(const std::vector<const Item*>& block) const;

@@ -15,15 +15,17 @@
 ///
 /// Map side: read split -> map() -> partition -> collect into the
 /// arena-backed MapOutputBuffer (sort/spill under the io.sort.mb budget,
-/// combiner per spill) -> loser-tree merge of the spill runs -> one
-/// kv_stream run per partition. See map_output_buffer.h.
-/// Reduce side: streaming k-way merge over the (already sorted) map runs
-/// for one partition -> group by key -> reduce() -> committed part file.
+/// combiner per spill) -> one segmented output per partition: the sorted
+/// spill segments, or one merged segment. See map_output_buffer.h.
+/// Reduce side: streaming k-way merge over the (already sorted) segments
+/// of every map for one partition -> group by key -> reduce() -> committed
+/// part file.
 
 namespace mh::mr {
 
 struct MapTaskResult {
-  /// One sorted (and combined) kv_stream run per reduce partition.
+  /// One segmented output (kv_stream.h) per reduce partition: the map's
+  /// sorted (and combined) segments, in spill order.
   std::vector<Bytes> partitions;
   Counters counters;
   int64_t millis = 0;
@@ -54,8 +56,9 @@ struct ReduceTaskResult {
   int64_t millis = 0;
 };
 
-/// Executes one reduce task over the collected map runs for `partition`
-/// (refcounted views — shuffled runs are merged in place, never copied)
+/// Executes one reduce task over the collected map segments for
+/// `partition`, in (map, spill) order (refcounted views — shuffled
+/// segments are merged in place, never copied)
 /// and commits output_dir/part-NNNNN via `fs`. When a compression seam is
 /// on (`mapred.map.output.compression.codec` or `mapred.shuffle.compression`
 /// in the spec conf), encoded input runs decode at the merge input; the

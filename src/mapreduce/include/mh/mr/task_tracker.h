@@ -42,7 +42,8 @@ namespace mh::mr {
 
 struct JobSpec;
 
-/// Fetches partition `assignment.task_index`'s run from every map host in
+/// Fetches partition `assignment.task_index`'s map output (its segments
+/// and their table, kv_stream.h) from every map host in
 /// `assignment.map_outputs`, with up to `mapred.reduce.parallel.copies`
 /// fetches in flight at once. Hosts are visited in an order
 /// permuted by a job-seeded RNG (deterministic per seed, so chaos replays

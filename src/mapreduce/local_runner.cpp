@@ -5,6 +5,7 @@
 #include "mh/common/log.h"
 #include "mh/common/stopwatch.h"
 #include "mh/common/threadpool.h"
+#include "mh/mr/kv_stream.h"
 
 namespace mh::mr {
 
@@ -42,20 +43,23 @@ JobResult LocalJobRunner::run(JobSpec spec) {
     result.counters.increment(counters::kJobGroup, counters::kLaunchedMaps,
                               static_cast<int64_t>(splits.size()));
 
-    // "Shuffle": gather the runs for each partition (all in memory, all
-    // local — that is the point of the serial mode). Wrapping adopts each
-    // run's storage into a refcounted buffer; the merge reads it in place.
+    // "Shuffle": gather every map's segments for each partition, in (map,
+    // spill) order (all in memory, all local — that is the point of the
+    // serial mode). Wrapping adopts each output's storage into a refcounted
+    // buffer; the merge reads its segments in place.
     std::vector<std::vector<BufferView>> partition_runs(spec.num_reducers);
     for (uint32_t p = 0; p < spec.num_reducers; ++p) {
       auto& runs = partition_runs[p];
-      runs.reserve(map_results.size());
       for (auto& mr : map_results) {
-        if (!mr.partitions[p].empty()) {
-          result.counters.increment(
-              counters::kShuffleGroup, counters::kShuffleBytes,
-              static_cast<int64_t>(mr.partitions[p].size()));
+        if (mr.partitions[p].empty()) continue;
+        result.counters.increment(
+            counters::kShuffleGroup, counters::kShuffleBytes,
+            static_cast<int64_t>(mr.partitions[p].size()));
+        const BufferView output(
+            Buffer::fromString(std::move(mr.partitions[p])));
+        for (BufferView& segment : splitSegments(output)) {
+          runs.push_back(std::move(segment));
         }
-        runs.emplace_back(Buffer::fromString(std::move(mr.partitions[p])));
       }
     }
 

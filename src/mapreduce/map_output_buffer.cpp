@@ -211,15 +211,17 @@ int64_t MapOutputBuffer::combine(KvRunMerger& merger, Bytes& out) {
   return written;
 }
 
-void MapOutputBuffer::maybeEncodeRun(Bytes& run) {
-  if (codec_ == CodecKind::kNone || run.empty()) return;
+void MapOutputBuffer::maybeEncodeTail(Bytes& out, size_t begin) {
+  if (codec_ == CodecKind::kNone || out.size() == begin) return;
+  const std::string_view raw = std::string_view(out).substr(begin);
   counters_.increment(kTaskGroup, kSpillRawBytes,
-                      static_cast<int64_t>(run.size()));
-  Bytes encoded =
-      codecEncode(codec_, run, metrics_, trace_, trace_component_);
+                      static_cast<int64_t>(raw.size()));
+  const Bytes encoded =
+      codecEncode(codec_, raw, metrics_, trace_, trace_component_);
   counters_.increment(kTaskGroup, kSpillCompressedBytes,
                       static_cast<int64_t>(encoded.size()));
-  run = std::move(encoded);
+  out.resize(begin);
+  out.append(encoded);
 }
 
 void MapOutputBuffer::spill() {
@@ -231,36 +233,43 @@ void MapOutputBuffer::spill() {
 
   sortIndex();
 
-  std::vector<Bytes> runs(partitions_);
+  if (outputs_.empty()) {
+    outputs_.resize(partitions_);
+    segment_lengths_.resize(partitions_);
+  }
   int64_t records_out = 0;
+  size_t segment_bytes = 0;
   size_t i = 0;
   while (i < index_.size()) {
     const uint32_t p = partitionOf(index_[i]);
     size_t j = i + 1;
     while (j < index_.size() && partitionOf(index_[j]) == p) ++j;
-    // The arena already holds each record as its run frame: copy them
-    // verbatim, in sorted order.
-    Bytes& out = runs[p];
-    for (size_t k = i; k < j; ++k) out.append(frameAt(index_[k]));
+    // The segment is appended in place, after the partition's earlier
+    // ones. The arena already holds each record as its segment frame:
+    // copy them verbatim, in sorted order.
+    Bytes& out = outputs_[p];
+    const size_t begin = out.size();
     if (spec_.combiner) {
-      // The combiner reads those frames back as a one-run merge.
-      const Bytes sorted = std::exchange(out, Bytes());
+      // The combiner reads the frames back as a one-run merge.
+      Bytes sorted;
+      for (size_t k = i; k < j; ++k) sorted.append(frameAt(index_[k]));
       KvRunMerger merger({sorted});
       records_out += combine(merger, out);
     } else {
+      for (size_t k = i; k < j; ++k) out.append(frameAt(index_[k]));
       records_out += static_cast<int64_t>(j - i);
+    }
+    // Encode the finished segment before retaining it: the working set
+    // (and the heap charge below) holds only the compressed bytes.
+    maybeEncodeTail(out, begin);
+    if (out.size() > begin) {
+      segment_lengths_[p].push_back(out.size() - begin);
+      segment_bytes += out.size() - begin;
     }
     i = j;
   }
 
-  // Encode each finished run before retaining it: the working set (and the
-  // heap charge below) holds only the compressed bytes.
-  for (Bytes& run : runs) maybeEncodeRun(run);
-
-  size_t run_bytes = 0;
-  for (const Bytes& run : runs) run_bytes += run.size();
-  spill_bytes_ += run_bytes;
-  spills_.push_back(std::move(runs));
+  spill_bytes_ += segment_bytes;
   ++spill_count_;
   counters_.increment(kTaskGroup, kSpilledRecords, records_out);
   counters_.increment(kTaskGroup, kMapSpills);
@@ -275,52 +284,63 @@ void MapOutputBuffer::spill() {
     span.arg("records_in", std::to_string(records_in));
     span.arg("records_out", std::to_string(records_out));
     span.arg("arena_bytes", std::to_string(arena_bytes));
-    span.arg("run_bytes", std::to_string(run_bytes));
+    span.arg("run_bytes", std::to_string(segment_bytes));
   }
 }
 
-std::vector<Bytes> MapOutputBuffer::finish() {
+void MapOutputBuffer::mergeSegments(
+    const std::vector<std::string_view>& segments, Bytes& out) {
+  // Encoded segments decode transiently for this partition's merge; the
+  // decoded buffers die with the call.
+  const DecodedRunSet decoded(segments, codec_ != CodecKind::kNone, metrics_,
+                              trace_, trace_component_);
+  KvRunMerger merger(decoded.views());
+  int64_t records_out = 0;
+  if (spec_.combiner) {
+    records_out = combine(merger, out);
+  } else {
+    out.reserve(static_cast<size_t>(decoded.rawBytes()));
+    while (const auto frame = merger.nextFrame()) out.append(*frame);
+    records_out = merger.recordsRead();
+  }
+  // Hadoop counts the final merge's rewrite as spilled records too — and
+  // the re-encoded merged segment counts toward the byte counters the same
+  // way.
+  counters_.increment(kTaskGroup, kSpilledRecords, records_out);
+  maybeEncodeTail(out, 0);
+}
+
+std::vector<Bytes> MapOutputBuffer::finishSegments() {
   if (finished_) throw IllegalStateError("MapOutputBuffer::finish called twice");
   finished_ = true;
   spill();
 
   std::vector<Bytes> result(partitions_);
-  if (spills_.size() == 1) {
-    // Single spill: its runs ARE the task output (no merge, no re-combine —
-    // the per-spill combine already ran).
-    result = std::move(spills_[0]);
-  } else if (spills_.size() > 1) {
-    // Multi-spill: per partition, loser-tree merge of the spill runs, with
-    // one more combine pass over the merged stream (Hadoop's final merge).
-    for (uint32_t p = 0; p < partitions_; ++p) {
-      // Encoded spill runs decode transiently for this partition's merge;
-      // the decoded buffers die with the iteration.
-      std::vector<std::string_view> runs;
-      runs.reserve(spills_.size());
-      for (const auto& spill : spills_) runs.push_back(spill[p]);
-      const DecodedRunSet decoded(std::move(runs), codec_ != CodecKind::kNone,
-                                  metrics_, trace_, trace_component_);
-      KvRunMerger merger(decoded.views());
-
-      int64_t records_out = 0;
-      if (spec_.combiner) {
-        records_out = combine(merger, result[p]);
-      } else {
-        result[p].reserve(static_cast<size_t>(decoded.rawBytes()));
-        while (const auto frame = merger.nextFrame()) result[p].append(*frame);
-        records_out = merger.recordsRead();
-      }
-      // Hadoop counts the final merge's rewrite as spilled records too —
-      // and the re-encoded final run counts toward the byte counters the
-      // same way.
-      counters_.increment(kTaskGroup, kSpilledRecords, records_out);
-      maybeEncodeRun(result[p]);
+  // A combiner's final pass shrinks what the map ships, so a combiner job
+  // that spilled more than once merges every partition through it — also
+  // one whose records all fell in a single spill. Without a combiner the
+  // reducer's k-way merge is the only merge the segments go through.
+  const bool merge_spills = spec_.combiner && spill_count_ > 1;
+  for (uint32_t p = 0; p < partitions_ && !outputs_.empty(); ++p) {
+    const std::vector<uint64_t>& lengths = segment_lengths_[p];
+    appendSegmentTable(outputs_[p], lengths);
+    Bytes& out = result[p];
+    if (merge_spills && !lengths.empty()) {
+      mergeSegments(splitSegments(outputs_[p]), out);
+      if (!out.empty()) appendSegmentTable(out, {out.size()});
+      Bytes().swap(outputs_[p]);
+    } else {
+      out = std::move(outputs_[p]);  // the segments, unmerged
     }
+    // Appending grew the output geometrically, and the map output store
+    // keeps it for the rest of the job: trim the slack.
+    out.shrink_to_fit();
   }
 
-  // Release the whole working-set charge; the final runs leave the buffer
-  // (they are handed to the MapOutputStore / shuffle, like before).
-  spills_.clear();
+  // Release the whole working-set charge; the outputs leave the buffer
+  // (they are handed to the MapOutputStore / shuffle).
+  outputs_.clear();
+  segment_lengths_.clear();
   spill_bytes_ = 0;
   // Swap, not move-assign: assigning an empty string keeps the heap buffer.
   Bytes().swap(arena_);
@@ -328,6 +348,21 @@ std::vector<Bytes> MapOutputBuffer::finish() {
   radix_ = std::vector<IndexEntry>();
   syncCharge();
   return result;
+}
+
+std::vector<Bytes> MapOutputBuffer::finish() {
+  std::vector<Bytes> runs = finishSegments();
+  for (Bytes& run : runs) {
+    const std::vector<std::string_view> segments = splitSegments(run);
+    if (segments.size() > 1) {
+      Bytes merged;
+      mergeSegments(segments, merged);
+      run = std::move(merged);
+    } else {
+      run.resize(segments.empty() ? 0 : segments[0].size());
+    }
+  }
+  return runs;
 }
 
 }  // namespace mh::mr

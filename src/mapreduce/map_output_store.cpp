@@ -230,13 +230,23 @@ std::vector<std::shared_ptr<const Bytes>> MapOutputStore::nodeRuns(
   Counters scratch;  // combiner side-counters stay out of the job report
   std::vector<std::shared_ptr<const Bytes>> result(num_partitions);
   for (size_t p = 0; p < num_partitions; ++p) {
-    // Encoded per-map runs decode transiently for this partition's merge;
-    // the decoded buffers die with the iteration.
+    // Encoded per-map segments decode transiently for this partition's
+    // merge; the decoded buffers die with the iteration.
     std::vector<std::string_view> runs;
     runs.reserve(sources.size());
     for (const Source& source : sources) {
-      runs.push_back(*source.runs[p]);
-      stored_in += static_cast<int64_t>(runs.back().size());
+      const std::vector<std::string_view> segments =
+          splitSegments(*source.runs[p]);
+      // Only combiner jobs combine in-node, and a combiner job's map
+      // merges its spills into one segment (map_output_buffer.h).
+      if (segments.size() > 1) {
+        throw IllegalStateError(
+            "in-node combine needs one segment per map output; map=" +
+            std::to_string(source.map_index) + " shipped " +
+            std::to_string(segments.size()));
+      }
+      runs.insert(runs.end(), segments.begin(), segments.end());
+      stored_in += static_cast<int64_t>(source.runs[p]->size());
     }
     const DecodedRunSet decoded(std::move(runs), codec != CodecKind::kNone,
                                 metrics_, trace_, component_);
@@ -253,6 +263,7 @@ std::vector<std::shared_ptr<const Bytes>> MapOutputStore::nodeRuns(
     if (codec != CodecKind::kNone && !out.empty()) {
       out = codecEncode(codec, out, metrics_, trace_, component_);
     }
+    if (!out.empty()) appendSegmentTable(out, {out.size()});
     stored_out += static_cast<int64_t>(out.size());
     result[p] = std::make_shared<const Bytes>(std::move(out));
   }
@@ -357,21 +368,26 @@ BufferView MapOutputStore::serveRun(
     const std::function<std::vector<std::shared_ptr<const Bytes>>*()>&
         find_cache,
     uint32_t partition) {
-  const bool encoded = isEncodedStream(*run);
+  // The map-output codec framed every segment of a map output, or none.
+  const std::vector<std::string_view> segments = splitSegments(*run);
+  const bool encoded = !segments.empty() && isEncodedStream(segments[0]);
   if (shuffle != CodecKind::kNone) {
     if (encoded) {
       // Stored frames ship as-is; the reducer decodes at merge input.
       if (stats != nullptr) {
-        stats->raw_bytes +=
-            static_cast<int64_t>(encodedStreamInfo(*run).raw_size);
-        stats->compressed_bytes += static_cast<int64_t>(run->size());
+        for (const std::string_view segment : segments) {
+          stats->raw_bytes +=
+              static_cast<int64_t>(encodedStreamInfo(segment).raw_size);
+          stats->compressed_bytes += static_cast<int64_t>(segment.size());
+        }
       }
       return BufferView(Buffer::wrap(run));
     }
     if (run->empty()) return BufferView(Buffer::wrap(run));
-    // Stored raw (map-output codec off): encode for the wire — once. The
-    // first serve caches the encoded form (heap-budget permitting) so fetch
-    // retries and re-fetches never pay the codec again.
+    // Stored raw (map-output codec off): encode each segment for the wire
+    // — once. The first serve caches the encoded form (heap-budget
+    // permitting) so fetch retries and re-fetches never pay the codec
+    // again.
     std::shared_ptr<const Bytes> wire;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -381,8 +397,14 @@ BufferView MapOutputStore::serveRun(
       }
     }
     if (wire == nullptr) {
-      Bytes bytes = codecEncode(shuffle, *run, metrics_, trace_, component_);
-      wire = std::make_shared<const Bytes>(std::move(bytes));
+      std::vector<Bytes> frames;
+      frames.reserve(segments.size());
+      for (const std::string_view segment : segments) {
+        frames.push_back(
+            codecEncode(shuffle, segment, metrics_, trace_, component_));
+      }
+      wire = std::make_shared<const Bytes>(
+          joinSegments({frames.begin(), frames.end()}));
       std::lock_guard<std::mutex> lock(mutex_);
       auto* cache = find_cache();
       if (cache != nullptr && partition < cache->size() &&
@@ -392,15 +414,29 @@ BufferView MapOutputStore::serveRun(
       }
     }
     if (stats != nullptr) {
-      stats->raw_bytes += static_cast<int64_t>(run->size());
-      stats->compressed_bytes += static_cast<int64_t>(wire->size());
+      for (const std::string_view segment : segments) {
+        stats->raw_bytes += static_cast<int64_t>(segment.size());
+      }
+      for (const std::string_view frame : splitSegments(*wire)) {
+        stats->compressed_bytes += static_cast<int64_t>(frame.size());
+      }
     }
     return BufferView(Buffer::wrap(wire));
   }
   if (encoded) {
     // Stored compressed but shuffle compression off: decode at serve so the
-    // wire carries plain kv bytes (seam independence).
-    return BufferView(codecDecode(*run, metrics_, trace_, component_));
+    // wire carries plain kv bytes (seam independence). Each segment decodes
+    // straight into the one served buffer.
+    Bytes plain;
+    std::vector<uint64_t> lengths;
+    lengths.reserve(segments.size());
+    for (const std::string_view segment : segments) {
+      const size_t begin = plain.size();
+      codecDecodeAppend(segment, plain, metrics_, trace_, component_);
+      lengths.push_back(plain.size() - begin);
+    }
+    appendSegmentTable(plain, lengths);
+    return BufferView(Buffer::fromString(std::move(plain)));
   }
   return BufferView(Buffer::wrap(run));
 }

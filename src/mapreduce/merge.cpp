@@ -124,8 +124,8 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
   std::vector<KeyValue> combined;
   TaskContext ctx(
       spec.conf, counters,
-      [&](Bytes key, Bytes value) {
-        combined.push_back({std::move(key), std::move(value)});
+      [&](std::string_view key, std::string_view value) {
+        combined.push_back({Bytes(key), Bytes(value)});
       },
       std::move(heap), fs);
   const auto combiner = spec.combiner();
@@ -139,9 +139,18 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 
 // ------------------------------------------------------ IncrementalMerger
 
-void IncrementalMerger::addRun(std::vector<uint32_t> maps, BufferView run) {
+int64_t IncrementalMerger::bytesOf(const Item& item) {
+  int64_t bytes = 0;
+  for (const BufferView& run : item.runs) {
+    bytes += static_cast<int64_t>(run.size());
+  }
+  return bytes;
+}
+
+void IncrementalMerger::addSegments(std::vector<uint32_t> maps,
+                                    std::vector<BufferView> segments) {
   if (maps.empty()) {
-    throw InvalidArgumentError("IncrementalMerger::addRun: empty cover");
+    throw InvalidArgumentError("IncrementalMerger::addSegments: empty cover");
   }
   // A cover intersecting pending runs replaces them (stale-generation
   // delivery); intersecting a folded segment means the caller skipped the
@@ -158,15 +167,16 @@ void IncrementalMerger::addRun(std::vector<uint32_t> maps, BufferView run) {
     }
     if (item.segment) {
       throw InvalidArgumentError(
-          "IncrementalMerger::addRun: cover intersects folded segment "
+          "IncrementalMerger::addSegments: cover intersects folded segment "
           "(invalidate first)");
     }
-    held_bytes_ -= static_cast<int64_t>(item.data.size());
+    held_bytes_ -= bytesOf(item);
     it = items_.erase(it);
   }
-  held_bytes_ += static_cast<int64_t>(run.size());
   const uint32_t key = maps.front();
-  items_[key] = Item{std::move(maps), std::move(run), /*segment=*/false};
+  Item& item = items_[key] =
+      Item{std::move(maps), std::move(segments), /*segment=*/false};
+  held_bytes_ += bytesOf(item);
 }
 
 bool IncrementalMerger::covers(uint32_t map) const {
@@ -189,7 +199,7 @@ std::vector<uint32_t> IncrementalMerger::invalidate(uint32_t map) {
     for (const uint32_t m : item.cover) {
       if (m != map) collateral.push_back(m);
     }
-    held_bytes_ -= static_cast<int64_t>(item.data.size());
+    held_bytes_ -= bytesOf(item);
     items_.erase(it);
     return collateral;
   }
@@ -242,7 +252,7 @@ bool IncrementalMerger::foldOnce() {
   }
   for (const auto& block : chains) {
     for (const Item* item : block) {
-      held_bytes_ -= static_cast<int64_t>(item->data.size());
+      held_bytes_ -= bytesOf(*item);
       items_.erase(item->cover.front());
     }
   }
@@ -250,7 +260,7 @@ bool IncrementalMerger::foldOnce() {
     const uint32_t key = f.cover.front();
     BufferView segment(Buffer::fromString(std::move(f.data)));
     held_bytes_ += static_cast<int64_t>(segment.size());
-    items_[key] = Item{std::move(f.cover), std::move(segment),
+    items_[key] = Item{std::move(f.cover), {std::move(segment)},
                        /*segment=*/true};
   }
   return true;
@@ -259,8 +269,9 @@ bool IncrementalMerger::foldOnce() {
 Bytes IncrementalMerger::foldBlock(
     const std::vector<const Item*>& block) const {
   std::vector<std::string_view> runs;
-  runs.reserve(block.size());
-  for (const Item* item : block) runs.push_back(item->data);
+  for (const Item* item : block) {
+    runs.insert(runs.end(), item->runs.begin(), item->runs.end());
+  }
   const DecodedRunSet decoded(std::move(runs), opts_.allow_decode,
                               opts_.metrics, opts_.trace, opts_.component);
   KvRunMerger merger(decoded.views());
@@ -272,8 +283,9 @@ Bytes IncrementalMerger::foldBlock(
 
 std::vector<BufferView> IncrementalMerger::assemble() const {
   std::vector<BufferView> out;
-  out.reserve(items_.size());
-  for (const auto& [key, item] : items_) out.push_back(item.data);
+  for (const auto& [key, item] : items_) {
+    out.insert(out.end(), item.runs.begin(), item.runs.end());
+  }
   return out;
 }
 

@@ -43,7 +43,7 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
   int64_t output_bytes = 0;
   TaskContext map_ctx(
       spec.conf, c,
-      [&](Bytes key, Bytes value) {
+      [&](std::string_view key, std::string_view value) {
         ++output_records;
         output_bytes += static_cast<int64_t>(key.size() + value.size());
         buffer.collect(key, value, partitioner->partition(key, parts));
@@ -63,7 +63,7 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
     mapper->cleanup(map_ctx);
   }
 
-  result.partitions = buffer.finish();
+  result.partitions = buffer.finishSegments();
   publish(c, kMapInputRecords, input_records);
   publish(c, kMapOutputRecords, output_records);
   publish(c, kMapOutputBytes, output_bytes);
@@ -136,7 +136,7 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   int64_t output_records = 0;
   TaskContext reduce_ctx(
       spec.conf, c,
-      [&](Bytes key, Bytes value) {
+      [&](std::string_view key, std::string_view value) {
         ++output_records;
         writer->write(key, value);
       },

@@ -11,6 +11,7 @@
 #include "mh/common/rng.h"
 #include "mh/common/stopwatch.h"
 #include "mh/hdfs/dfs_client.h"
+#include "mh/mr/kv_stream.h"
 #include "mh/mr/merge.h"
 #include "mh/mr/task_runner.h"
 
@@ -898,7 +899,7 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
           continue;
         }
         const auto bytes = static_cast<int64_t>(runs[i].size());
-        merger.addRun(unit.maps, runs[i]);
+        merger.addSegments(unit.maps, splitSegments(runs[i]));
         charge(bytes);
         pipelined_runs_->add();
         pipelined_bytes_->add(bytes);

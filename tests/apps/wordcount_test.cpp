@@ -20,9 +20,10 @@ std::vector<mr::KeyValue> mapLine(std::string_view line) {
   Config conf;
   mr::Counters counters;
   std::vector<mr::KeyValue> emitted;
-  mr::TaskContext ctx(conf, counters, [&](Bytes key, Bytes value) {
-    emitted.push_back({std::move(key), std::move(value)});
-  });
+  mr::TaskContext ctx(conf, counters,
+                      [&](std::string_view key, std::string_view value) {
+                        emitted.push_back({Bytes(key), Bytes(value)});
+                      });
   WordCountMapper mapper;
   mapper.map("", line, ctx);
   return emitted;

@@ -28,8 +28,9 @@ namespace {
 using namespace testjobs;
 using namespace counters;
 
-/// A sorted (word, int64 count) kv_stream run, as a map task would store it.
-Bytes makeRun(const std::map<std::string, int64_t>& counts) {
+/// A sorted (word, int64 count) kv_stream run, as one segment of a map
+/// output.
+Bytes makeSegment(const std::map<std::string, int64_t>& counts) {
   Bytes run;
   KvWriter writer(run);
   for (const auto& [word, count] : counts) {
@@ -38,15 +39,24 @@ Bytes makeRun(const std::map<std::string, int64_t>& counts) {
   return run;
 }
 
-/// Decodes a combined run back to word -> summed count (duplicate keys sum,
-/// so the same helper reads combined and uncombined runs).
-std::map<std::string, int64_t> decodeCounts(std::string_view run) {
+/// A combiner job's map output for one partition, as a map task stores it:
+/// one sorted segment plus its segment table.
+Bytes makeRun(const std::map<std::string, int64_t>& counts) {
+  return joinSegments({makeSegment(counts)});
+}
+
+/// Decodes a served map or node output back to word -> summed count
+/// (duplicate keys sum, so the same helper reads combined and uncombined
+/// outputs).
+std::map<std::string, int64_t> decodeCounts(std::string_view output) {
   std::map<std::string, int64_t> counts;
-  KvReader reader(run);
-  std::string_view key;
-  std::string_view value;
-  while (reader.next(key, value)) {
-    counts[std::string(key)] += MrCodec<int64_t>::dec(value);
+  for (const std::string_view segment : splitSegments(output)) {
+    KvReader reader(segment);
+    std::string_view key;
+    std::string_view value;
+    while (reader.next(key, value)) {
+      counts[std::string(key)] += MrCodec<int64_t>::dec(value);
+    }
   }
   return counts;
 }
@@ -168,8 +178,8 @@ TEST(InnodeCombineStoreTest, RawRunEncodesOnceAcrossServes) {
   // the wire form; the codec's encode histogram proves the second serve
   // paid nothing.
   StoreFixture f;
-  const Bytes raw = makeRun({{"data", 1}, {"map", 2}, {"shuffle", 3}});
-  f.store.put(kJob, 0, {Bytes(raw)});
+  const Bytes raw = makeSegment({{"data", 1}, {"map", 2}, {"shuffle", 3}});
+  f.store.put(kJob, 0, {joinSegments({raw})});
 
   MapOutputStore::ServeStats first_stats;
   const BufferView first =
@@ -198,8 +208,7 @@ TEST(InnodeCombineStoreTest, DeclinedBudgetServesUncachedAndReencodes) {
   MapOutputStore store;
   store.attach(&registry, &metrics, nullptr, "store",
                [](int64_t delta) { return delta <= 0; });  // refuse growth
-  const Bytes raw = makeRun({{"data", 1}, {"map", 2}});
-  store.put(kJob, 0, {Bytes(raw)});
+  store.put(kJob, 0, {makeRun({{"data", 1}, {"map", 2}})});
 
   const BufferView first =
       store.serveMapOutput(kJob, 0, 0, CodecKind::kMhLz);

@@ -43,6 +43,60 @@ TEST(KvStreamTest, TornFrameThrows) {
   EXPECT_THROW(decodeKvRun(run), InvalidArgumentError);
 }
 
+TEST(SegmentTableTest, SplitReturnsTheJoinedSegments) {
+  const Bytes a = encodeKvRun({{"a", "1"}, {"c", "2"}});
+  const Bytes b = encodeKvRun({{"b", "3"}});
+  const Bytes output = joinSegments({a, "", b});
+  // The empty segment is left out; the rest come back in order, as views
+  // and as slices of one shared buffer.
+  EXPECT_EQ(splitSegments(std::string_view(output)),
+            (std::vector<std::string_view>{a, b}));
+  const BufferView shared(Buffer::copyOf(output));
+  const std::vector<BufferView> slices = splitSegments(shared);
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_EQ(slices[0], a);
+  EXPECT_EQ(slices[1], b);
+  EXPECT_EQ(slices[1].buffer().data(), shared.buffer().data());
+
+  // Zero segments is the empty buffer, both ways.
+  EXPECT_TRUE(joinSegments({}).empty());
+  EXPECT_TRUE(joinSegments({""}).empty());
+  EXPECT_TRUE(splitSegments(std::string_view()).empty());
+
+  // A table appended in place describes the segments already written.
+  Bytes in_place = a;
+  in_place += b;
+  appendSegmentTable(in_place, {a.size(), b.size()});
+  EXPECT_EQ(in_place, output);
+}
+
+TEST(SegmentTableTest, TornTableThrows) {
+  const Bytes output = joinSegments({encodeKvRun({{"a", "1"}}),
+                                     encodeKvRun({{"b", "2"}, {"c", "3"}})});
+  const auto expectTorn = [](const Bytes& bytes) {
+    EXPECT_THROW(splitSegments(std::string_view(bytes)),
+                 InvalidArgumentError);
+    EXPECT_THROW(splitSegments(BufferView(Buffer::copyOf(bytes))),
+                 InvalidArgumentError);
+  };
+  // Cut anywhere: the count or the lengths no longer add up.
+  for (size_t cut = 1; cut < output.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    expectTorn(output.substr(0, output.size() - cut));
+  }
+  // A plain run is not a segmented output.
+  expectTorn(encodeKvRun({{"plain", "run"}}));
+  // Every byte of the table matters: a flipped bit in a length or in the
+  // count breaks the sum.
+  const size_t table = 3 * sizeof(uint64_t);
+  for (size_t i = output.size() - table; i < output.size(); ++i) {
+    SCOPED_TRACE(i);
+    Bytes bad = output;
+    bad[i] = static_cast<char>(bad[i] ^ 0x10);
+    expectTorn(bad);
+  }
+}
+
 TEST(KvStreamTest, RandomizedRoundTripProperty) {
   Rng rng(77);
   for (int trial = 0; trial < 20; ++trial) {

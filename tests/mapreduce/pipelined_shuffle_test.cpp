@@ -122,6 +122,62 @@ TEST(IncrementalMergerTest, AdversarialKeyFoldsMatchOneShotMergeByteForByte) {
   }
 }
 
+TEST(IncrementalMergerTest, MultiSegmentOutputsMergeInMapThenSpillOrder) {
+  // Maps that ship several spill segments: one item per map output, folds
+  // counted in items, and the assembled merge equal to a one-shot merge
+  // over every segment in (map, spill) order, byte for byte.
+  Rng rng(616);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t maps = 2 + rng.uniform(9);
+    std::vector<std::vector<BufferView>> outputs(maps);
+    std::vector<BufferView> in_order;
+    for (auto& segments : outputs) {
+      for (Bytes& run : testkeys::adversarialRuns(rng, 1 + rng.uniform(5))) {
+        segments.push_back(BufferView(Buffer::fromString(std::move(run))));
+        in_order.push_back(segments.back());
+      }
+    }
+    const Bytes one_shot = mergedBytes(in_order);
+
+    const size_t fanin = 2 + rng.uniform(3);
+    IncrementalMerger merger({.fold_fanin = fanin, .adjacent_only = true});
+    std::vector<uint32_t> order(maps);
+    for (uint32_t m = 0; m < maps; ++m) order[m] = m;
+    for (size_t i = maps - 1; i > 0; --i) {
+      std::swap(order[i], order[rng.uniform(i + 1)]);
+    }
+    size_t added = 0;
+    for (const uint32_t m : order) {
+      merger.addSegments({m}, outputs[m]);
+      ++added;
+      if (merger.segmentCount() == 0) {
+        // Nothing folded yet: every item is one map's output, however many
+        // segments it holds, and folding needs `fanin` of them.
+        EXPECT_EQ(merger.pendingRuns(), added) << "trial " << trial;
+      }
+      if (rng.chance(0.5)) merger.foldOnce();
+    }
+    EXPECT_EQ(mergedBytes(merger.assemble()), one_shot) << "trial " << trial;
+  }
+}
+
+TEST(IncrementalMergerTest, FewerOutputsThanTheFaninNeverFold) {
+  // bulk-wc's shape: 4 maps of 5 segments each are 4 items, below the
+  // default fan-in of 8, so the reducer's only merge is the final one.
+  IncrementalMerger merger({});
+  for (uint32_t m = 0; m < 4; ++m) {
+    std::vector<BufferView> segments;
+    for (int s = 0; s < 5; ++s) {
+      segments.push_back(
+          runOf({{"k" + std::to_string(s), "m" + std::to_string(m)}}));
+    }
+    merger.addSegments({m}, std::move(segments));
+  }
+  EXPECT_EQ(merger.pendingRuns(), 4u);
+  EXPECT_FALSE(merger.foldOnce());
+  EXPECT_EQ(merger.assemble().size(), 20u);
+}
+
 TEST(IncrementalMergerTest, ZeroLengthRunsStillCoverTheirMaps) {
   // An empty partition is a legal map output: it must count toward
   // membership (covers) and fold away without disturbing its neighbors.

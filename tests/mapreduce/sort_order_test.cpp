@@ -8,6 +8,8 @@
 #include "mh/mr/kv_stream.h"
 #include "mh/mr/local_runner.h"
 #include "mh/mr/map_output_buffer.h"
+#include "mh/mr/merge.h"
+#include "merge_key_pools.h"
 #include "mr_test_jobs.h"
 
 /// Differential test of the map-side sort: every run MapOutputBuffer
@@ -27,6 +29,7 @@ namespace mh::mr {
 namespace {
 
 using namespace std::string_literals;
+using namespace counters;
 
 /// kShort: every key fits the 8-byte prefix. kLong: the short pool plus
 /// longer keys on a few shared prefixes. kSharedPrefix: every key is a
@@ -220,6 +223,183 @@ TEST_P(SortOrderTest, RunsMatchStableSortOracle) {
     for (size_t i = 0; i < actual.size(); ++i) {
       ASSERT_EQ(actual[i], expected[p][i])
           << "partition " << p << " record " << i;
+    }
+  }
+}
+
+/// Collects `records` into two buffers for `spec` and checks that a
+/// KvRunMerger over each partition's shipped segments rebuilds finish()'s
+/// merged run byte for byte. A combiner job that spilled more than once
+/// ships one segment per partition. Returns the spill count.
+int64_t expectSegmentsMergeToFinish(
+    const JobSpec& spec,
+    const std::vector<std::pair<KeyValue, uint32_t>>& records) {
+  Counters counters;
+  MapOutputBuffer merged(spec, counters, {}, nullptr, nullptr, {});
+  MapOutputBuffer shipped(spec, counters, {}, nullptr, nullptr, {});
+  for (const auto& [kv, p] : records) {
+    merged.collect(kv.key, kv.value, p);
+    shipped.collect(kv.key, kv.value, p);
+  }
+  const std::vector<Bytes> runs = merged.finish();
+  const std::vector<Bytes> outputs = shipped.finishSegments();
+  EXPECT_EQ(outputs.size(), runs.size());
+  for (size_t p = 0; p < std::min(runs.size(), outputs.size()); ++p) {
+    const std::vector<std::string_view> segments = splitSegments(outputs[p]);
+    const int64_t most =
+        spec.combiner && shipped.spillCount() > 1 ? 1 : shipped.spillCount();
+    EXPECT_LE(segments.size(), static_cast<size_t>(most)) << "partition " << p;
+    KvRunMerger merger(segments);
+    Bytes rebuilt;
+    while (const auto frame = merger.nextFrame()) rebuilt.append(*frame);
+    EXPECT_EQ(rebuilt, runs[p]) << "partition " << p;
+  }
+  return shipped.spillCount();
+}
+
+/// The reducer merges a map's shipped segments; what it reads must be
+/// exactly the run the map's own final merge would have written.
+TEST_P(SortOrderTest, SegmentMergeEqualsFinish) {
+  const SortCase c = GetParam();
+  Rng rng(2000 + c.partitions);
+  const auto pool = keyPool(c.mix, rng);
+
+  JobSpec spec;
+  spec.num_reducers = c.partitions;
+  if (c.combiner == CombinerKind::kConcat) {
+    spec.combiner = [] { return std::make_unique<ConcatCombiner<false>>(); };
+  } else if (c.combiner == CombinerKind::kRewriteKeys) {
+    spec.combiner = [] { return std::make_unique<ConcatCombiner<true>>(); };
+  }
+  spec.conf.setInt("io.sort.mb", 1);
+  if (c.multi_spill) spec.conf.setDouble("io.sort.spill.percent", 0.05);
+
+  std::hash<std::string> hash;
+  std::vector<std::pair<KeyValue, uint32_t>> records;
+  for (int i = 0; i < 12'000; ++i) {
+    std::string key = pool[rng.uniform(pool.size())];
+    const auto p = static_cast<uint32_t>(hash(key) % c.partitions);
+    records.push_back({{std::move(key), "v" + std::to_string(i)}, p});
+  }
+  const int64_t spills = expectSegmentsMergeToFinish(spec, records);
+  if (c.multi_spill) {
+    EXPECT_GE(spills, 2);
+  } else {
+    EXPECT_EQ(spills, 1);
+  }
+}
+
+/// The merge key pools' adversarial keys, in long same-key stretches, under
+/// budgets that spill 2-10 times and more than 10 times (Hadoop's
+/// io.sort.factor default): every segment ships either way.
+TEST(SegmentMergeTest, AdversarialKeysMergeToFinish) {
+  Rng rng(31);
+  std::vector<std::pair<KeyValue, uint32_t>> records;
+  for (const Bytes& run : testkeys::adversarialRuns(rng, 300)) {
+    for (KeyValue& kv : decodeKvRun(run)) {
+      const auto p = static_cast<uint32_t>(kv.key.size() % 3);
+      records.push_back({std::move(kv), p});
+    }
+  }
+  for (const auto& [percent, many] :
+       {std::pair{0.25, false}, std::pair{0.05, true}}) {
+    SCOPED_TRACE(percent);
+    JobSpec spec;
+    spec.num_reducers = 3;
+    spec.conf.setInt("io.sort.mb", 1);
+    spec.conf.setDouble("io.sort.spill.percent", percent);
+    const int64_t spills = expectSegmentsMergeToFinish(spec, records);
+    if (many) {
+      EXPECT_GT(spills, 10);
+    } else {
+      EXPECT_GE(spills, 2);
+      EXPECT_LE(spills, 10);
+    }
+  }
+}
+
+/// Partition 1's records all arrive after partition 0 has spilled several
+/// times, so they land in the last spill only: one segment. A combiner job
+/// still puts that partition through the final combining merge — the
+/// rewrite-keys combiner's second pass restores its keys, and the combine
+/// and spill counters count it — while a combiner-less map ships every
+/// segment as it is. Partition 0's keys are unique, so each combine pass
+/// over them passes every record through and the counters are exact.
+TEST(SegmentMergeTest, PartitionOnlyInLastSpillGetsTheFinalPass) {
+  std::vector<std::pair<KeyValue, uint32_t>> records;
+  constexpr int64_t kUnique = 14'000;
+  for (int64_t i = 0; i < kUnique; ++i) {
+    records.push_back({{"k" + std::to_string(100'000 + i),
+                        "v" + std::to_string(i)},
+                       0});
+  }
+  const std::vector<std::string> late_keys = {""s, "\0"s, "a", "\xff", "zz"};
+  constexpr int64_t kLate = 200;
+  for (int64_t i = 0; i < kLate; ++i) {
+    records.push_back({{late_keys[static_cast<size_t>(i) % late_keys.size()],
+                        "w" + std::to_string(i)},
+                       1});
+  }
+  const auto distinct_late = static_cast<int64_t>(late_keys.size());
+
+  for (const CombinerKind combiner :
+       {CombinerKind::kNone, CombinerKind::kRewriteKeys}) {
+    for (const double percent : {0.2, 0.05}) {
+      SCOPED_TRACE(testing::Message()
+                   << (combiner == CombinerKind::kNone ? "plain" : "rewrite")
+                   << " at " << percent);
+      JobSpec spec;
+      spec.num_reducers = 2;
+      if (combiner == CombinerKind::kRewriteKeys) {
+        spec.combiner = [] { return std::make_unique<ConcatCombiner<true>>(); };
+      }
+      spec.conf.setInt("io.sort.mb", 1);
+      spec.conf.setDouble("io.sort.spill.percent", percent);
+
+      Counters counters;
+      MapOutputBuffer buffer(spec, counters, {}, nullptr, nullptr, {});
+      for (const auto& [kv, p] : records) buffer.collect(kv.key, kv.value, p);
+      const std::vector<Bytes> outputs = buffer.finishSegments();
+      const int64_t spills = buffer.spillCount();
+      if (percent < 0.1) {
+        EXPECT_GT(spills, 10);
+      } else {
+        EXPECT_GE(spills, 3);
+        EXPECT_LE(spills, 10);
+      }
+      ASSERT_EQ(outputs.size(), 2u);
+      const auto segments0 = splitSegments(outputs[0]);
+      const auto segments1 = splitSegments(outputs[1]);
+
+      const auto expected = oracle(records, 2, combiner, true);
+      for (uint32_t p = 0; p < 2; ++p) {
+        KvRunMerger merger(splitSegments(outputs[p]));
+        Bytes merged;
+        while (const auto frame = merger.nextFrame()) merged.append(*frame);
+        EXPECT_EQ(decodeKvRun(merged), expected[p]) << "partition " << p;
+      }
+
+      const int64_t combine_in = counters.value(kTaskGroup,
+                                                kCombineInputRecords);
+      const int64_t combine_out = counters.value(kTaskGroup,
+                                                 kCombineOutputRecords);
+      const int64_t spilled = counters.value(kTaskGroup, kSpilledRecords);
+      EXPECT_EQ(counters.value(kTaskGroup, kMapSpills), spills);
+      if (combiner == CombinerKind::kNone) {
+        EXPECT_GE(segments0.size(), static_cast<size_t>(spills - 1));
+        EXPECT_EQ(segments1.size(), 1u);
+        EXPECT_EQ(spilled, kUnique + kLate);
+        EXPECT_EQ(combine_in, 0);
+        EXPECT_EQ(combine_out, 0);
+      } else {
+        EXPECT_EQ(segments0.size(), 1u);
+        EXPECT_EQ(segments1.size(), 1u);
+        // Per-spill pass, then the final pass over both partitions.
+        const int64_t per_pass = kUnique + distinct_late;
+        EXPECT_EQ(spilled, 2 * per_pass);
+        EXPECT_EQ(combine_out, 2 * per_pass);
+        EXPECT_EQ(combine_in, kUnique + kLate + per_pass);
+      }
     }
   }
 }

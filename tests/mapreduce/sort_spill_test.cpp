@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <numeric>
 
 #include "mh/common/rng.h"
 #include "mh/mr/kv_stream.h"
@@ -66,41 +67,68 @@ class SortSpillTest : public ::testing::Test {
   std::unique_ptr<LocalFs> local_;
 };
 
-/// Squeeze a corpus through a ~52 KiB spill threshold (io.sort.mb=1 at 5%):
-/// the task must spill several times yet commit byte-for-byte the same part
-/// files as the default single-spill configuration.
+/// Squeeze a corpus through tiny spill thresholds (io.sort.mb=1 at 20% and
+/// at 5%): the task spills several times yet commits byte-for-byte the same
+/// part files as the default single-spill configuration. A combiner-less
+/// map ships its spill segments unmerged — at 2-10 spills and at more than
+/// 10 (Hadoop's io.sort.factor default) alike — so every record is written
+/// once and the reducer merges every segment.
 TEST_F(SortSpillTest, TinySortBudgetSpillsRepeatedlyWithIdenticalOutput) {
-  const std::string corpus = makeCorpus(2000, 42);
+  const std::string corpus = makeCorpus(4000, 42);
   local_->writeFile(p("in.txt"), corpus);
   LocalJobRunner runner(*local_);
 
-  auto tiny = wordCountSpec({p("in.txt")}, p("out_tiny"), false, 3);
-  tiny.conf.setInt("io.sort.mb", 1);
-  tiny.conf.setDouble("io.sort.spill.percent", 0.05);
-  auto roomy = wordCountSpec({p("in.txt")}, p("out_roomy"), false, 3);
-
-  const auto tiny_result = runner.run(std::move(tiny));
-  const auto roomy_result = runner.run(std::move(roomy));
-  ASSERT_TRUE(tiny_result.succeeded()) << tiny_result.error;
+  const auto roomy_result =
+      runner.run(wordCountSpec({p("in.txt")}, p("out_roomy"), false, 3));
   ASSERT_TRUE(roomy_result.succeeded()) << roomy_result.error;
-
-  EXPECT_GE(tiny_result.counters.value(kTaskGroup, kMapSpills), 3);
   EXPECT_EQ(roomy_result.counters.value(kTaskGroup, kMapSpills), 1);
-
-  // Multi-spill rewrites records in the final merge; single-spill writes
-  // each record exactly once.
-  const auto map_out = tiny_result.counters.value(kTaskGroup,
-                                                  kMapOutputRecords);
-  EXPECT_GT(tiny_result.counters.value(kTaskGroup, kSpilledRecords),
-            map_out);
-  EXPECT_EQ(roomy_result.counters.value(kTaskGroup, kSpilledRecords),
-            map_out);
-
-  const auto tiny_parts = partFileBytes(p("out_tiny"));
+  const auto map_out =
+      roomy_result.counters.value(kTaskGroup, kMapOutputRecords);
+  EXPECT_EQ(roomy_result.counters.value(kTaskGroup, kSpilledRecords), map_out);
   const auto roomy_parts = partFileBytes(p("out_roomy"));
-  ASSERT_EQ(tiny_parts.size(), 3u);
-  EXPECT_EQ(tiny_parts, roomy_parts);
-  EXPECT_EQ(readCounts(*local_, p("out_tiny")), referenceCounts(corpus));
+  ASSERT_EQ(roomy_parts.size(), 3u);
+
+  for (const bool many : {false, true}) {
+    SCOPED_TRACE(many ? "more than 10 spills" : "2-10 spills");
+    const std::string out = p(many ? "out_many" : "out_few");
+    auto tiny = wordCountSpec({p("in.txt")}, out, false, 3);
+    tiny.conf.setInt("io.sort.mb", 1);
+    tiny.conf.setDouble("io.sort.spill.percent", many ? 0.05 : 0.2);
+
+    // The map's shipped output, segment counts per partition.
+    tiny.validateAndDefault();
+    const auto splits = local_->splitsForFile(p("in.txt"));
+    ASSERT_EQ(splits.size(), 1u);
+    const auto map = runMapTask(tiny, *local_, splits[0]);
+    std::vector<size_t> segments;
+    for (const Bytes& output : map.partitions) {
+      segments.push_back(splitSegments(output).size());
+    }
+    const auto shipped = static_cast<int64_t>(
+        std::accumulate(segments.begin(), segments.end(), size_t{0}));
+
+    const auto result = runner.run(std::move(tiny));
+    ASSERT_TRUE(result.succeeded()) << result.error;
+    const auto spills = result.counters.value(kTaskGroup, kMapSpills);
+    const auto spilled = result.counters.value(kTaskGroup, kSpilledRecords);
+    ASSERT_EQ(result.counters.value(kTaskGroup, kMapOutputRecords), map_out);
+    if (many) {
+      EXPECT_GT(spills, 10);
+    } else {
+      EXPECT_GE(spills, 2);
+      EXPECT_LE(spills, 10);
+    }
+    EXPECT_EQ(spilled, map_out);
+    for (const size_t n : segments) {
+      EXPECT_GE(n, 2u);
+      EXPECT_LE(n, static_cast<size_t>(spills));
+    }
+    // The reducers merged exactly the segments the map shipped.
+    EXPECT_EQ(result.counters.value(kTaskGroup, kMergeSegments), shipped);
+
+    EXPECT_EQ(partFileBytes(out), roomy_parts);
+    EXPECT_EQ(readCounts(*local_, out), referenceCounts(corpus));
+  }
 }
 
 /// With a combiner, every spill runs its own combine pass and the final
