@@ -435,21 +435,13 @@ Bytes codecEncode(CodecKind kind, std::string_view raw,
 
 Buffer codecDecode(std::string_view stream, MetricsRegistry* metrics,
                    TraceCollector* trace, std::string_view component) {
-  Bytes out;
-  codecDecodeAppend(stream, out, metrics, trace, component);
-  return Buffer::fromString(std::move(out));
-}
-
-void codecDecodeAppend(std::string_view stream, Bytes& out,
-                       MetricsRegistry* metrics, TraceCollector* trace,
-                       std::string_view component) {
   Stopwatch watch;
   TraceSpan span(trace != nullptr && trace->enabled() ? trace : nullptr,
                  component, "DECOMPRESS");
   ByteReader r(stream);
   const CodecKind kind = readHeader(r);
 
-  const size_t start = out.size();
+  Bytes out;
   size_t frame_index = 0;
   while (!r.atEnd()) {
     const FrameHeader f = readFrameHeader(r);
@@ -461,9 +453,10 @@ void codecDecodeAppend(std::string_view stream, Bytes& out,
   recordCodec(metrics, kind, "decode.micros", watch.elapsedMicros());
   if (span.active()) {
     span.arg("codec", codecName(kind));
-    span.arg("raw_bytes", std::to_string(out.size() - start));
+    span.arg("raw_bytes", std::to_string(out.size()));
     span.arg("encoded_bytes", std::to_string(stream.size()));
   }
+  return Buffer::fromString(std::move(out));
 }
 
 BufferView codecDecodeRange(std::string_view stream, uint64_t offset,

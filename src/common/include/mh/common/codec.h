@@ -10,8 +10,8 @@
 
 /// \file codec.h
 /// The pluggable compression layer: dependency-free codecs plus the framed
-/// stream container shared by every seam (HDFS blocks at rest, map-side
-/// spill runs, shuffle payloads).
+/// stream container shared by both seams (HDFS blocks at rest, map output
+/// segments, which ship to reducers as stored).
 ///
 /// Stream layout:
 ///
@@ -91,14 +91,6 @@ Bytes codecEncode(CodecKind kind, std::string_view raw,
 Buffer codecDecode(std::string_view stream, MetricsRegistry* metrics = nullptr,
                    TraceCollector* trace = nullptr,
                    std::string_view component = "codec");
-
-/// codecDecode, appending the raw bytes to `out` instead of a fresh
-/// Buffer — for callers that assemble several decoded streams in one
-/// buffer.
-void codecDecodeAppend(std::string_view stream, Bytes& out,
-                       MetricsRegistry* metrics = nullptr,
-                       TraceCollector* trace = nullptr,
-                       std::string_view component = "codec");
 
 /// Decodes only the frames covering [offset, offset+len) of the raw bytes
 /// and returns a view positioned over exactly that range (len clamps to the

@@ -67,7 +67,6 @@ struct Key {
   X(kIoSortSpillPercent, double, "io.sort.spill.percent", 0.8, 0.05, 1, "", Job) \
   X(kReadaheadBytes, int64_t, "mapred.linerecordreader.readahead.bytes", 65536, 1, int64_t{1} << 30, "", Job) \
   X(kMapOutputCodec, std::string_view, "mapred.map.output.compression.codec", "none", "", "", "none|mh-lz|var-rle", Job) \
-  X(kShuffleCompression, std::string_view, "mapred.shuffle.compression", "none", "", "", "none|mh-lz|var-rle", Job) \
   X(kInnodeCombine, bool, "mapred.innode.combine", false, false, true, "", Job) \
   X(kReduceSlowstart, double, "mapred.reduce.slowstart.completed.maps", 0.05, 0, 1, "", Job) \
   X(kLocalMapThreads, int64_t, "mapred.local.map.threads", 1, 1, 256, "", Job) \

@@ -13,9 +13,9 @@
 /// \file kv_stream.h
 /// The intermediate record format: a run of [varint klen][key][varint
 /// vlen][value] frames. Map outputs are stored and shuffled in this format;
-/// reduce merges decode it back. When a compression seam is on, whole runs
-/// travel as framed codec streams (codec.h) and `DecodedRunSet` unwraps
-/// them at the merge input.
+/// reduce merges decode it back. When the map-output codec is on, each
+/// segment is stored and shipped as a framed codec stream (codec.h) and
+/// `DecodedRunSet` unwraps it at the merge input.
 
 namespace mh::mr {
 
@@ -82,7 +82,7 @@ class KvReader {
 /// sorted segments back to back, then a table of their byte lengths (one
 /// big-endian u64 each, in segment order), then the segment count (u64).
 /// The empty buffer holds zero segments. Each segment is a kv_stream run,
-/// codec-framed on its own when a compression seam is on. A map that did
+/// codec-framed on its own when the map-output codec is on. A map that did
 /// not merge its spills ships one segment per spill, in spill order; the
 /// reducer merges every segment of every map, and KvRunMerger's run-index
 /// tie-break keeps equal keys in (map, spill) order.
@@ -120,8 +120,8 @@ int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out);
 /// as the caller's views — zero copy either way downstream. The set, and
 /// the caller's raw runs, must outlive the merger consuming `views()`.
 ///
-/// `allow_decode=false` pins every run as raw — the caller's seams are all
-/// off, so bytes that merely resemble a codec header are not misdecoded.
+/// `allow_decode=false` pins every run as raw — the job's map-output codec
+/// is off, so bytes that merely resemble a codec header are not misdecoded.
 class DecodedRunSet {
  public:
   /// `metrics`/`trace`/`component` meter DECOMPRESS work (all optional).

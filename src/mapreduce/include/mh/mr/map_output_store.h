@@ -9,7 +9,6 @@
 
 #include "mh/common/buffer.h"
 #include "mh/common/bytes.h"
-#include "mh/common/codec.h"
 #include "mh/common/error.h"
 #include "mh/common/metrics.h"
 #include "mh/common/trace.h"
@@ -28,28 +27,27 @@
 /// caller's thread, and a concurrent purge cannot pull the buffer out from
 /// under an in-flight fetch.
 ///
-/// Beyond plain per-map storage, the store is the home of two serve-side
-/// optimisations (both need the attachments from `attach()`):
+/// A map output is stored, served and fetched as the same bytes: when the
+/// job's map-output codec (`mapred.map.output.compression.codec`) is on,
+/// each segment was encoded once at spill time, ships as stored, and is
+/// decoded once by the reducer at merge input. The serving tracker never
+/// encodes or decodes a plain map output.
 ///
-///  * **In-node combining** (`mapred.innode.combine`, a job conf key): when
-///    the job has a combiner, completed maps' runs for the same job are
-///    merged node-locally (KvRunMerger + combiner) into one consolidated
-///    run per partition, so a reducer fetches one run per *node* instead of
-///    one per map. Indexing is generation-aware: every `put()` bumps the
-///    slot's generation, and a combined run remembers the exact
-///    (map, generation) set it was built from — a late, re-executed, or
-///    speculative attempt invalidates the aggregate and contributes exactly
-///    once to the next build. Reducers name the exact map set they expect
-///    (`serveNodeOutput`), so a map that re-ran elsewhere is never served
-///    twice from two nodes' aggregates.
-///    Only combiner jobs combine in-node, so every map output it merges
-///    holds one segment; a multi-segment output there is an
-///    IllegalStateError.
-///  * **Encode-once shuffle serving**: an output stored raw while
-///    `mapred.shuffle.compression` is on has each of its segments encoded
-///    on first serve and the encoded output cached (charged to the tracker
-///    heap budget via the `TryChargeFn`; over budget the serve falls back
-///    to one-shot encoding), so fetch retries never pay the codec again.
+/// Beyond plain per-map storage, the store is the home of **in-node
+/// combining** (`mapred.innode.combine`, a job conf key; it needs the
+/// attachments from `attach()`): when the job has a combiner, completed
+/// maps' runs for the same job are merged node-locally (KvRunMerger +
+/// combiner) into one consolidated run per partition, so a reducer fetches
+/// one run per *node* instead of one per map. Indexing is generation-aware:
+/// every `put()` bumps the slot's generation, and a combined run remembers
+/// the exact (map, generation) set it was built from — a late, re-executed,
+/// or speculative attempt invalidates the aggregate and contributes exactly
+/// once to the next build. Reducers name the exact map set they expect
+/// (`serveNodeOutput`), so a map that re-ran elsewhere is never served twice
+/// from two nodes' aggregates. Only combiner jobs combine in-node, so every
+/// map output it merges holds one segment; a multi-segment output there is
+/// an IllegalStateError. Aggregates are charged to the tracker heap budget
+/// via the `TryChargeFn`; over budget a build serves uncached.
 
 namespace mh::mr {
 
@@ -59,8 +57,8 @@ struct JobSpec;
 class MapOutputStore {
  public:
   /// Heap-budget hook: charge `delta` bytes (negative releases). Returns
-  /// false when the budget refuses the growth — the store then skips the
-  /// optional caching that needed it. Must never throw.
+  /// false when the budget refuses the growth — the store then serves the
+  /// node aggregate it built without caching it. Must never throw.
   using TryChargeFn = std::function<bool(int64_t)>;
 
   MapOutputStore() = default;
@@ -72,8 +70,7 @@ class MapOutputStore {
   /// and conf seams), a metrics child for the `mapoutput.replaced.runs` /
   /// `innode.combined.runs` / `innode.bytes.saved` counters, tracing for
   /// INNODE_COMBINE spans, and the heap-budget hook that bounds combined
-  /// runs and encoded-serve caches. A detached store (tests) behaves like
-  /// plain per-map storage.
+  /// runs. A detached store (tests) behaves like plain per-map storage.
   void attach(JobRegistry* registry, MetricsRegistry* metrics,
               TraceCollector* trace, std::string trace_component,
               TryChargeFn try_charge);
@@ -96,19 +93,18 @@ class MapOutputStore {
 
   bool has(JobId job, uint32_t map_index) const;
 
-  /// Serve-side byte accounting for a shuffle-compressed serve: logical vs
-  /// wire sizes. Both stay 0 when the serve shipped plain bytes.
+  /// Serve-side byte accounting for codec-framed map output: the raw and
+  /// encoded sizes of the stored segments served. Both stay 0 when the
+  /// serve shipped plain bytes.
   struct ServeStats {
     int64_t raw_bytes = 0;
     int64_t compressed_bytes = 0;
   };
 
-  /// One map's output for `partition`, in wire form under the job's
-  /// shuffle codec, segment by segment: stored-encoded segments ship as-is,
-  /// raw ones encode once (cached), encoded ones with shuffle compression
-  /// off decode at serve. Stats count segment bytes, not the table.
+  /// One map's output for `partition`, exactly as stored: a zero-copy view
+  /// of the buffer. Stats count segment bytes, not the table.
   BufferView serveMapOutput(JobId job, uint32_t map_index, uint32_t partition,
-                            CodecKind shuffle, ServeStats* stats = nullptr);
+                            ServeStats* stats = nullptr);
 
   /// The node-combined run for `partition` covering exactly `maps` — the
   /// in-node combine serve path. Uses the cached aggregate when its member
@@ -118,7 +114,7 @@ class MapOutputStore {
   /// map for re-execution.
   BufferView serveNodeOutput(JobId job, uint32_t partition,
                              const std::vector<uint32_t>& maps,
-                             CodecKind shuffle, ServeStats* stats = nullptr);
+                             ServeStats* stats = nullptr);
 
   void purgeJob(JobId job);
 
@@ -136,27 +132,24 @@ class MapOutputStore {
   /// diagnostic hook).
   uint64_t generation(JobId job, uint32_t map_index) const;
 
-  /// Bytes currently charged to the heap budget for node aggregates and
-  /// encoded-serve caches (test and diagnostic hook).
+  /// Bytes currently charged to the heap budget for node aggregates (test
+  /// and diagnostic hook).
   int64_t cachedBytes() const;
 
  private:
   /// One finished map attempt's output: per-partition runs in stored form
-  /// (encoded when the job's map-output codec is on) plus the lazily built
-  /// per-partition shuffle-wire cache.
+  /// (encoded when the job's map-output codec is on).
   struct MapSlot {
     std::vector<std::shared_ptr<const Bytes>> runs;
-    std::vector<std::shared_ptr<const Bytes>> wire;
     uint64_t generation = 0;
   };
 
   /// A node aggregate for one exact member set: per-partition combined
-  /// runs plus their shuffle-wire cache, valid while every member's slot
-  /// still has the recorded generation.
+  /// runs, valid while every member's slot still has the recorded
+  /// generation.
   struct NodeRun {
     std::map<uint32_t, uint64_t> members;  ///< map_index -> build generation
     std::vector<std::shared_ptr<const Bytes>> runs;
-    std::vector<std::shared_ptr<const Bytes>> wire;
   };
 
   struct JobSlots {
@@ -182,16 +175,6 @@ class MapOutputStore {
   std::vector<std::shared_ptr<const Bytes>> nodeRuns(
       JobId job, const JobSpec* spec, const std::vector<uint32_t>& members,
       Counters* counters);
-
-  /// Ships `run` under the shuffle codec, consulting/filling the wire
-  /// cache slot that `find_cache` resolves (called under the mutex; may
-  /// return nullptr when the owning slot was replaced or purged).
-  BufferView serveRun(
-      const std::shared_ptr<const Bytes>& run, CodecKind shuffle,
-      ServeStats* stats,
-      const std::function<std::vector<std::shared_ptr<const Bytes>>*()>&
-          find_cache,
-      uint32_t partition);
 
   mutable std::mutex mutex_;
   std::map<JobId, JobSlots> jobs_;

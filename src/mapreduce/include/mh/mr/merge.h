@@ -167,8 +167,8 @@ class IncrementalMerger {
     /// preserving byte-identity with the one-shot merge. False (in-node):
     /// any block of pending runs may fold.
     bool adjacent_only = true;
-    /// Decode codec-framed runs when folding (the shuffle-compression
-    /// seam); folded segments are stored raw.
+    /// Decode codec-framed runs when folding (the job's map-output codec
+    /// is on); folded segments are stored raw.
     bool allow_decode = false;
     /// Optional DECOMPRESS metering for folds, passed to DecodedRunSet.
     MetricsRegistry* metrics = nullptr;

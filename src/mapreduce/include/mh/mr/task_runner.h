@@ -59,10 +59,11 @@ struct ReduceTaskResult {
 /// Executes one reduce task over the collected map segments for
 /// `partition`, in (map, spill) order (refcounted views — shuffled
 /// segments are merged in place, never copied)
-/// and commits output_dir/part-NNNNN via `fs`. When a compression seam is
-/// on (`mapred.map.output.compression.codec` or `mapred.shuffle.compression`
-/// in the spec conf), encoded input runs decode at the merge input; the
-/// decoded working set is charged to `heap` for the task's duration.
+/// and commits output_dir/part-NNNNN via `fs`. When the map-output codec is
+/// on (`mapred.map.output.compression.codec` in the spec conf), the fetched
+/// segments are codec streams exactly as the maps stored them; they decode
+/// at the merge input, and the decoded working set is charged to `heap` for
+/// the task's duration.
 ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
                                uint32_t partition, uint32_t attempt,
                                const std::vector<BufferView>& input_runs,

@@ -177,8 +177,8 @@ class TaskTracker {
   Counter* shuffle_bytes_ = nullptr;
   Counter* map_spills_ = nullptr;
   Counter* spilled_records_ = nullptr;
-  /// Serve-side shuffle compression accounting: logical vs wire bytes of
-  /// runs served while `mapred.shuffle.compression` is on for the job.
+  /// Serve-side compression accounting: raw vs encoded bytes of the stored
+  /// codec segments served while the job's map-output codec is on.
   Counter* shuffle_raw_bytes_ = nullptr;
   Counter* shuffle_compressed_bytes_ = nullptr;
   /// Pipelined shuffle: runs/bytes fetched while maps were still running,

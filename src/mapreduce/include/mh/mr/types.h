@@ -92,8 +92,8 @@ inline constexpr const char* kShuffleGroup = "shuffle";
 inline constexpr const char* kShuffleBytes = "SHUFFLE_BYTES";
 inline constexpr const char* kShuffleFetchMillis = "SHUFFLE_FETCH_MILLIS";
 inline constexpr const char* kShuffleFetchRetries = "SHUFFLE_FETCH_RETRIES";
-/// Reduce-input run bytes after/before decoding shuffled payloads; both
-/// stay 0 while no compression seam is enabled.
+/// Reduce-input run bytes after/before decoding shuffled segments; both
+/// stay 0 while the map-output codec is off.
 inline constexpr const char* kShuffleRawBytes = "SHUFFLE_RAW_BYTES";
 inline constexpr const char* kShuffleCompressedBytes =
     "SHUFFLE_COMPRESSED_BYTES";

@@ -19,16 +19,29 @@ using namespace counters;
 /// Fewest maps whose runs a put merges into the node aggregate.
 constexpr size_t kInnodeCombineMinRuns = 2;
 
-/// `slot`'s wire cache (a MapSlot's or a NodeRun's) while `run` is still one
-/// of its runs: pointer identity ties the cache to THIS attempt's bytes, so
-/// a replacement in between leaves the cache to someone else.
-template <typename Slot>
-std::vector<std::shared_ptr<const Bytes>>* wireCacheOf(
-    Slot& slot, const std::shared_ptr<const Bytes>& run) {
-  if (slot.runs.size() != slot.wire.size()) return nullptr;
-  const bool ours =
-      std::find(slot.runs.begin(), slot.runs.end(), run) != slot.runs.end();
-  return ours ? &slot.wire : nullptr;
+/// Whether the job's map-output codec frames its stored segments (false
+/// for an unknown spec), so bytes that merely resemble a codec header are
+/// never metered as one.
+bool storedEncoded(const JobSpec* spec) {
+  return spec != nullptr &&
+         codecFromName(spec->conf.get(keys::kMapOutputCodec)) !=
+             CodecKind::kNone;
+}
+
+/// Wraps the stored `run` for the wire; when `encoded`, adds its segments'
+/// raw and encoded sizes to `stats`.
+BufferView serveRun(const std::shared_ptr<const Bytes>& run, bool encoded,
+                    MapOutputStore::ServeStats* stats) {
+  if (encoded && stats != nullptr) {
+    // The map-output codec framed every segment at spill time; they ship
+    // as stored and the reducer decodes them at merge input.
+    for (const std::string_view segment : splitSegments(*run)) {
+      stats->raw_bytes +=
+          static_cast<int64_t>(encodedStreamInfo(segment).raw_size);
+      stats->compressed_bytes += static_cast<int64_t>(segment.size());
+    }
+  }
+  return BufferView(Buffer::wrap(run));
 }
 
 }  // namespace
@@ -85,10 +98,8 @@ void MapOutputStore::releaseLocked(int64_t bytes) {
 }
 
 void MapOutputStore::dropNodeRunLocked(NodeRun& node) {
-  releaseLocked(static_cast<int64_t>(runsBytes(node.runs)) +
-                static_cast<int64_t>(runsBytes(node.wire)));
+  releaseLocked(static_cast<int64_t>(runsBytes(node.runs)));
   node.runs.clear();
-  node.wire.clear();
   node.members.clear();
 }
 
@@ -117,12 +128,11 @@ void MapOutputStore::put(JobId job, uint32_t map_index,
     MapSlot& slot = slots.maps[map_index];
     if (!slot.runs.empty()) {
       // A speculative duplicate or re-execution replaces its prior
-      // contribution: drop the old runs and their wire cache, and
-      // invalidate every node aggregate the old attempt fed — the new
-      // attempt contributes exactly once to the next build (the aggregate
-      // analogue of PR-4's counter-replacement semantics).
+      // contribution: drop the old runs and invalidate every node
+      // aggregate the old attempt fed — the new attempt contributes
+      // exactly once to the next build (the aggregate analogue of PR-4's
+      // counter-replacement semantics).
       total_bytes_ -= runsBytes(slot.runs);
-      releaseLocked(static_cast<int64_t>(runsBytes(slot.wire)));
       if (replaced_runs_ != nullptr) {
         replaced_runs_->add(static_cast<int64_t>(slot.runs.size()));
       }
@@ -136,7 +146,6 @@ void MapOutputStore::put(JobId job, uint32_t map_index,
       }
     }
     slot.runs = std::move(runs);
-    slot.wire.assign(slot.runs.size(), nullptr);
     slot.generation = slots.next_generation++;
     total_bytes_ += runsBytes(slot.runs);
   }
@@ -312,7 +321,6 @@ std::vector<std::shared_ptr<const Bytes>> MapOutputStore::nodeRuns(
           node.members[source.map_index] = source.generation;
         }
         node.runs = result;
-        node.wire.assign(num_partitions, nullptr);
         // Aggregates over a strict subset of this member set are obsolete
         // coverage-wise; drop them so cached aggregates stay bounded by the
         // distinct member sets reducers actually request.
@@ -362,104 +370,15 @@ bool MapOutputStore::has(JobId job, uint32_t map_index) const {
   return it != job_it->second.maps.end() && !it->second.runs.empty();
 }
 
-BufferView MapOutputStore::serveRun(
-    const std::shared_ptr<const Bytes>& run, CodecKind shuffle,
-    ServeStats* stats,
-    const std::function<std::vector<std::shared_ptr<const Bytes>>*()>&
-        find_cache,
-    uint32_t partition) {
-  // The map-output codec framed every segment of a map output, or none.
-  const std::vector<std::string_view> segments = splitSegments(*run);
-  const bool encoded = !segments.empty() && isEncodedStream(segments[0]);
-  if (shuffle != CodecKind::kNone) {
-    if (encoded) {
-      // Stored frames ship as-is; the reducer decodes at merge input.
-      if (stats != nullptr) {
-        for (const std::string_view segment : segments) {
-          stats->raw_bytes +=
-              static_cast<int64_t>(encodedStreamInfo(segment).raw_size);
-          stats->compressed_bytes += static_cast<int64_t>(segment.size());
-        }
-      }
-      return BufferView(Buffer::wrap(run));
-    }
-    if (run->empty()) return BufferView(Buffer::wrap(run));
-    // Stored raw (map-output codec off): encode each segment for the wire
-    // — once. The first serve caches the encoded form (heap-budget
-    // permitting) so fetch retries and re-fetches never pay the codec
-    // again.
-    std::shared_ptr<const Bytes> wire;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (auto* cache = find_cache();
-          cache != nullptr && partition < cache->size()) {
-        wire = (*cache)[partition];
-      }
-    }
-    if (wire == nullptr) {
-      std::vector<Bytes> frames;
-      frames.reserve(segments.size());
-      for (const std::string_view segment : segments) {
-        frames.push_back(
-            codecEncode(shuffle, segment, metrics_, trace_, component_));
-      }
-      wire = std::make_shared<const Bytes>(
-          joinSegments({frames.begin(), frames.end()}));
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto* cache = find_cache();
-      if (cache != nullptr && partition < cache->size() &&
-          (*cache)[partition] == nullptr &&
-          tryChargeLocked(static_cast<int64_t>(wire->size()))) {
-        (*cache)[partition] = wire;
-      }
-    }
-    if (stats != nullptr) {
-      for (const std::string_view segment : segments) {
-        stats->raw_bytes += static_cast<int64_t>(segment.size());
-      }
-      for (const std::string_view frame : splitSegments(*wire)) {
-        stats->compressed_bytes += static_cast<int64_t>(frame.size());
-      }
-    }
-    return BufferView(Buffer::wrap(wire));
-  }
-  if (encoded) {
-    // Stored compressed but shuffle compression off: decode at serve so the
-    // wire carries plain kv bytes (seam independence). Each segment decodes
-    // straight into the one served buffer.
-    Bytes plain;
-    std::vector<uint64_t> lengths;
-    lengths.reserve(segments.size());
-    for (const std::string_view segment : segments) {
-      const size_t begin = plain.size();
-      codecDecodeAppend(segment, plain, metrics_, trace_, component_);
-      lengths.push_back(plain.size() - begin);
-    }
-    appendSegmentTable(plain, lengths);
-    return BufferView(Buffer::fromString(std::move(plain)));
-  }
-  return BufferView(Buffer::wrap(run));
-}
-
 BufferView MapOutputStore::serveMapOutput(JobId job, uint32_t map_index,
-                                          uint32_t partition, CodecKind shuffle,
+                                          uint32_t partition,
                                           ServeStats* stats) {
-  const std::shared_ptr<const Bytes> run = get(job, map_index, partition);
-  const auto find_cache =
-      [this, job, map_index,
-       &run]() -> std::vector<std::shared_ptr<const Bytes>>* {
-    const auto job_it = jobs_.find(job);
-    if (job_it == jobs_.end()) return nullptr;
-    const auto it = job_it->second.maps.find(map_index);
-    if (it == job_it->second.maps.end()) return nullptr;
-    return wireCacheOf(it->second, run);
-  };
-  return serveRun(run, shuffle, stats, find_cache, partition);
+  return serveRun(get(job, map_index, partition),
+                  storedEncoded(specFor(job).get()), stats);
 }
 
 BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
                                            const std::vector<uint32_t>& maps,
-                                           CodecKind shuffle,
                                            ServeStats* stats) {
   const std::shared_ptr<const JobSpec> spec = specFor(job);
   const std::vector<std::shared_ptr<const Bytes>> runs =
@@ -467,25 +386,7 @@ BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
   if (partition >= runs.size()) {
     throw InvalidArgumentError("partition out of range");
   }
-  std::vector<uint32_t> key(maps);
-  std::sort(key.begin(), key.end());
-  key.erase(std::unique(key.begin(), key.end()), key.end());
-  const std::shared_ptr<const Bytes> run = runs[partition];
-  const auto find_cache =
-      [this, job, &key,
-       &run]() -> std::vector<std::shared_ptr<const Bytes>>* {
-    const auto job_it = jobs_.find(job);
-    if (job_it == jobs_.end()) return nullptr;
-    if (key.size() == 1) {
-      const auto it = job_it->second.maps.find(key[0]);
-      if (it == job_it->second.maps.end()) return nullptr;
-      return wireCacheOf(it->second, run);
-    }
-    const auto it = job_it->second.combined.find(key);
-    if (it == job_it->second.combined.end()) return nullptr;
-    return wireCacheOf(it->second, run);
-  };
-  return serveRun(run, shuffle, stats, find_cache, partition);
+  return serveRun(runs[partition], storedEncoded(spec.get()), stats);
 }
 
 void MapOutputStore::purgeJob(JobId job) {
@@ -494,7 +395,6 @@ void MapOutputStore::purgeJob(JobId job) {
   if (job_it == jobs_.end()) return;
   for (auto& [map_index, slot] : job_it->second.maps) {
     total_bytes_ -= runsBytes(slot.runs);
-    releaseLocked(static_cast<int64_t>(runsBytes(slot.wire)));
   }
   for (auto& [members, node] : job_it->second.combined) {
     dropNodeRunLocked(node);
@@ -513,9 +413,6 @@ std::vector<JobId> MapOutputStore::jobIds() const {
 void MapOutputStore::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [job, slots] : jobs_) {
-    for (auto& [map_index, slot] : slots.maps) {
-      releaseLocked(static_cast<int64_t>(runsBytes(slot.wire)));
-    }
     for (auto& [members, node] : slots.combined) {
       dropNodeRunLocked(node);
     }

@@ -82,17 +82,14 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
   ReduceTaskResult result;
   Counters& c = result.counters;
 
-  // Compression seams deliver whole runs as framed codec streams; unwrap
-  // them at the merge input. The conf gate keeps raw bytes that merely
-  // resemble a codec header from being misdecoded when both seams are off.
-  const bool seams_on =
-      codecFromName(spec.conf.get(keys::kMapOutputCodec)) !=
-          CodecKind::kNone ||
-      codecFromName(spec.conf.get(keys::kShuffleCompression)) !=
-          CodecKind::kNone;
+  // The map-output codec delivers each segment as a framed codec stream;
+  // unwrap them at the merge input. The conf gate keeps raw bytes that
+  // merely resemble a codec header from being misdecoded when it is off.
+  const bool encoded =
+      codecFromName(spec.conf.get(keys::kMapOutputCodec)) != CodecKind::kNone;
   // Merge setup — run decode plus loser-tree construction — gets its own
   // span so the critical-path report can attribute it separately from
-  // reduce compute (DECOMPRESS spans from the seams nest inside it).
+  // reduce compute (DECOMPRESS spans from the codec nest inside it).
   std::unique_ptr<DecodedRunSet> run_set;
   std::unique_ptr<KvRunMerger> merger;
   {
@@ -100,7 +97,7 @@ ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
                          "MERGE r" + std::to_string(partition));
     run_set = std::make_unique<DecodedRunSet>(
         std::vector<std::string_view>(input_runs.begin(), input_runs.end()),
-        seams_on, metrics, trace, trace_component);
+        encoded, metrics, trace, trace_component);
     // Merge phase: each input run is already key-sorted, so stream them
     // through a k-way merge — no run is ever decoded whole beyond that
     // unwrap, and keys/values reach the reducer as views into the fetched

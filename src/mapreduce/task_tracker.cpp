@@ -802,7 +802,7 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
       // with the one-shot merge (see merge.h).
       .adjacent_only = !innode,
       .allow_decode = codecFromName(spec.conf.get(
-                          keys::kShuffleCompression)) != CodecKind::kNone,
+                          keys::kMapOutputCodec)) != CodecKind::kNone,
       .metrics = metrics_,
       .trace = tracer_,
       .component = component});
@@ -950,31 +950,16 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
 }
 
 void TaskTracker::installRpc() {
-  // Shuffle seam (`mapred.shuffle.compression`, a job-level key). The
-  // common fast path — map-output codec on, shuffle codec on — ships the
-  // STORED frames with no re-encode at all; the reducer decodes at merge
-  // input. The off-diagonal cases encode (once, cached) or decode at serve
-  // time so each seam stays independently switchable. Serving itself lives
-  // in the MapOutputStore; the handler resolves the seam and mirrors the
-  // byte accounting into the registry.
-  const auto shuffle_for = [this](JobId job) {
-    try {
-      return codecFromName(
-          registry_->get(job)->conf.get(keys::kShuffleCompression));
-    } catch (const std::exception&) {
-      // Unknown job spec (purged mid-serve): serve the bytes as stored.
-      return CodecKind::kNone;
-    }
-  };
+  // Serving lives in the MapOutputStore, which ships each map output as
+  // stored; the handler mirrors the byte accounting into the registry.
   network_->bind(host_, kTaskTrackerPort,
-                 [this, shuffle_for](const net::RpcRequest& req)
-                     -> BufferView {
+                 [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "getMapOutput") {
       const auto [job, map_index, partition] =
           unpack<uint32_t, uint32_t, uint32_t>(req.body);
       MapOutputStore::ServeStats stats;
-      BufferView run = outputs_.serveMapOutput(job, map_index, partition,
-                                               shuffle_for(job), &stats);
+      BufferView run =
+          outputs_.serveMapOutput(job, map_index, partition, &stats);
       shuffle_raw_bytes_->add(stats.raw_bytes);
       shuffle_compressed_bytes_->add(stats.compressed_bytes);
       return run;
@@ -985,9 +970,7 @@ void TaskTracker::installRpc() {
       const auto [job, partition, maps] =
           unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body);
       MapOutputStore::ServeStats stats;
-      BufferView run =
-          outputs_.serveNodeOutput(job, partition, maps, shuffle_for(job),
-                                   &stats);
+      BufferView run = outputs_.serveNodeOutput(job, partition, maps, &stats);
       shuffle_raw_bytes_->add(stats.raw_bytes);
       shuffle_compressed_bytes_->add(stats.compressed_bytes);
       return run;

@@ -32,11 +32,11 @@ TEST(ConfigTest, TypedGetters) {
   c.setInt("dfs.replication", 2);
   c.setDouble("io.sort.spill.percent", 0.75);
   c.setBool("mapred.innode.combine", true);
-  c.set("mapred.shuffle.compression", "mh-lz");
+  c.set("mapred.map.output.compression.codec", "mh-lz");
   EXPECT_EQ(c.get(keys::kDfsReplication), 2);
   EXPECT_DOUBLE_EQ(c.get(keys::kIoSortSpillPercent), 0.75);
   EXPECT_TRUE(c.get(keys::kInnodeCombine));
-  EXPECT_EQ(c.get(keys::kShuffleCompression), "mh-lz");
+  EXPECT_EQ(c.get(keys::kMapOutputCodec), "mh-lz");
 }
 
 TEST(ConfigTest, TypedDefaults) {
@@ -65,13 +65,13 @@ TEST(ConfigTest, MalformedValuesThrow) {
   c.set("mapred.innode.combine", "maybe");
   c.set("dfs.replication", "0");
   c.set("io.sort.spill.percent", "nan");
-  c.set("mapred.shuffle.compression", "lz4");
+  c.set("mapred.map.output.compression.codec", "lz4");
   EXPECT_THROW(c.get(keys::kIoSortMb), InvalidArgumentError);
   EXPECT_THROW(c.get(keys::kReduceSlowstart), InvalidArgumentError);
   EXPECT_THROW(c.get(keys::kInnodeCombine), InvalidArgumentError);
   EXPECT_THROW(c.get(keys::kDfsReplication), InvalidArgumentError);
   EXPECT_THROW(c.get(keys::kIoSortSpillPercent), InvalidArgumentError);
-  EXPECT_THROW(c.get(keys::kShuffleCompression), InvalidArgumentError);
+  EXPECT_THROW(c.get(keys::kMapOutputCodec), InvalidArgumentError);
   EXPECT_THROW(c.validate(keys::Scope::kDaemon), InvalidArgumentError);
 }
 

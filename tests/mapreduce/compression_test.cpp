@@ -10,10 +10,11 @@
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
 
-/// The three compression seams (block at rest, map-output spill, shuffle)
-/// switch independently; any subset must leave job outputs byte-identical
-/// to the all-off baseline while the seam-specific raw/compressed counters
-/// show the codec actually engaged.
+/// The two compression seams (block at rest, map output) switch
+/// independently; any subset must leave job outputs byte-identical to the
+/// all-off baseline while the seam-specific raw/compressed counters show the
+/// codec actually engaged. Map output is encoded once at spill, shipped as
+/// stored and decoded once by the reducer.
 
 namespace mh::mr {
 namespace {
@@ -41,10 +42,11 @@ struct SeamRun {
   JobResult result;
   int64_t dn_raw = 0, dn_compressed = 0;  ///< datanode block.{raw,comp}.bytes
   int64_t tt_raw = 0, tt_compressed = 0;  ///< tracker shuffle.{raw,comp}
+  int64_t tt_encodes = 0, tt_decodes = 0;  ///< trackers' mh-lz codec calls
 };
 
 SeamRun runWithSeams(const std::string& corpus, const std::string& block,
-                     const std::string& mapout, const std::string& shuffle,
+                     const std::string& mapout,
                      JobSpec spec = wordCountSpec({"/in"}, "/out", false, 3)) {
   Config conf = testutil::aggressiveTimers();
   conf.setInt("dfs.replication", 2);
@@ -55,10 +57,9 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
   auto client = cluster.client();
   client.writeFile("/in/corpus.txt", corpus);
 
-  // Map-output and shuffle codecs are job-level settings: they ride the
-  // JobSpec conf to every task, not the daemons' cluster conf.
+  // The map-output codec is a job-level setting: it rides the JobSpec conf
+  // to every task, not the daemons' cluster conf.
   spec.conf.set("mapred.map.output.compression.codec", mapout);
-  spec.conf.set("mapred.shuffle.compression", shuffle);
 
   SeamRun run;
   run.result = cluster.runJob(std::move(spec));
@@ -73,6 +74,11 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
     auto& tt = cluster.metrics().child("tasktracker." + host);
     run.tt_raw += tt.counterValue("shuffle.raw.bytes");
     run.tt_compressed += tt.counterValue("shuffle.compressed.bytes");
+    auto& codec = tt.child("codec.mh-lz");
+    run.tt_encodes +=
+        static_cast<int64_t>(codec.histogram("encode.micros").count());
+    run.tt_decodes +=
+        static_cast<int64_t>(codec.histogram("decode.micros").count());
   }
   return run;
 }
@@ -80,98 +86,116 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
 TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   const std::string corpus = makeCorpus(400, 21);
 
-  const SeamRun off = runWithSeams(corpus, "none", "none", "none");
+  const SeamRun off = runWithSeams(corpus, "none", "none");
   ASSERT_TRUE(off.result.succeeded()) << off.result.error;
   ASSERT_EQ(off.parts.size(), 3u);
   EXPECT_EQ(off.dn_compressed, 0);
   EXPECT_EQ(off.tt_compressed, 0);
   EXPECT_EQ(off.result.counters.value(kTaskGroup, kSpillRawBytes), 0);
+  EXPECT_EQ(off.result.counters.value(kShuffleGroup, kShuffleRawBytes), 0);
 
   // Seam 1: blocks at rest. The DataNodes store framed replicas (and
   // replicate them compressed), yet reads reassemble the raw file.
-  const SeamRun block = runWithSeams(corpus, "mh-lz", "none", "none");
+  const SeamRun block = runWithSeams(corpus, "mh-lz", "none");
   ASSERT_TRUE(block.result.succeeded()) << block.result.error;
   EXPECT_EQ(block.parts, off.parts);
   EXPECT_GT(block.dn_raw, 0);
   EXPECT_GT(block.dn_compressed, 0);
   EXPECT_LT(block.dn_compressed, block.dn_raw);
+  EXPECT_EQ(block.tt_compressed, 0);
 
-  // Seam 2: map-output spills. Stored runs shrink; outputs don't change.
-  const SeamRun spill = runWithSeams(corpus, "none", "mh-lz", "none");
-  ASSERT_TRUE(spill.result.succeeded()) << spill.result.error;
-  EXPECT_EQ(spill.parts, off.parts);
-  const auto spill_raw = spill.result.counters.value(kTaskGroup,
-                                                     kSpillRawBytes);
+  // Seam 2: map output. Stored segments shrink, trackers serve them as
+  // stored, reducers meter the decode, and fewer bytes cross the wire;
+  // outputs don't change.
+  const SeamRun mapout = runWithSeams(corpus, "none", "mh-lz");
+  ASSERT_TRUE(mapout.result.succeeded()) << mapout.result.error;
+  EXPECT_EQ(mapout.parts, off.parts);
+  EXPECT_EQ(mapout.dn_compressed, 0);
+  const auto spill_raw = mapout.result.counters.value(kTaskGroup,
+                                                      kSpillRawBytes);
   EXPECT_GT(spill_raw, 0);
-  EXPECT_LT(spill.result.counters.value(kTaskGroup, kSpillCompressedBytes),
+  EXPECT_LT(mapout.result.counters.value(kTaskGroup, kSpillCompressedBytes),
             spill_raw);
-
-  // Seam 3: shuffle. Trackers serve encoded runs; reducers meter the
-  // decode. Fewer bytes cross the wire than the raw runs they carry.
-  const SeamRun wire = runWithSeams(corpus, "none", "none", "mh-lz");
-  ASSERT_TRUE(wire.result.succeeded()) << wire.result.error;
-  EXPECT_EQ(wire.parts, off.parts);
-  EXPECT_GT(wire.tt_raw, 0);
-  EXPECT_LT(wire.tt_compressed, wire.tt_raw);
-  const auto fetched_raw = wire.result.counters.value(kShuffleGroup,
-                                                      kShuffleRawBytes);
+  EXPECT_GT(mapout.tt_raw, 0);
+  EXPECT_LT(mapout.tt_compressed, mapout.tt_raw);
+  const auto fetched_raw = mapout.result.counters.value(kShuffleGroup,
+                                                        kShuffleRawBytes);
   EXPECT_GT(fetched_raw, 0);
-  EXPECT_LT(wire.result.counters.value(kShuffleGroup,
-                                       kShuffleCompressedBytes),
+  EXPECT_LT(mapout.result.counters.value(kShuffleGroup,
+                                         kShuffleCompressedBytes),
             fetched_raw);
-  EXPECT_LT(wire.result.counters.value(kShuffleGroup, kShuffleBytes),
+  EXPECT_LT(mapout.result.counters.value(kShuffleGroup, kShuffleBytes),
             off.result.counters.value(kShuffleGroup, kShuffleBytes));
 
-  // All three at once.
-  const SeamRun all = runWithSeams(corpus, "mh-lz", "mh-lz", "mh-lz");
-  ASSERT_TRUE(all.result.succeeded()) << all.result.error;
-  EXPECT_EQ(all.parts, off.parts);
-  EXPECT_GT(all.dn_compressed, 0);
-  EXPECT_GT(all.tt_raw, 0);
-  EXPECT_GT(all.result.counters.value(kTaskGroup, kSpillCompressedBytes), 0);
+  // Both at once.
+  const SeamRun both = runWithSeams(corpus, "mh-lz", "mh-lz");
+  ASSERT_TRUE(both.result.succeeded()) << both.result.error;
+  EXPECT_EQ(both.parts, off.parts);
+  EXPECT_GT(both.dn_compressed, 0);
+  EXPECT_GT(both.tt_raw, 0);
+  EXPECT_GT(both.result.counters.value(kTaskGroup, kSpillCompressedBytes), 0);
 
   // Zipfian words and no combiner: the shuffle carries every occurrence of
   // the hot words, which is what the seams are asked to shrink.
   const std::string zipfian = zipfCorpus(600, 42);
-  const SeamRun zipf_off = runWithSeams(zipfian, "none", "none", "none");
-  const SeamRun zipf_all = runWithSeams(zipfian, "mh-lz", "mh-lz", "mh-lz");
+  const SeamRun zipf_off = runWithSeams(zipfian, "none", "none");
+  const SeamRun zipf_both = runWithSeams(zipfian, "mh-lz", "mh-lz");
   ASSERT_TRUE(zipf_off.result.succeeded()) << zipf_off.result.error;
-  ASSERT_TRUE(zipf_all.result.succeeded()) << zipf_all.result.error;
-  EXPECT_EQ(zipf_all.parts, zipf_off.parts);
+  ASSERT_TRUE(zipf_both.result.succeeded()) << zipf_both.result.error;
+  EXPECT_EQ(zipf_both.parts, zipf_off.parts);
   const int64_t zipf_off_bytes =
       zipf_off.result.counters.value(kShuffleGroup, kShuffleBytes);
-  const int64_t zipf_all_bytes =
-      zipf_all.result.counters.value(kShuffleGroup, kShuffleBytes);
+  const int64_t zipf_both_bytes =
+      zipf_both.result.counters.value(kShuffleGroup, kShuffleBytes);
   EXPECT_GE(static_cast<double>(zipf_off_bytes),
-            1.5 * static_cast<double>(zipf_all_bytes))
-      << zipf_off_bytes << " shuffle bytes off vs " << zipf_all_bytes
-      << " with every seam on";
+            1.5 * static_cast<double>(zipf_both_bytes))
+      << zipf_off_bytes << " shuffle bytes off vs " << zipf_both_bytes
+      << " with both seams on";
 
-  // A combiner job over CSV: the airline mean-delay job with the two task
-  // seams on.
+  // A combiner job over CSV: the airline mean-delay job with the map-output
+  // seam on.
   data::AirlineGenerator gen({.seed = 9, .rows = 1'000});
   const std::string csv = gen.generateCsv();
   const JobSpec airline = apps::makeAirlineDelayJob(
       apps::AirlineVariant::kCombiner, {"/in"}, "/out", 2);
-  const SeamRun air_off = runWithSeams(csv, "none", "none", "none", airline);
-  const SeamRun air_on = runWithSeams(csv, "none", "mh-lz", "mh-lz", airline);
+  const SeamRun air_off = runWithSeams(csv, "none", "none", airline);
+  const SeamRun air_on = runWithSeams(csv, "none", "mh-lz", airline);
   ASSERT_TRUE(air_off.result.succeeded()) << air_off.result.error;
   ASSERT_TRUE(air_on.result.succeeded()) << air_on.result.error;
   EXPECT_EQ(air_off.parts.size(), 2u);
   EXPECT_EQ(air_on.parts, air_off.parts);
 }
 
-TEST(CompressionSeamsTest, MapOutputPlusShuffleServesStoredFramesAsIs) {
-  // With both task seams on the same codec, getMapOutput ships the stored
-  // frames untouched — the raw/compressed ratio the tracker reports equals
-  // the spill-side ratio (no re-encode at serve time).
+TEST(CompressionSeamsTest, MapOutputCodecShipsStoredSegmentsAsIs) {
+  // Encode once, ship as stored, decode once. A fault-free, combiner-less
+  // job with speculation off and fewer maps than the reducer's fold fan-in
+  // (8) serves every stored segment exactly once and never folds, so the
+  // bytes the maps encoded, the bytes the trackers served and the bytes the
+  // reducers decoded are the same bytes, and every segment the reducers
+  // merged went through the codec exactly once each way.
   const std::string corpus = makeCorpus(300, 33);
-  const SeamRun run = runWithSeams(corpus, "none", "mh-lz", "mh-lz");
+  const SeamRun run = runWithSeams(corpus, "none", "mh-lz");
   ASSERT_TRUE(run.result.succeeded()) << run.result.error;
-  EXPECT_GT(run.tt_compressed, 0);
+  const Counters& c = run.result.counters;
+  ASSERT_EQ(c.value(kJobGroup, kFailedMaps), 0);
+  ASSERT_EQ(c.value(kJobGroup, kFailedReduces), 0);
+  ASSERT_EQ(c.value(kJobGroup, kSpeculativeMaps), 0);
+  ASSERT_GT(c.value(kJobGroup, kLaunchedMaps), 1);
+  ASSERT_LT(c.value(kJobGroup, kLaunchedMaps), 8);
+
+  const int64_t spill_compressed = c.value(kTaskGroup, kSpillCompressedBytes);
+  EXPECT_GT(spill_compressed, 0);
+  EXPECT_EQ(run.tt_compressed, spill_compressed);
+  EXPECT_EQ(c.value(kShuffleGroup, kShuffleCompressedBytes), spill_compressed);
+  EXPECT_EQ(run.tt_raw, c.value(kTaskGroup, kSpillRawBytes));
   EXPECT_LT(run.tt_compressed, run.tt_raw);
 
-  const SeamRun off = runWithSeams(corpus, "none", "none", "none");
+  const int64_t segments = c.value(kTaskGroup, kMergeSegments);
+  EXPECT_GT(segments, 0);
+  EXPECT_EQ(run.tt_encodes, segments);
+  EXPECT_EQ(run.tt_decodes, segments);
+
+  const SeamRun off = runWithSeams(corpus, "none", "none");
   ASSERT_TRUE(off.result.succeeded()) << off.result.error;
   EXPECT_EQ(run.parts, off.parts);
 }
@@ -180,8 +204,8 @@ TEST(CompressionSeamsTest, VarRleSeamAlsoRoundTrips) {
   // The seams are codec-agnostic: the fallback codec must satisfy the same
   // byte-identity contract even where it barely compresses.
   const std::string corpus = makeCorpus(200, 44);
-  const SeamRun off = runWithSeams(corpus, "none", "none", "none");
-  const SeamRun rle = runWithSeams(corpus, "var-rle", "var-rle", "var-rle");
+  const SeamRun off = runWithSeams(corpus, "none", "none");
+  const SeamRun rle = runWithSeams(corpus, "var-rle", "var-rle");
   ASSERT_TRUE(off.result.succeeded()) << off.result.error;
   ASSERT_TRUE(rle.result.succeeded()) << rle.result.error;
   EXPECT_EQ(rle.parts, off.parts);

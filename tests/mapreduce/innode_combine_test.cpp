@@ -18,7 +18,7 @@
 /// \file innode_combine_test.cpp
 /// In-node combining: the MapOutputStore's tracker-level aggregation of
 /// completed map outputs (merge through the job combiner, generation-aware
-/// replacement, membership-exact node serving, encode-once wire cache) plus
+/// replacement, membership-exact node serving, heap-budget charges) plus
 /// the cluster-level contract — a faulted run with re-executed maps on the
 /// same tracker contributes each map exactly once.
 
@@ -64,15 +64,17 @@ std::map<std::string, int64_t> decodeCounts(std::string_view output) {
 constexpr JobId kJob = 7;
 
 /// Store + registry wired like a TaskTracker would: wordcount-with-combiner
-/// spec under `kJob` with in-node combining on, an unbounded charge hook.
+/// spec under `kJob` with in-node combining on and the given charge hook
+/// (unbounded by default).
 struct StoreFixture {
-  StoreFixture() {
+  explicit StoreFixture(
+      MapOutputStore::TryChargeFn try_charge = [](int64_t) { return true; }) {
     JobSpec spec = wordCountSpec({"/in"}, "/out", /*with_combiner=*/true);
     spec.conf.setBool("mapred.innode.combine", true);
     spec.validateAndDefault();
     registry.put(kJob, std::make_shared<const JobSpec>(std::move(spec)));
     store.attach(&registry, &metrics, nullptr, "store",
-                 [](int64_t) { return true; });
+                 std::move(try_charge));
   }
 
   JobRegistry registry;
@@ -112,8 +114,7 @@ TEST(InnodeCombineStoreTest, NodeServeCombinesAllMapsIntoOneRun) {
   f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})}, &map_counters);
   f.store.put(kJob, 2, {makeRun({{"map", 5}})}, &map_counters);
 
-  const BufferView run =
-      f.store.serveNodeOutput(kJob, 0, {0, 1, 2}, CodecKind::kNone);
+  const BufferView run = f.store.serveNodeOutput(kJob, 0, {0, 1, 2});
   const std::map<std::string, int64_t> expected{
       {"data", 5}, {"map", 6}, {"sort", 4}};
   EXPECT_EQ(decodeCounts(run), expected);
@@ -131,15 +132,13 @@ TEST(InnodeCombineStoreTest, ReExecutedMapContributesExactlyOnce) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 2}})});
   f.store.put(kJob, 1, {makeRun({{"data", 3}})});
-  const BufferView before =
-      f.store.serveNodeOutput(kJob, 0, {0, 1}, CodecKind::kNone);
+  const BufferView before = f.store.serveNodeOutput(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(before).at("data"), 5);
 
   // Map 1 re-executes on this tracker (same deterministic output). Its old
   // contribution must be replaced, not added.
   f.store.put(kJob, 1, {makeRun({{"data", 3}})});
-  const BufferView after =
-      f.store.serveNodeOutput(kJob, 0, {0, 1}, CodecKind::kNone);
+  const BufferView after = f.store.serveNodeOutput(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(after).at("data"), 5);
   EXPECT_GE(f.metrics.counterValue("mapoutput.replaced.runs"), 1);
 }
@@ -153,8 +152,7 @@ TEST(InnodeCombineStoreTest, NodeServeIsMembershipExact) {
   // A reducer that was told maps {0, 1} live here must not receive map 2's
   // records, even though this node holds them (2 may have been superseded
   // by a speculative re-run elsewhere).
-  const BufferView run =
-      f.store.serveNodeOutput(kJob, 0, {0, 1}, CodecKind::kNone);
+  const BufferView run = f.store.serveNodeOutput(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(run).at("data"), 11);
 }
 
@@ -162,7 +160,7 @@ TEST(InnodeCombineStoreTest, MissingMapInNodeServeIsNamed) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}})});
   try {
-    f.store.serveNodeOutput(kJob, 0, {0, 5}, CodecKind::kNone);
+    f.store.serveNodeOutput(kJob, 0, {0, 5});
     FAIL() << "expected NotFoundError";
   } catch (const NotFoundError& e) {
     // The fetcher forwards this so the JobTracker re-executes map 5, not
@@ -172,66 +170,35 @@ TEST(InnodeCombineStoreTest, MissingMapInNodeServeIsNamed) {
   }
 }
 
-TEST(InnodeCombineStoreTest, RawRunEncodesOnceAcrossServes) {
-  // Satellite: a run stored raw while shuffle compression is on used to be
-  // re-encoded on EVERY fetch (retries included). The first serve caches
-  // the wire form; the codec's encode histogram proves the second serve
-  // paid nothing.
-  StoreFixture f;
-  const Bytes raw = makeSegment({{"data", 1}, {"map", 2}, {"shuffle", 3}});
-  f.store.put(kJob, 0, {joinSegments({raw})});
+TEST(InnodeCombineStoreTest, DeclinedBudgetServesNodeAggregateUncached) {
+  // A budget that refuses growth never holds an aggregate: each serve
+  // rebuilds it from the members, and the answer is the same bytes.
+  StoreFixture f([](int64_t delta) { return delta <= 0; });
+  f.store.put(kJob, 0, {makeRun({{"data", 1}, {"map", 2}})});
+  f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})});
+  const int64_t builds_before = f.metrics.counterValue("innode.combined.runs");
 
-  MapOutputStore::ServeStats first_stats;
-  const BufferView first =
-      f.store.serveMapOutput(kJob, 0, 0, CodecKind::kMhLz, &first_stats);
-  const auto& encode =
-      f.metrics.child("codec.mh-lz").histogram("encode.micros");
-  EXPECT_EQ(encode.count(), 1u);
-  EXPECT_EQ(first_stats.raw_bytes, static_cast<int64_t>(raw.size()));
-  EXPECT_GT(first_stats.compressed_bytes, 0);
-  EXPECT_GT(f.store.cachedBytes(), 0);
-
-  MapOutputStore::ServeStats second_stats;
-  const BufferView second =
-      f.store.serveMapOutput(kJob, 0, 0, CodecKind::kMhLz, &second_stats);
-  EXPECT_EQ(encode.count(), 1u);  // cache hit: no second encode
-  EXPECT_EQ(Bytes(second), Bytes(first));
-  // The byte accounting still counts EVERY serve (the wire carried the
-  // bytes twice), matching the shuffle.compressed.bytes contract.
-  EXPECT_EQ(second_stats.raw_bytes, first_stats.raw_bytes);
-  EXPECT_EQ(second_stats.compressed_bytes, first_stats.compressed_bytes);
-}
-
-TEST(InnodeCombineStoreTest, DeclinedBudgetServesUncachedAndReencodes) {
-  JobRegistry registry;
-  MetricsRegistry metrics;
-  MapOutputStore store;
-  store.attach(&registry, &metrics, nullptr, "store",
-               [](int64_t delta) { return delta <= 0; });  // refuse growth
-  store.put(kJob, 0, {makeRun({{"data", 1}, {"map", 2}})});
-
-  const BufferView first =
-      store.serveMapOutput(kJob, 0, 0, CodecKind::kMhLz);
-  const BufferView second =
-      store.serveMapOutput(kJob, 0, 0, CodecKind::kMhLz);
-  // Budget declined the cache: both serves encoded, bytes identical, and
-  // nothing stayed charged.
-  EXPECT_EQ(metrics.child("codec.mh-lz").histogram("encode.micros").count(),
-            2u);
+  const BufferView first = f.store.serveNodeOutput(kJob, 0, {0, 1});
+  const BufferView second = f.store.serveNodeOutput(kJob, 0, {0, 1});
   EXPECT_EQ(Bytes(first), Bytes(second));
-  EXPECT_EQ(store.cachedBytes(), 0);
+  const std::map<std::string, int64_t> expected{
+      {"data", 4}, {"map", 2}, {"sort", 4}};
+  EXPECT_EQ(decodeCounts(first), expected);
+  EXPECT_EQ(f.store.cachedBytes(), 0);
+  // One partition per build: both serves merged, neither hit a cache.
+  EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), builds_before + 2);
 }
 
-TEST(InnodeCombineStoreTest, PurgeReleasesCombinedAndWireCharges) {
+TEST(InnodeCombineStoreTest, PurgeReleasesCombinedCharges) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}})});
   f.store.put(kJob, 1, {makeRun({{"data", 2}})});
-  f.store.serveNodeOutput(kJob, 0, {0, 1}, CodecKind::kMhLz);
+  f.store.serveNodeOutput(kJob, 0, {0, 1});
   EXPECT_GT(f.store.cachedBytes(), 0);
   f.store.purgeJob(kJob);
   EXPECT_EQ(f.store.cachedBytes(), 0);
   EXPECT_EQ(f.store.totalBytes(), 0u);
-  EXPECT_THROW(f.store.serveNodeOutput(kJob, 0, {0, 1}, CodecKind::kNone),
+  EXPECT_THROW(f.store.serveNodeOutput(kJob, 0, {0, 1}),
                NotFoundError);
 }
 

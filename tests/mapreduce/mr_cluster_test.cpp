@@ -456,25 +456,30 @@ TEST(MiniMrClusterTest, SubmitWithNoInputThrows) {
 }
 
 TEST(MiniMrClusterTest, SubmitRejectsABadJobConfBeforeAnyTask) {
-  // A typo, an unknown codec, an out-of-range fraction and a daemon key in
-  // a job conf are each rejected at submit, naming the key, before the job
-  // exists.
+  // A typo, an unknown codec, an out-of-range fraction, a daemon key in a
+  // job conf and a retired key are each rejected at submit, naming the key
+  // and why, before the job exists. The retired shuffle codec must fail
+  // loudly rather than silently run the job uncompressed.
   MiniMrCluster cluster({.num_nodes = 1, .conf = fastConf()});
   cluster.client().writeFile("/in/a.txt", "a b a\n");
-  for (const auto& [key, value] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"io.sort.mbb", "1"},
-           {"mapred.shuffle.compression", "lz4"},
-           {"mapred.reduce.slowstart.completed.maps", "1.5"},
-           {"dfs.replication", "2"}}) {
+  struct BadEntry {
+    std::string key, value, reason;
+  };
+  for (const auto& [key, value, reason] : std::vector<BadEntry>{
+           {"io.sort.mbb", "1", "not a known key"},
+           {"mapred.map.output.compression.codec", "lz4", "not one of"},
+           {"mapred.reduce.slowstart.completed.maps", "1.5", "not in ["},
+           {"dfs.replication", "2", "daemon key"},
+           {"mapred.shuffle.compression", "mh-lz", "not a known key"}}) {
     JobSpec spec = wordCountSpec({"/in"}, "/out");
     spec.conf.set(key, value);
     try {
       cluster.jobTracker().submit(std::move(spec));
       ADD_FAILURE() << key << "=" << value << " was accepted";
     } catch (const InvalidArgumentError& e) {
-      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
-          << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(reason), std::string::npos) << what;
     }
   }
   EXPECT_TRUE(cluster.jobTracker().listJobs().empty());

@@ -15,8 +15,8 @@
 /// A combiner-less map ships its spill segments unmerged, and the reducer's
 /// merge is the only merge. These tests run plain WordCount on the
 /// mini-cluster at 2-10 spills per map and at more than 10 (Hadoop's
-/// io.sort.factor default) under every compression seam and both slowstart
-/// extremes, and hold its part files and record counters to the serial
+/// io.sort.factor default) under every subset of the two compression seams
+/// (block, map output) and both slowstart extremes, and hold its part files and record counters to the serial
 /// LocalJobRunner. They also check that emitted records are views a task
 /// may overwrite once emit returns.
 
@@ -41,14 +41,12 @@ struct Seams {
   const char* name;
   const char* block;
   const char* mapout;
-  const char* shuffle;
 };
 
-constexpr Seams kSeams[] = {{"NoSeam", "none", "none", "none"},
-                            {"Block", "mh-lz", "none", "none"},
-                            {"MapOutput", "none", "mh-lz", "none"},
-                            {"Shuffle", "none", "none", "mh-lz"},
-                            {"AllSeams", "mh-lz", "mh-lz", "mh-lz"}};
+constexpr Seams kSeams[] = {{"NoSeam", "none", "none"},
+                            {"Block", "mh-lz", "none"},
+                            {"MapOutput", "none", "mh-lz"},
+                            {"AllSeams", "mh-lz", "mh-lz"}};
 
 struct ShipCase {
   bool many;  ///< spill more than 10 times per map
@@ -69,7 +67,6 @@ JobSpec plainWordCount(const ShipCase& c, std::vector<std::string> inputs,
   spec.conf.setInt("io.sort.mb", 1);
   spec.conf.setDouble("io.sort.spill.percent", c.many ? 0.05 : 0.25);
   spec.conf.set("mapred.map.output.compression.codec", c.seams.mapout);
-  spec.conf.set("mapred.shuffle.compression", c.seams.shuffle);
   spec.conf.setDouble("mapred.reduce.slowstart.completed.maps", c.slowstart);
   return spec;
 }
