@@ -84,11 +84,15 @@ BENCHMARK(BM_KvRunEncodeDecode);
 /// The shipping map path over one TextCorpusGenerator split:
 /// WordCountMapper::map emitting views -> MapOutputBuffer::collect ->
 /// finishSegments (sort, spill, segments shipped unmerged), as runMapTask
-/// drives it. Reports input records (lines) per second.
+/// drives it. Arguments: split bytes (16 MiB is one bulk WordCount split,
+/// over its 20000-word vocabulary) and reducer count, which sets how many
+/// partitions each spill sorts. Reports input records (lines) per second.
 void BM_WordCountMapCollect(benchmark::State& state) {
   const Bytes split =
       mh::data::TextCorpusGenerator(
-          {.seed = 5, .target_bytes = static_cast<uint64_t>(state.range(0))})
+          {.seed = 5,
+           .vocabulary_size = 20'000,
+           .target_bytes = static_cast<uint64_t>(state.range(0))})
           .generate();
   std::vector<std::string_view> lines;
   for (size_t start = 0; start < split.size();) {
@@ -96,7 +100,8 @@ void BM_WordCountMapCollect(benchmark::State& state) {
     lines.emplace_back(split.data() + start, end - start);
     start = end + 1;
   }
-  auto spec = mh::apps::makeWordCountJob({"in"}, "out", false, 4);
+  auto spec = mh::apps::makeWordCountJob(
+      {"in"}, "out", false, static_cast<uint32_t>(state.range(1)));
   spec.validateAndDefault();
   const auto partitioner = spec.partitioner();
   for (auto _ : state) {
@@ -116,8 +121,7 @@ void BM_WordCountMapCollect(benchmark::State& state) {
                           static_cast<int64_t>(lines.size()));
 }
 BENCHMARK(BM_WordCountMapCollect)
-    ->Arg(1 << 20)
-    ->Arg(4 << 20)
+    ->ArgsProduct({{1 << 20, 16 << 20}, {1, 3, 64}})
     ->Unit(benchmark::kMillisecond);
 
 /// The long-key path of the map-side sort: 1M records whose 16-40-byte

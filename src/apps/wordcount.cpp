@@ -1,17 +1,40 @@
 #include "mh/apps/wordcount.h"
 
-#include "mh/common/strings.h"
+#include <array>
+#include <cstdint>
 
 namespace mh::apps {
 
 namespace {
 
-/// ASCII letters, digits and the apostrophe ("don't"); every other byte,
-/// including bytes >= 0x80, is trimmed off a token's ends.
-bool isWordChar(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
-         (c >= 'A' && c <= 'Z') || c == '\'';
+enum ByteKind : uint8_t { kOther, kSpace, kWord };
+
+/// What the tokenizer needs to know of one byte: whether it splits tokens
+/// (the six ASCII whitespace bytes), belongs to a word (ASCII letters,
+/// digits and the apostrophe, as in "don't") or is trimmed off a token's
+/// ends (everything else, bytes >= 0x80 included), and its lower-cased
+/// form (A-Z only).
+struct ByteClass {
+  ByteKind kind = kOther;
+  char lower = 0;
+};
+
+constexpr std::array<ByteClass, 256> makeByteClasses() {
+  std::array<ByteClass, 256> table{};
+  for (int b = 0; b < 256; ++b) {
+    ByteClass& c = table[static_cast<size_t>(b)];
+    c.lower = static_cast<char>(b >= 'A' && b <= 'Z' ? b - 'A' + 'a' : b);
+    if (b == ' ' || (b >= '\t' && b <= '\r')) {
+      c.kind = kSpace;
+    } else if ((b >= '0' && b <= '9') || (b >= 'a' && b <= 'z') ||
+               (b >= 'A' && b <= 'Z') || b == '\'') {
+      c.kind = kWord;
+    }
+  }
+  return table;
 }
+
+constexpr std::array<ByteClass, 256> kByteClasses = makeByteClasses();
 
 /// The encoded count every emission carries, built once.
 const Bytes kOne = mr::MrCodec<int64_t>::enc(1);
@@ -20,21 +43,34 @@ const Bytes kOne = mr::MrCodec<int64_t>::enc(1);
 
 void WordCountMapper::map(std::string_view, std::string_view value,
                           mr::TaskContext& ctx) {
-  // Tokens are views into the line, lower-cased into one reused buffer:
-  // emit copies the key before it returns, so nothing is allocated per
-  // word.
-  size_t pos = 0;
-  for (std::string_view token = nextWhitespaceToken(value, pos);
-       !token.empty(); token = nextWhitespaceToken(value, pos)) {
-    size_t begin = 0;
-    size_t end = token.size();
-    while (begin < end && !isWordChar(token[begin])) ++begin;
-    while (end > begin && !isWordChar(token[end - 1])) --end;
-    if (begin < end) {
-      assignLowerAscii(word_, token.substr(begin, end - begin));
-      ctx.emit(word_, kOne);
+  // One pass over the line's bytes finds each token's first and last word
+  // byte; the bytes between them, lower-cased into one reused buffer, are
+  // the word. emit copies the key before it returns, so nothing is
+  // allocated per word.
+  const auto emit_word = [&](const char* begin, const char* end) {
+    word_.resize(static_cast<size_t>(end - begin));
+    for (char& c : word_) {
+      c = kByteClasses[static_cast<uint8_t>(*begin++)].lower;
+    }
+    ctx.emit(word_, kOne);
+  };
+  const char* word = nullptr;      // the token's first word byte, once seen
+  const char* word_end = nullptr;  // one past its last word byte so far
+  for (const char* p = value.data(), *end = p + value.size(); p != end; ++p) {
+    switch (kByteClasses[static_cast<uint8_t>(*p)].kind) {
+      case kWord:
+        if (word == nullptr) word = p;
+        word_end = p + 1;
+        break;
+      case kSpace:
+        if (word != nullptr) emit_word(word, word_end);
+        word = nullptr;
+        break;
+      case kOther:
+        break;
     }
   }
+  if (word != nullptr) emit_word(word, word_end);
 }
 
 void WordCountCombiner::reduce(std::string_view key,

@@ -109,39 +109,58 @@ class Rng {
 
 /// Zipfian sampler over ranks 1..n with exponent s — used for word
 /// frequencies in the synthetic text corpus and key skew in rating data.
-/// Precomputes the CDF; O(log n) per sample.
+/// Precomputes the CDF and a guide table over it: 2^k >= 2n equal-width
+/// buckets of [0, 1], entry j holding the first rank whose CDF is >= j/2^k.
+/// A draw u starts at its bucket's entry and scans forward, so each sample
+/// costs O(1) on average and returns exactly the rank a binary search over
+/// the CDF would (the first entry >= u), draw for draw.
 class ZipfSampler {
  public:
   ZipfSampler(uint64_t n, double s) : cdf_(n) {
     if (n == 0) throw InvalidArgumentError("Zipf over empty domain");
+    if (n > UINT32_MAX) throw InvalidArgumentError("Zipf domain over 2^32");
     double sum = 0.0;
     for (uint64_t k = 1; k <= n; ++k) {
       sum += 1.0 / std::pow(static_cast<double>(k), s);
       cdf_[k - 1] = sum;
     }
     for (auto& c : cdf_) c /= sum;
+
+    size_t buckets = 2;
+    while (buckets < 2 * n) buckets *= 2;
+    buckets_ = static_cast<double>(buckets);
+    // One entry past the last bucket, so u == 1.0 needs no clamp.
+    guide_.resize(buckets + 1);
+    size_t rank = 0;
+    for (size_t j = 0; j <= buckets; ++j) {
+      // j / 2^k is exact: both are integers below 2^53.
+      const double edge = static_cast<double>(j) / buckets_;
+      while (rank + 1 < n && cdf_[rank] < edge) ++rank;
+      guide_[j] = rank;
+    }
   }
 
   /// Samples a rank in [0, n).
-  uint64_t sample(Rng& rng) const {
-    const double u = rng.uniform01();
-    // Binary search for the first CDF entry >= u.
-    size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (cdf_[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
+  uint64_t sample(Rng& rng) const { return rankOf(rng.uniform01()); }
+
+  /// The first rank whose CDF entry is >= u (the last rank if none is), for
+  /// u in [0, 1]. u * 2^k is exact, so the bucket's guide entry never lies
+  /// past that rank.
+  uint64_t rankOf(double u) const {
+    size_t rank = guide_[static_cast<size_t>(u * buckets_)];
+    while (rank + 1 < cdf_.size() && cdf_[rank] < u) ++rank;
+    return rank;
   }
 
   size_t domain() const { return cdf_.size(); }
 
+  /// The CDF over ranks 0..n-1; the last entry is 1.
+  const std::vector<double>& cdf() const { return cdf_; }
+
  private:
   std::vector<double> cdf_;
+  std::vector<uint32_t> guide_;
+  double buckets_ = 0;  ///< 2^k, as the scale a draw's bucket is read at
 };
 
 }  // namespace mh

@@ -28,6 +28,12 @@ class Stopwatch {
         .count();
   }
 
+  int64_t elapsedNanos() const {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start_)
+        .count();
+  }
+
   double elapsedSeconds() const {
     return static_cast<double>(elapsedMicros()) / 1e6;
   }

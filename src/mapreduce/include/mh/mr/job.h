@@ -20,8 +20,12 @@
 
 namespace mh::mr {
 
-/// Most reducers a job may have: the map-side sort index packs the
-/// partition into 28 bits (MapOutputBuffer).
+/// Most reducers a job may have. Each map returns one output per reducer
+/// (MapOutputBuffer::finishSegments) and keeps a partition slot per
+/// reducer, so a map's fixed cost grows with the count even when it feeds
+/// only a few partitions. 2^28 is far above any real job and keeps those
+/// tables addressable; a larger count (a negative int cast to uint32_t,
+/// say) is refused at submit rather than by the first map's allocation.
 inline constexpr uint32_t kMaxReducers = 1u << 28;
 
 struct JobSpec {

@@ -49,7 +49,11 @@ void appendSegmentTable(Bytes& out, const std::vector<uint64_t>& lengths) {
 }
 
 Bytes joinSegments(const std::vector<std::string_view>& segments) {
+  size_t bytes = 0;
+  for (const std::string_view segment : segments) bytes += segment.size();
   Bytes out;
+  // Room for the segments and their table, so nothing is copied twice.
+  if (bytes != 0) out.reserve(bytes + 8 * (segments.size() + 1));
   std::vector<uint64_t> lengths;
   for (const std::string_view segment : segments) {
     if (segment.empty()) continue;

@@ -4,6 +4,7 @@
 
 #include "apps_test_util.h"
 #include "mh/apps/select_max.h"
+#include "mh/common/rng.h"
 #include "mh/data/text_corpus.h"
 #include "testutil/ctype_locales.h"
 #include "testutil/wordcount_reference.h"
@@ -52,6 +53,29 @@ TEST(WordCountTokenizerTest, MatchesAsciiReferenceUnderAnyLocale) {
     }
     EXPECT_EQ(keys, expected) << "under " << locale;
   });
+}
+
+/// 10k random lines over all 256 byte values: the mapper's keys equal the
+/// reference's on every one. Half the bytes are drawn uniformly; the other
+/// half from whitespace, word bytes and trimmed bytes, so lines hold many
+/// short tokens as well as long runs of arbitrary bytes.
+TEST(WordCountTokenizerTest, RandomLinesMatchReference) {
+  using namespace std::string_literals;
+  static const std::string kBoundaryBytes =
+      " \t\n\v\f\r'Az09.-\x80\xff\x00\x1f\x7f"s;
+  Rng rng(24);
+  for (int i = 0; i < 10'000; ++i) {
+    std::string line(rng.uniform(64), '\0');
+    for (char& c : line) {
+      c = rng.chance(0.5)
+              ? static_cast<char>(rng.uniform(256))
+              : kBoundaryBytes[rng.uniform(kBoundaryBytes.size())];
+    }
+    std::vector<std::string> keys;
+    for (const auto& kv : mapLine(line)) keys.push_back(kv.key);
+    ASSERT_EQ(keys, ::mh::testutil::referenceWordCountKeys(line))
+        << "line " << i << ": " << ::testing::PrintToString(line);
+  }
 }
 
 TEST_F(WordCountTest, NormalizesCaseAndPunctuation) {

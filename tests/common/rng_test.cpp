@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <utility>
+#include <vector>
 
 namespace mh {
 namespace {
@@ -109,6 +112,62 @@ TEST(ZipfTest, SamplesStayInDomain) {
   Rng rng(37);
   ZipfSampler zipf(5, 1.2);
   for (int i = 0; i < 10000; ++i) EXPECT_LT(zipf.sample(rng), 5u);
+}
+
+/// The first CDF entry >= u by binary search: the sampler's rank before
+/// it had a guide table, and the reference it must match draw for draw.
+uint64_t binarySearchRank(const std::vector<double>& cdf, double u) {
+  size_t lo = 0, hi = cdf.size() - 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+/// The guide table returns the binary search's rank for random draws, at
+/// every CDF entry (and its neighbours) and at every bucket edge, where an
+/// off-by-one in the bucket or the scan would show. Exponent 0 over 4
+/// ranks makes every CDF entry a bucket edge (k/4), so a guide built on
+/// the wrong side of an edge shows too.
+TEST(ZipfTest, GuideTableMatchesBinarySearch) {
+  for (const auto& [n, s] : {std::pair<uint64_t, double>{1, 1.0}, {4, 0.0},
+                             {5, 1.0}, {1000, 1.0}, {20000, 1.0}}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+    const ZipfSampler zipf(n, s);
+    const std::vector<double>& cdf = zipf.cdf();
+    ASSERT_EQ(cdf.size(), n);
+    Rng draws(n);
+    Rng replay(n);
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      const uint64_t rank = zipf.sample(draws);
+      mismatches += rank != binarySearchRank(cdf, replay.uniform01());
+    }
+    EXPECT_EQ(mismatches, 0);
+
+    std::vector<double> probes = {0.0, 1.0};
+    for (const double c : cdf) {
+      probes.push_back(c);
+      probes.push_back(std::nextafter(c, 0.0));
+      probes.push_back(std::nextafter(c, 1.0));
+    }
+    uint64_t buckets = 2;
+    while (buckets < 2 * n) buckets *= 2;
+    for (uint64_t j = 0; j <= buckets; ++j) {
+      const double edge = static_cast<double>(j) / static_cast<double>(buckets);
+      probes.push_back(edge);
+      if (j > 0) probes.push_back(std::nextafter(edge, 0.0));
+    }
+    for (const double u : probes) {
+      if (u < 0.0 || u > 1.0) continue;
+      ASSERT_EQ(zipf.rankOf(u), binarySearchRank(cdf, u)) << "u=" << u;
+    }
+  }
 }
 
 TEST(ZipfTest, EmptyDomainThrows) {

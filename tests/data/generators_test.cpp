@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "mh/common/crc32.h"
 #include "mh/common/strings.h"
 #include "mh/data/airline.h"
 #include "mh/data/gtrace.h"
@@ -290,6 +291,35 @@ TEST(GTraceTest, SomeResubmissionsHappen) {
                        .resubmit_probability = 0.3});
   gen.generateCsv();
   EXPECT_GT(gen.truth().worst_job_resubmissions, 0u);
+}
+
+// ------------------------------------------------------------ pinned bytes
+
+/// The generators' outputs for fixed seeds, pinned by CRC-32C. Every
+/// workload, benchmark and lab reads these bytes, so a change to a sampler
+/// (rng.h) that moves a single draw shows here. The text corpus pins both
+/// the benchmark's vocabulary (20000 words, the bulk WordCount corpus) and
+/// the default one.
+TEST(GeneratorPinTest, TextCorpusBytesArePinned) {
+  EXPECT_EQ(crc32c(TextCorpusGenerator({.seed = 7,
+                                        .vocabulary_size = 20'000,
+                                        .target_bytes = 4 << 20})
+                       .generate()),
+            0x77D41FDAu);
+  EXPECT_EQ(crc32c(TextCorpusGenerator({.seed = 1001}).generate()),
+            0xD29EBC50u);
+}
+
+TEST(GeneratorPinTest, MoviesBytesArePinned) {
+  MoviesGenerator gen({.seed = 1997});
+  EXPECT_EQ(crc32c(gen.generateMoviesCsv()), 0x2B3E337Bu);
+  EXPECT_EQ(crc32c(gen.generateRatingsCsv()), 0x56F76593u);
+}
+
+TEST(GeneratorPinTest, MusicBytesArePinned) {
+  MusicGenerator gen({.seed = 3});
+  EXPECT_EQ(crc32c(gen.generateSongsTsv()), 0x502C6117u);
+  EXPECT_EQ(crc32c(gen.generateRatingsTsv()), 0xCE6A57CFu);
 }
 
 }  // namespace
