@@ -93,8 +93,10 @@ std::map<std::string, Bytes> readParts(mr::MiniMrCluster& cluster) {
 struct ModeResult {
   int64_t millis = 0;
   int64_t shuffle_bytes = 0;
-  int64_t records_in = 0;   ///< INNODE_COMBINE_RECORDS_IN (0 per-task).
-  int64_t records_out = 0;  ///< INNODE_COMBINE_RECORDS_OUT (0 per-task).
+  /// Records into and out of the serving trackers' in-node combines, the
+  /// `innode.records.in/out` counters summed over trackers (0 per-task).
+  int64_t records_in = 0;
+  int64_t records_out = 0;
   std::map<std::string, Bytes> parts;
 };
 
@@ -126,8 +128,11 @@ ModeResult runDistributed(const Bytes& corpus, bool innode) {
   }
   using namespace mr::counters;
   m.shuffle_bytes = result.counters.value(kShuffleGroup, kShuffleBytes);
-  m.records_in = result.counters.value(kTaskGroup, kInnodeCombineRecordsIn);
-  m.records_out = result.counters.value(kTaskGroup, kInnodeCombineRecordsOut);
+  for (const auto& host : cluster.trackerHosts()) {
+    const auto& tracker = cluster.metrics().child("tasktracker." + host);
+    m.records_in += tracker.counterValue("innode.records.in");
+    m.records_out += tracker.counterValue("innode.records.out");
+  }
   m.parts = readParts(cluster);
   return m;
 }

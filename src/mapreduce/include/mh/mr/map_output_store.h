@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -12,7 +11,6 @@
 #include "mh/common/error.h"
 #include "mh/common/metrics.h"
 #include "mh/common/trace.h"
-#include "mh/mr/counters.h"
 #include "mh/mr/types.h"
 
 /// \file map_output_store.h
@@ -33,21 +31,18 @@
 /// decoded once by the reducer at merge input. The serving tracker never
 /// encodes or decodes a plain map output.
 ///
-/// Beyond plain per-map storage, the store is the home of **in-node
-/// combining** (`mapred.innode.combine`, a job conf key; it needs the
-/// attachments from `attach()`): when the job has a combiner, completed
-/// maps' runs for the same job are merged node-locally (KvRunMerger +
-/// combiner) into one consolidated run per partition, so a reducer fetches
-/// one run per *node* instead of one per map. Indexing is generation-aware:
-/// every `put()` bumps the slot's generation, and a combined run remembers
-/// the exact (map, generation) set it was built from — a late, re-executed,
-/// or speculative attempt invalidates the aggregate and contributes exactly
-/// once to the next build. Reducers name the exact map set they expect
-/// (`serveNodeOutput`), so a map that re-ran elsewhere is never served twice
-/// from two nodes' aggregates. Only combiner jobs combine in-node, so every
-/// map output it merges holds one segment; a multi-segment output there is
-/// an IllegalStateError. Aggregates are charged to the tracker heap budget
-/// via the `TryChargeFn`; over budget a build serves uncached.
+/// Beyond plain per-map storage, the store serves **in-node combining**
+/// (`mapred.innode.combine`, a job conf key; it needs the attachments from
+/// `attach()`): a reducer names the exact maps it expects from this node
+/// (`serveNodeOutput`), and the store merges their outputs for the
+/// requested partition through the job's combiner, so the reducer fetches
+/// one run per *node* instead of one per map. Nothing is combined at put
+/// time and nothing is cached: each request merges exactly the named maps'
+/// current outputs, so a re-executed or speculative attempt that replaced
+/// its slot contributes exactly once, and a map that re-ran elsewhere is
+/// never served twice from two nodes. Only combiner jobs combine in-node,
+/// so every map output it merges holds one segment; a multi-segment output
+/// there is an IllegalStateError.
 
 namespace mh::mr {
 
@@ -56,35 +51,21 @@ struct JobSpec;
 
 class MapOutputStore {
  public:
-  /// Heap-budget hook: charge `delta` bytes (negative releases). Returns
-  /// false when the budget refuses the growth — the store then serves the
-  /// node aggregate it built without caching it. Must never throw.
-  using TryChargeFn = std::function<bool(int64_t)>;
-
   MapOutputStore() = default;
-  ~MapOutputStore();
   MapOutputStore(const MapOutputStore&) = delete;
   MapOutputStore& operator=(const MapOutputStore&) = delete;
 
   /// Wires the store into its owning tracker: job specs (combiner factory
-  /// and conf seams), a metrics child for the `mapoutput.replaced.runs` /
-  /// `innode.combined.runs` / `innode.bytes.saved` counters, tracing for
-  /// INNODE_COMBINE spans, and the heap-budget hook that bounds combined
-  /// runs. A detached store (tests) behaves like plain per-map storage.
+  /// and conf seams), a metrics child for the `mapoutput.replaced.runs`
+  /// and `innode.*` counters, and tracing for INNODE_COMBINE spans. A
+  /// detached store (tests) behaves like plain per-map storage.
   void attach(JobRegistry* registry, MetricsRegistry* metrics,
-              TraceCollector* trace, std::string trace_component,
-              TryChargeFn try_charge);
+              TraceCollector* trace, std::string trace_component);
 
   /// Installs (or replaces — speculative duplicates and re-executions) one
-  /// map's per-partition runs. A replacement bumps the slot generation and
-  /// the `mapoutput.replaced.runs` counter, and invalidates any node
-  /// aggregate the prior attempt contributed to. When in-node combining is
-  /// on for the job and the node holds runs from at least two maps, they
-  /// are merged into the node aggregate here (the
-  /// INNODE_COMBINE_* counters land in `counters`, typically the map
-  /// task's, so attempt replacement keeps them exactly-once).
-  void put(JobId job, uint32_t map_index, std::vector<Bytes> partitions,
-           Counters* counters = nullptr);
+  /// map's per-partition runs. A replacement bumps the
+  /// `mapoutput.replaced.runs` counter.
+  void put(JobId job, uint32_t map_index, std::vector<Bytes> partitions);
 
   /// Throws NotFoundError when the output is absent (e.g. after a purge or
   /// tracker restart) — the fetch failure reduces report to the JobTracker.
@@ -107,11 +88,13 @@ class MapOutputStore {
                             ServeStats* stats = nullptr);
 
   /// The node-combined run for `partition` covering exactly `maps` — the
-  /// in-node combine serve path. Uses the cached aggregate when its member
-  /// generations are current, otherwise merges (combiner included) for the
-  /// requested set. Throws NotFoundError naming the first absent map
-  /// ("missing map=<i>") so the fetcher attributes the failure to the right
-  /// map for re-execution.
+  /// in-node combine serve path: their outputs for that partition merged
+  /// through the combiner, built for this request and not kept (one map's
+  /// output is served as stored). Counts the merge in the
+  /// `innode.combined.runs`, `innode.records.in/out` and
+  /// `innode.bytes.saved` counters. Throws NotFoundError naming the first
+  /// absent map (`missingMapMessage`) so the fetcher attributes the failure
+  /// to the right map for re-execution.
   BufferView serveNodeOutput(JobId job, uint32_t partition,
                              const std::vector<uint32_t>& maps,
                              ServeStats* stats = nullptr);
@@ -128,67 +111,38 @@ class MapOutputStore {
   /// fetches contend for the mutex.
   uint64_t totalBytes() const;
 
-  /// Current slot generation, 0 when the map has no output here (test and
-  /// diagnostic hook).
-  uint64_t generation(JobId job, uint32_t map_index) const;
-
-  /// Bytes currently charged to the heap budget for node aggregates (test
-  /// and diagnostic hook).
-  int64_t cachedBytes() const;
-
  private:
   /// One finished map attempt's output: per-partition runs in stored form
-  /// (encoded when the job's map-output codec is on).
-  struct MapSlot {
-    std::vector<std::shared_ptr<const Bytes>> runs;
-    uint64_t generation = 0;
-  };
+  /// (encoded when the job's map-output codec is on), by map index.
+  using MapRuns = std::vector<std::shared_ptr<const Bytes>>;
+  using JobSlots = std::map<uint32_t, MapRuns>;
 
-  /// A node aggregate for one exact member set: per-partition combined
-  /// runs, valid while every member's slot still has the recorded
-  /// generation.
-  struct NodeRun {
-    std::map<uint32_t, uint64_t> members;  ///< map_index -> build generation
-    std::vector<std::shared_ptr<const Bytes>> runs;
-  };
-
-  struct JobSlots {
-    std::map<uint32_t, MapSlot> maps;
-    std::map<std::vector<uint32_t>, NodeRun> combined;
-    uint64_t next_generation = 1;
-  };
-
-  static uint64_t runsBytes(
-      const std::vector<std::shared_ptr<const Bytes>>& runs);
+  static uint64_t runsBytes(const MapRuns& runs);
 
   std::shared_ptr<const JobSpec> specFor(JobId job) const;
-  bool tryChargeLocked(int64_t delta);
-  void releaseLocked(int64_t bytes);
-  void dropNodeRunLocked(NodeRun& node);
-  bool currentLocked(const JobSlots& slots, const NodeRun& node) const;
-  void maybeCombineOnPut(JobId job, const JobSpec& spec, Counters* counters);
+  /// The map's stored runs; nullptr when it has no output here.
+  const MapRuns* findLocked(JobId job, uint32_t map_index) const;
 
-  /// Combined per-partition runs for exactly `members` — cache hit when
-  /// current, otherwise a fresh merge (installed when still current and the
-  /// heap budget allows). Throws NotFoundError ("missing map=<i>") when a
-  /// member has no output here.
-  std::vector<std::shared_ptr<const Bytes>> nodeRuns(
-      JobId job, const JobSpec* spec, const std::vector<uint32_t>& members,
-      Counters* counters);
+  /// Merges `runs` (one per map, canonical order) through `spec`'s
+  /// combiner into one stored-form run, and meters the merge. Throws
+  /// IllegalStateError when the job has no combiner.
+  std::shared_ptr<const Bytes> combineRuns(
+      JobId job, const JobSpec* spec, const std::vector<uint32_t>& maps,
+      const std::vector<std::shared_ptr<const Bytes>>& runs);
 
   mutable std::mutex mutex_;
   std::map<JobId, JobSlots> jobs_;
   uint64_t total_bytes_ = 0;
-  int64_t charged_ = 0;
 
   JobRegistry* registry_ = nullptr;
   MetricsRegistry* metrics_ = nullptr;
   TraceCollector* trace_ = nullptr;
   std::string component_ = "mapoutputstore";
-  TryChargeFn try_charge_;
   Counter* replaced_runs_ = nullptr;
   Counter* combined_runs_ = nullptr;
   Counter* bytes_saved_ = nullptr;
+  Counter* records_in_ = nullptr;
+  Counter* records_out_ = nullptr;
 };
 
 }  // namespace mh::mr

@@ -137,18 +137,15 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 /// **Identity contract.** Every item — one fetched output: a map's sorted
 /// segments in spill order, or a node-combined run — is keyed by the
 /// sorted set of map indices it covers (a single map in classic shuffle, a
-/// node-combined membership in in-node mode); covers are disjoint, and the
-/// canonical merge order is ascending lowest-covered-map, then spill. In
-/// `adjacent_only` mode a fold only consumes a block of covers forming a
-/// gap-free integer range, and `assemble()` emits folded segments and
-/// unfolded items' segments in canonical order — with KvRunMerger's stable
+/// host's maps in in-node mode); covers are disjoint, and the canonical
+/// merge order is ascending lowest-covered-map, then spill. A fold only
+/// consumes a block of items whose covers together form one gap-free
+/// integer range, and `assemble()` emits folded segments and unfolded
+/// items' segments in canonical order — with KvRunMerger's stable
 /// tie-break (equal keys drain in run order) the final merged stream is
-/// byte-identical to a one-shot merge over every map's segments, no matter
-/// which blocks folded or when. In-node covers are not contiguous
-/// ranges, so in-node callers run with `adjacent_only=false` (fold any
-/// block): membership grouping there is already timing-dependent, which is
-/// sound because in-node combining requires a combiner, and combiner jobs
-/// are grouping-insensitive by contract.
+/// byte-identical to a one-shot merge over every item, no matter which
+/// blocks folded or when. In-node covers are usually interleaved map sets
+/// (a host's maps), so they stay unfolded and merge once at the end.
 ///
 /// **Re-execution.** `invalidate(map)` discards whatever covers a map whose
 /// output went stale — a pending run, or a folded segment (which dissolves;
@@ -163,10 +160,6 @@ class IncrementalMerger {
     /// outputs, not segments). The final merge therefore sees at most
     /// ~fanin unfolded items per segment gap plus the segments themselves.
     size_t fold_fanin = 8;
-    /// True (classic shuffle): only gap-free map-index ranges may fold,
-    /// preserving byte-identity with the one-shot merge. False (in-node):
-    /// any block of pending runs may fold.
-    bool adjacent_only = true;
     /// Decode codec-framed runs when folding (the job's map-output codec
     /// is on); folded segments are stored raw.
     bool allow_decode = false;

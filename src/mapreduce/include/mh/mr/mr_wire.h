@@ -1,7 +1,10 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -107,6 +110,71 @@ struct TrackerHeartbeatReply {
   /// Map-completion events answering the tracker's ShuffleEventCursors.
   std::vector<MapCompletionEvent> map_events;
 };
+
+/// Why a reduce attempt failed its shuffle: `host` could not serve the
+/// output of map `map_index`, which the JobTracker then re-executes.
+struct FetchFailure {
+  std::string host;
+  uint32_t map_index = 0;
+};
+
+namespace wire_detail {
+/// The decimal index at `pos` of `text`; nullopt when none starts there.
+inline std::optional<uint32_t> indexAt(std::string_view text, size_t pos) {
+  uint32_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data() + pos, end, value);
+  if (ec != std::errc{}) return std::nullopt;
+  return value;
+}
+}  // namespace wire_detail
+
+/// A failed reduce attempt's error: "fetch-failure host=<h> map=<i>:
+/// <cause>". The blamed map comes before the cause, and parseFetchFailure
+/// reads the tags right after "fetch-failure ", so a cause that names a map
+/// of its own never wins.
+inline std::string formatFetchFailure(const FetchFailure& failure,
+                                      std::string_view cause) {
+  return "fetch-failure host=" + failure.host +
+         " map=" + std::to_string(failure.map_index) + ": " +
+         std::string(cause);
+}
+
+/// The fetch-failure that `error` carries (an exception-type prefix may
+/// precede it); nullopt when it carries none.
+inline std::optional<FetchFailure> parseFetchFailure(std::string_view error) {
+  constexpr std::string_view kHost = "fetch-failure host=";
+  constexpr std::string_view kMap = " map=";
+  const size_t at = error.find(kHost);
+  if (at == std::string_view::npos) return std::nullopt;
+  const size_t host_begin = at + kHost.size();
+  const size_t host_end = error.find(' ', host_begin);
+  if (host_end == std::string_view::npos ||
+      error.substr(host_end, kMap.size()) != kMap) {
+    return std::nullopt;
+  }
+  const auto map_index =
+      wire_detail::indexAt(error, host_end + kMap.size());
+  if (!map_index) return std::nullopt;
+  return FetchFailure{
+      std::string(error.substr(host_begin, host_end - host_begin)),
+      *map_index};
+}
+
+/// A node serve's error for a named map the tracker does not hold:
+/// "node output <job> missing map=<i>".
+inline std::string missingMapMessage(JobId job, uint32_t map_index) {
+  return "node output " + std::to_string(job) +
+         " missing map=" + std::to_string(map_index);
+}
+
+/// The map a node serve's error names as missing; nullopt when none.
+inline std::optional<uint32_t> parseMissingMap(std::string_view error) {
+  constexpr std::string_view kMissing = " missing map=";
+  const size_t at = error.find(kMissing);
+  if (at == std::string_view::npos) return std::nullopt;
+  return wire_detail::indexAt(error, at + kMissing.size());
+}
 
 }  // namespace mh::mr
 

@@ -53,20 +53,22 @@ struct JobSpec;
 /// the map output store's own buffer, uncopied. Retries back off
 /// exponentially with seeded full jitter (sleep uniform in [0, capped
 /// backoff], seed derived from job/task/attempt/retry so it is independent
-/// of thread interleaving). On any failure throws
-/// IoError("fetch-failure host=<h> map=<i>: ...") — the shape the
-/// JobTracker parses to re-execute the source map; when several concurrent
-/// fetches fail, the lowest map index is reported. On success, meters
+/// of thread interleaving). On any failure throws an IoError whose text is
+/// `formatFetchFailure` (mr_wire.h) — the JobTracker parses it to
+/// re-execute the source map; when several concurrent fetches fail, the
+/// lowest map index is reported. On success, meters
 /// SHUFFLE_BYTES and the wall-clock SHUFFLE_FETCH_MILLIS of the whole fetch
 /// phase into `shuffle_counters`.
 ///
 /// When `spec` is given and in-node combining is on for the job (a combiner
 /// plus `mapred.innode.combine=true`), the map list is grouped by host and
 /// each group fetched as ONE `getNodeOutput` call — the serving tracker
-/// merges all its maps' runs through the combiner and ships one consolidated
-/// run per node. A failed node fetch is attributed to the specific missing
-/// map when the server names one ("missing map=<i>"), else to the group's
-/// lowest map index, keeping the re-execute contract exact.
+/// merges exactly the named maps' outputs through the combiner and ships
+/// one run per node. The pipelined shuffle hands an in-node fetch every
+/// map's location at once, so each host's group holds all of its maps. A
+/// failed node fetch is attributed to the specific missing map when the
+/// server names one (`parseMissingMap`), else to the group's lowest map
+/// index, keeping the re-execute contract exact.
 std::vector<BufferView> fetchShuffleRuns(net::Network& network,
                                          const std::string& host,
                                          const TaskAssignment& assignment,
@@ -137,8 +139,9 @@ class TaskTracker {
   bool runReduceAssignment(const TaskAssignment& assignment);
   /// Every reduce's shuffle: fetches map outputs incrementally as their
   /// locations arrive (all at once when the assignment's list is already
-  /// complete), folding fetched runs into bounded segments, and returns the
-  /// assembled input runs once membership is complete.
+  /// complete; in-node combining always waits for the full list and then
+  /// fetches one run per host), folding fetched runs into bounded segments,
+  /// and returns the assembled input runs once membership is complete.
   /// Charges fetched bytes to the task heap as they arrive; the running
   /// total is reported through `charged_bytes` for the caller's heap guard
   /// (already released again if this throws).
@@ -150,11 +153,6 @@ class TaskTracker {
   /// (`job == 0` → all of them; used by stop/abandon/crash and purgeJob).
   void abortPipelinedShuffles(JobId job);
   void chargeHeap(int64_t delta);
-  /// Non-throwing budget check for opportunistic caches (the store's
-  /// combined runs and encoded-serve cache): charges `delta` and returns
-  /// true, or refuses growth past the budget and returns false WITHOUT
-  /// invoking the OOM policy — a declined cache is not a task failure.
-  bool tryChargeHeap(int64_t delta);
   void queueReport(TaskStatusReport report);
 
   Config conf_;

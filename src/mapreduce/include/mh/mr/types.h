@@ -68,15 +68,6 @@ inline constexpr const char* kMergeSegments = "MERGE_SEGMENTS";
 /// never recorded — both stay 0 while the codec is off.
 inline constexpr const char* kSpillRawBytes = "SPILL_RAW_BYTES";
 inline constexpr const char* kSpillCompressedBytes = "SPILL_COMPRESSED_BYTES";
-/// In-node combining (`mapred.innode.combine`): records entering/leaving
-/// tracker-level merges of completed map outputs, and the time spent
-/// merging. Charged to the map task that triggered the merge, so PR-4
-/// attempt-replacement keeps them exactly-once like every task counter.
-inline constexpr const char* kInnodeCombineRecordsIn =
-    "INNODE_COMBINE_RECORDS_IN";
-inline constexpr const char* kInnodeCombineRecordsOut =
-    "INNODE_COMBINE_RECORDS_OUT";
-inline constexpr const char* kInnodeCombineMillis = "INNODE_COMBINE_MILLIS";
 
 inline constexpr const char* kJobGroup = "job";
 inline constexpr const char* kDataLocalMaps = "DATA_LOCAL_MAPS";

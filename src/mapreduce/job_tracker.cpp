@@ -15,10 +15,6 @@ namespace mh::mr {
 namespace {
 constexpr const char* kLog = "jobtracker";
 
-/// Fetch failures are reported with this prefix so the JobTracker can
-/// re-execute the source map instead of burning reduce attempts.
-constexpr const char* kFetchFailurePrefix = "fetch-failure ";
-
 /// Finished jobs kept answerable, newest first — Hadoop's default for
 /// mapred.jobtracker.completeuserjobs.maximum. Older ones are forgotten.
 constexpr size_t kRetainedFinishedJobs = 100;
@@ -525,29 +521,19 @@ void JobTracker::processReportLocked(const std::string& tracker_host,
   task.state = TaskState::kPending;
   task.tracker.clear();
 
-  if (!report.is_map &&
-      report.error.find(kFetchFailurePrefix) != std::string::npos) {
+  if (const std::optional<FetchFailure> failure =
+          report.is_map ? std::nullopt : parseFetchFailure(report.error)) {
     // Shuffle could not pull a map output: re-execute that map rather than
     // charging the reduce with a real failure.
-    const std::string& err = report.error;
-    const auto host_pos = err.find("host=");
-    const auto map_pos = err.find("map=");
-    if (host_pos != std::string::npos && map_pos != std::string::npos) {
-      const auto host_end = err.find(' ', host_pos);
-      const std::string bad_host =
-          err.substr(host_pos + 5, host_end - host_pos - 5);
-      const auto map_end = err.find_first_of(" :", map_pos);
-      const uint32_t map_index = static_cast<uint32_t>(
-          std::stoul(err.substr(map_pos + 4, map_end - map_pos - 4)));
-      if (map_index < job.maps.size() &&
-          job.maps[map_index].state == TaskState::kSucceeded &&
-          job.maps[map_index].tracker == bad_host) {
-        job.maps[map_index].state = TaskState::kPending;
-        job.maps[map_index].tracker.clear();
-        emitMapEventLocked(job, map_index, /*invalidated=*/true);
-        logWarn(kLog) << "re-executing map " << map_index << " of job "
-                      << job.id << " (output lost on " << bad_host << ")";
-      }
+    const uint32_t map_index = failure->map_index;
+    if (map_index < job.maps.size() &&
+        job.maps[map_index].state == TaskState::kSucceeded &&
+        job.maps[map_index].tracker == failure->host) {
+      job.maps[map_index].state = TaskState::kPending;
+      job.maps[map_index].tracker.clear();
+      emitMapEventLocked(job, map_index, /*invalidated=*/true);
+      logWarn(kLog) << "re-executing map " << map_index << " of job "
+                    << job.id << " (output lost on " << failure->host << ")";
     }
     return;  // fetch failures don't count toward the reduce's attempts
   }

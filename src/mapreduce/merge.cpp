@@ -217,20 +217,20 @@ bool IncrementalMerger::foldOnce() {
     chain.clear();
   };
   for (const auto& [key, item] : items_) {
-    if (item.segment) {
+    // The chain must stay a gap-free map-index range — a hole could still
+    // be filled by a later-arriving run that canonically sorts inside the
+    // block, which would break merge-order identity. So a folded segment
+    // ends the chain, and so does a cover with a hole of its own (an
+    // in-node host's maps), which never folds.
+    const bool foldable =
+        !item.segment &&
+        item.cover.back() - item.cover.front() + 1 == item.cover.size();
+    if (!foldable ||
+        (prev != nullptr && item.cover.front() != prev->cover.back() + 1)) {
       flush();
-      prev = nullptr;
-      continue;
     }
-    // adjacent_only: the chain must stay a gap-free map-index range — a
-    // hole could still be filled by a later-arriving run that canonically
-    // sorts inside the block, which would break merge-order identity.
-    if (prev != nullptr && opts_.adjacent_only &&
-        item.cover.front() != prev->cover.back() + 1) {
-      flush();
-    }
-    chain.push_back(&item);
-    prev = &item;
+    prev = foldable ? &item : nullptr;
+    if (foldable) chain.push_back(&item);
   }
   flush();
   if (chains.empty()) return false;

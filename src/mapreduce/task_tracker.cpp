@@ -34,44 +34,16 @@ struct FetchUnit {
 };
 
 /// The map index a failed unit's fetch-failure should re-execute: the
-/// specific map the server named ("missing map=<i>", and it must be one of
-/// ours — a grouped fetch can fail because ONE member is absent while the
-/// rest are fine), else the group's lowest index.
+/// specific map the server named missing (parseMissingMap, and it must be
+/// one of ours — a grouped fetch can fail because ONE member is absent
+/// while the rest are fine), else the group's lowest index.
 uint32_t attributedMap(const FetchUnit& unit, const std::string& error) {
-  const std::string_view tag = "missing map=";
-  const size_t pos = error.find(tag);
-  if (pos != std::string::npos) {
-    uint64_t value = 0;
-    bool any = false;
-    for (size_t i = pos + tag.size();
-         i < error.size() && error[i] >= '0' && error[i] <= '9'; ++i) {
-      value = value * 10 + static_cast<uint64_t>(error[i] - '0');
-      any = true;
-    }
-    const auto index = static_cast<uint32_t>(value);
-    if (any &&
-        std::find(unit.maps.begin(), unit.maps.end(), index) !=
-            unit.maps.end()) {
-      return index;
-    }
+  const std::optional<uint32_t> missing = parseMissingMap(error);
+  if (missing && std::find(unit.maps.begin(), unit.maps.end(), *missing) !=
+                     unit.maps.end()) {
+    return *missing;
   }
   return unit.lowest;
-}
-
-/// The map index a thrown fetch-failure blames ("fetch-failure host=<h>
-/// map=<i>: ..."); UINT32_MAX when the message names none.
-uint32_t parseFetchFailureMap(std::string_view error) {
-  const std::string_view tag = "map=";
-  const size_t pos = error.find(tag);
-  if (pos == std::string_view::npos) return UINT32_MAX;
-  uint64_t value = 0;
-  bool any = false;
-  for (size_t i = pos + tag.size();
-       i < error.size() && error[i] >= '0' && error[i] <= '9'; ++i) {
-    value = value * 10 + static_cast<uint64_t>(error[i] - '0');
-    any = true;
-  }
-  return any ? static_cast<uint32_t>(value) : UINT32_MAX;
 }
 
 /// Groups locations into fetch units: one per map, or (in-node combining)
@@ -231,11 +203,9 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
     }
   }
   if (failed_unit != nullptr) {
-    // Formatted so the JobTracker re-executes the source map; the
-    // attributed index leads the message because the JobTracker parses the
-    // FIRST "map=" it finds (the cause text may contain its own).
-    throw IoError("fetch-failure host=" + failed_unit->host +
-                  " map=" + std::to_string(failed_map) + ": " + *failed_error);
+    // Formatted so the JobTracker re-executes the source map.
+    throw IoError(
+        formatFetchFailure({failed_unit->host, failed_map}, *failed_error));
   }
 
   int64_t total_bytes = 0;
@@ -309,11 +279,7 @@ TaskTracker::TaskTracker(Config conf, std::shared_ptr<net::Network> network,
   metrics_->setGauge("mapoutput.store.bytes", [this] {
     return static_cast<double>(outputs_.totalBytes());
   });
-  // The store's combined runs and encoded-serve caches are bounded by the
-  // tracker heap budget, but through the non-throwing probe: a declined
-  // cache degrades to serving uncached, never to a task failure.
-  outputs_.attach(registry_.get(), metrics_, tracer_, "tasktracker." + host_,
-                  [this](int64_t delta) { return tryChargeHeap(delta); });
+  outputs_.attach(registry_.get(), metrics_, tracer_, "tasktracker." + host_);
 }
 
 TaskTracker::~TaskTracker() {
@@ -588,22 +554,6 @@ void TaskTracker::chargeHeap(int64_t delta) {
                          std::to_string(heap_budget_));
 }
 
-bool TaskTracker::tryChargeHeap(int64_t delta) {
-  if (delta <= 0) {
-    heap_used_.fetch_add(delta);
-    return true;
-  }
-  const int64_t used = heap_used_.fetch_add(delta) + delta;
-  if (used > heap_budget_) {
-    heap_used_.fetch_sub(delta);
-    return false;
-  }
-  int64_t peak = heap_peak_.load();
-  while (used > peak && !heap_peak_.compare_exchange_weak(peak, used)) {
-  }
-  return true;
-}
-
 void TaskTracker::runAssignment(const TaskAssignment& assignment) {
   // The task queues its report, then frees its slot, then rings for a beat:
   // in that order the beat reports the task done AND its slot free. A failed
@@ -652,12 +602,8 @@ bool TaskTracker::runMapAssignment(const TaskAssignment& assignment) {
     auto result = runMapTask(*spec, fs, assignment.split,
                              [this](int64_t d) { chargeHeap(d); }, tracer_,
                              "tasktracker." + host_, metrics_);
-    // The put may trigger an in-node combine of everything this node holds
-    // for the job; its INNODE_COMBINE_* counters land in this attempt's
-    // counters (snapshot below), so attempt replacement keeps them
-    // exactly-once.
     outputs_.put(assignment.job, assignment.task_index,
-                 std::move(result.partitions), &result.counters);
+                 std::move(result.partitions));
     report.succeeded = true;
     report.counters = result.counters.snapshot();
     report.millis = result.millis;
@@ -797,10 +743,6 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
   }
 
   IncrementalMerger merger(IncrementalMerger::Options{
-      // In-node covers are host-grouped, not contiguous map ranges, so they
-      // fold freely; classic runs fold adjacent-only to stay byte-identical
-      // with the one-shot merge (see merge.h).
-      .adjacent_only = !innode,
       .allow_decode = codecFromName(spec.conf.get(
                           keys::kMapOutputCodec)) != CodecKind::kNone,
       .metrics = metrics_,
@@ -849,14 +791,23 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     }
   };
 
-  while (true) {
-    drain_inbox();
+  // The maps announced but not yet fetched. In-node combining fetches
+  // only once every map's location is known, so each host's run covers all
+  // of its maps: one getNodeOutput per host. Classic shuffle fetches each
+  // map as soon as it is announced.
+  const auto ready_maps = [&]() -> std::vector<MapOutputLocation> {
     std::vector<MapOutputLocation> ready;
     for (uint32_t m = 0; m < total_maps; ++m) {
-      if (sources[m].known && !sources[m].fetched) {
-        ready.push_back({m, sources[m].host});
-      }
+      const MapSource& source = sources[m];
+      if (innode && !source.known && !source.fetched) return {};
+      if (source.known && !source.fetched) ready.push_back({m, source.host});
     }
+    return ready;
+  };
+
+  while (true) {
+    drain_inbox();
+    const std::vector<MapOutputLocation> ready = ready_maps();
     if (!ready.empty()) {
       std::vector<uint64_t> launch_epoch(total_maps, 0);
       for (const MapOutputLocation& location : ready) {
@@ -874,9 +825,10 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
         // feed will re-announce it — retry quietly instead of failing the
         // attempt and making the JobTracker re-execute a healthy map.
         drain_inbox();
-        const uint32_t failed = parseFetchFailureMap(e.what());
-        if (failed >= total_maps ||
-            sources[failed].epoch == launch_epoch[failed]) {
+        const std::optional<FetchFailure> failure = parseFetchFailure(e.what());
+        if (!failure || failure->map_index >= total_maps ||
+            sources[failure->map_index].epoch ==
+                launch_epoch[failure->map_index]) {
           throw;
         }
         continue;
@@ -918,14 +870,11 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
         charge(merger.heldBytes() - held_before);
       }
     }
-    uint32_t fetched = 0;
-    bool have_ready = false;
-    for (const MapSource& source : sources) {
-      fetched += source.fetched ? 1 : 0;
-      have_ready = have_ready || (source.known && !source.fetched);
-    }
+    const auto fetched = static_cast<uint32_t>(std::count_if(
+        sources.begin(), sources.end(),
+        [](const MapSource& source) { return source.fetched; }));
     if (fetched == total_maps) break;
-    if (have_ready) continue;
+    if (!ready_maps().empty()) continue;
     // Membership incomplete and nothing fetchable: the map phase is ahead
     // of us. One REDUCE_SHUFFLE_WAIT span per wait episode (not per poll)
     // keeps the trace ring small while still attributing the overlap.

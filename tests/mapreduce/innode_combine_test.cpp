@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "mh/apps/airline.h"
 #include "mh/common/error.h"
 #include "mh/common/metrics.h"
+#include "mh/data/airline.h"
 #include "mh/mr/job_registry.h"
 #include "mh/mr/kv_stream.h"
+#include "mh/mr/local_runner.h"
 #include "mh/mr/map_output_store.h"
 #include "mh/mr/mini_mr_cluster.h"
 #include "mh/net/fault_plan.h"
@@ -16,11 +23,12 @@
 #include "testutil/aggressive_timers.h"
 
 /// \file innode_combine_test.cpp
-/// In-node combining: the MapOutputStore's tracker-level aggregation of
-/// completed map outputs (merge through the job combiner, generation-aware
-/// replacement, membership-exact node serving, heap-budget charges) plus
-/// the cluster-level contract — a faulted run with re-executed maps on the
-/// same tracker contributes each map exactly once.
+/// In-node combining: the MapOutputStore's serve-time merge of the named
+/// maps' outputs through the job combiner (replacement, membership-exact
+/// serving, registry counts), plus the cluster-level contracts — one node
+/// fetch per host per reducer, deterministic shuffle bytes, part files
+/// byte-identical to the serial runner, and a faulted run with re-executed
+/// maps on the same tracker contributing each map exactly once.
 
 namespace mh::mr {
 namespace {
@@ -64,17 +72,14 @@ std::map<std::string, int64_t> decodeCounts(std::string_view output) {
 constexpr JobId kJob = 7;
 
 /// Store + registry wired like a TaskTracker would: wordcount-with-combiner
-/// spec under `kJob` with in-node combining on and the given charge hook
-/// (unbounded by default).
+/// spec under `kJob` with in-node combining on.
 struct StoreFixture {
-  explicit StoreFixture(
-      MapOutputStore::TryChargeFn try_charge = [](int64_t) { return true; }) {
+  StoreFixture() {
     JobSpec spec = wordCountSpec({"/in"}, "/out", /*with_combiner=*/true);
     spec.conf.setBool("mapred.innode.combine", true);
     spec.validateAndDefault();
     registry.put(kJob, std::make_shared<const JobSpec>(std::move(spec)));
-    store.attach(&registry, &metrics, nullptr, "store",
-                 std::move(try_charge));
+    store.attach(&registry, &metrics, nullptr, "store");
   }
 
   JobRegistry registry;
@@ -109,10 +114,11 @@ TEST(InnodeCombineStoreTest, ReplacementEmitsReplacedRunsCounter) {
 
 TEST(InnodeCombineStoreTest, NodeServeCombinesAllMapsIntoOneRun) {
   StoreFixture f;
-  Counters map_counters;
-  f.store.put(kJob, 0, {makeRun({{"data", 2}, {"map", 1}})}, &map_counters);
-  f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})}, &map_counters);
-  f.store.put(kJob, 2, {makeRun({{"map", 5}})}, &map_counters);
+  f.store.put(kJob, 0, {makeRun({{"data", 2}, {"map", 1}})});
+  f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})});
+  f.store.put(kJob, 2, {makeRun({{"map", 5}})});
+  // Nothing merges at put time.
+  EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), 0);
 
   const BufferView run = f.store.serveNodeOutput(kJob, 0, {0, 1, 2});
   const std::map<std::string, int64_t> expected{
@@ -120,12 +126,6 @@ TEST(InnodeCombineStoreTest, NodeServeCombinesAllMapsIntoOneRun) {
   EXPECT_EQ(decodeCounts(run), expected);
   // One record per distinct key: the combiner really ran across maps.
   EXPECT_EQ(decodeCounts(run).size(), 3u);
-
-  // put() above the min-runs threshold merged eagerly, charging the
-  // triggering map's counters and the tracker-level registry signals.
-  EXPECT_GT(map_counters.value(kTaskGroup, kInnodeCombineRecordsIn), 0);
-  EXPECT_GT(map_counters.value(kTaskGroup, kInnodeCombineRecordsOut), 0);
-  EXPECT_GT(f.metrics.counterValue("innode.combined.runs"), 0);
 }
 
 TEST(InnodeCombineStoreTest, ReExecutedMapContributesExactlyOnce) {
@@ -170,13 +170,12 @@ TEST(InnodeCombineStoreTest, MissingMapInNodeServeIsNamed) {
   }
 }
 
-TEST(InnodeCombineStoreTest, DeclinedBudgetServesNodeAggregateUncached) {
-  // A budget that refuses growth never holds an aggregate: each serve
-  // rebuilds it from the members, and the answer is the same bytes.
-  StoreFixture f([](int64_t delta) { return delta <= 0; });
+TEST(InnodeCombineStoreTest, EachNodeServeMergesAndCountsInRegistry) {
+  // No aggregate is kept: every serve merges its members again and counts
+  // that merge in the tracker registry, and the answer is the same bytes.
+  StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}, {"map", 2}})});
   f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})});
-  const int64_t builds_before = f.metrics.counterValue("innode.combined.runs");
 
   const BufferView first = f.store.serveNodeOutput(kJob, 0, {0, 1});
   const BufferView second = f.store.serveNodeOutput(kJob, 0, {0, 1});
@@ -184,22 +183,33 @@ TEST(InnodeCombineStoreTest, DeclinedBudgetServesNodeAggregateUncached) {
   const std::map<std::string, int64_t> expected{
       {"data", 4}, {"map", 2}, {"sort", 4}};
   EXPECT_EQ(decodeCounts(first), expected);
-  EXPECT_EQ(f.store.cachedBytes(), 0);
-  // One partition per build: both serves merged, neither hit a cache.
-  EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), builds_before + 2);
+  EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), 2);
+  // Four records in, three out (the two "data" records combine), per serve.
+  EXPECT_EQ(f.metrics.counterValue("innode.records.in"), 8);
+  EXPECT_EQ(f.metrics.counterValue("innode.records.out"), 6);
+  EXPECT_GT(f.metrics.counterValue("innode.bytes.saved"), 0);
+
+  // A single map's output is served as stored: no merge, nothing counted.
+  const BufferView alone = f.store.serveNodeOutput(kJob, 0, {1});
+  EXPECT_EQ(Bytes(alone), Bytes(*f.store.get(kJob, 1, 0)));
+  EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), 2);
 }
 
-TEST(InnodeCombineStoreTest, PurgeReleasesCombinedCharges) {
+TEST(InnodeCombineStoreTest, PurgeThenServeThrowsNotFound) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}})});
   f.store.put(kJob, 1, {makeRun({{"data", 2}})});
-  f.store.serveNodeOutput(kJob, 0, {0, 1});
-  EXPECT_GT(f.store.cachedBytes(), 0);
+  EXPECT_EQ(decodeCounts(f.store.serveNodeOutput(kJob, 0, {0, 1})).at("data"),
+            3);
   f.store.purgeJob(kJob);
-  EXPECT_EQ(f.store.cachedBytes(), 0);
   EXPECT_EQ(f.store.totalBytes(), 0u);
-  EXPECT_THROW(f.store.serveNodeOutput(kJob, 0, {0, 1}),
-               NotFoundError);
+  EXPECT_FALSE(f.store.has(kJob, 0));
+  try {
+    f.store.serveNodeOutput(kJob, 0, {0, 1});
+    FAIL() << "expected NotFoundError";
+  } catch (const NotFoundError& e) {
+    EXPECT_EQ(parseMissingMap(e.what()), 0u) << e.what();
+  }
 }
 
 // ---- Cluster-level contracts ----------------------------------------------
@@ -228,9 +238,9 @@ std::string repetitiveCorpus() {
   return corpus;
 }
 
-std::map<std::string, Bytes> readPartBytes(MiniMrCluster& cluster,
+/// Part-file bytes under `dir`, keyed by file name.
+std::map<std::string, Bytes> readPartBytes(FileSystemView& fs,
                                            const std::string& dir) {
-  HdfsFs fs(cluster.client());
   std::map<std::string, Bytes> parts;
   for (const auto& file : fs.listFiles(dir)) {
     const std::string base = file.substr(file.find_last_of('/') + 1);
@@ -238,6 +248,21 @@ std::map<std::string, Bytes> readPartBytes(MiniMrCluster& cluster,
     parts[base] = fs.readRange(file, 0, fs.fileLength(file));
   }
   return parts;
+}
+
+std::map<std::string, Bytes> readPartBytes(MiniMrCluster& cluster,
+                                           const std::string& dir) {
+  HdfsFs fs(cluster.client());
+  return readPartBytes(fs, dir);
+}
+
+/// A tracker registry counter summed over the cluster's trackers.
+int64_t trackerCounterSum(MiniMrCluster& cluster, const std::string& name) {
+  int64_t sum = 0;
+  for (const auto& host : cluster.trackerHosts()) {
+    sum += cluster.metrics().child("tasktracker." + host).counterValue(name);
+  }
+  return sum;
 }
 
 JobSpec innodeWordCount(bool innode) {
@@ -270,15 +295,95 @@ TEST(InnodeCombineClusterTest, CutsShuffleBytesAndKeepsOutputIdentical) {
   // A key-duplicated corpus over several maps per node must shrink the
   // shuffle; the ≥2x gate lives in the benchmark, here we assert direction.
   EXPECT_LT(bytes_on, bytes_off);
-  EXPECT_GT(result.counters.value(kTaskGroup, kInnodeCombineRecordsIn), 0);
+  // The serving trackers count the combine work; no job counter does.
+  EXPECT_GT(trackerCounterSum(cluster, "innode.records.in"),
+            trackerCounterSum(cluster, "innode.records.out"));
+  EXPECT_GT(trackerCounterSum(cluster, "innode.combined.runs"), 0);
+}
+
+TEST(InnodeCombineClusterTest, FetchesOneNodeRunPerHostPerReducer) {
+  // At the default slowstart reducers launch while maps still run. An
+  // in-node reduce still waits for every map's location, then fetches one
+  // run from each host that ran a map — never a partial host group.
+  MiniMrCluster cluster({.num_nodes = 3, .conf = innodeClusterConf()});
+  cluster.client().writeFile("/in/corpus.txt", repetitiveCorpus());
+  const JobSpec spec = innodeWordCount(true);
+  const uint32_t reducers = spec.num_reducers;
+  const auto result = cluster.runJob(spec);
+  ASSERT_TRUE(result.succeeded()) << result.error;
+
+  std::set<std::string> map_hosts;
+  for (const TaskAttemptRecord& attempt : result.history.attempts) {
+    if (attempt.is_map && attempt.succeeded) map_hosts.insert(attempt.tracker);
+  }
+  ASSERT_GT(map_hosts.size(), 1u);
+  EXPECT_EQ(result.counters.value(kShuffleGroup, kShufflePipelinedRuns),
+            static_cast<int64_t>(reducers * map_hosts.size()));
+}
+
+TEST(InnodeCombineClusterTest, OneNodeShuffleBytesRepeat) {
+  // One node holds every map, so each reducer fetches one run covering all
+  // of them: the shuffle cannot depend on when the maps finished.
+  int64_t bytes[2] = {0, 0};
+  for (int64_t& run_bytes : bytes) {
+    MiniMrCluster cluster({.num_nodes = 1, .conf = innodeClusterConf()});
+    cluster.client().writeFile("/in/corpus.txt", repetitiveCorpus());
+    const auto result = cluster.runJob(innodeWordCount(true));
+    ASSERT_TRUE(result.succeeded()) << result.error;
+    run_bytes = result.counters.value(kShuffleGroup, kShuffleBytes);
+  }
+  EXPECT_GT(bytes[0], 0);
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+/// Runs `spec` over `input` under the LocalJobRunner and on a 3-node
+/// cluster with in-node combining on, and expects identical part files.
+void expectPartsMatchLocalRunner(JobSpec spec, const std::string& input) {
+  namespace stdfs = std::filesystem;
+  const stdfs::path root = stdfs::temp_directory_path() /
+                           ("mh_innode_" + std::to_string(::getpid()));
+  stdfs::remove_all(root);
+  LocalFs local(512);
+  local.writeFile((root / "in" / "input").string(), input);
+  JobSpec serial = spec;
+  serial.input_paths = {(root / "in").string()};
+  serial.output_dir = (root / "out").string();
+  const JobResult expected = LocalJobRunner(local).run(std::move(serial));
+  ASSERT_TRUE(expected.succeeded()) << expected.error;
+  const auto expected_parts = readPartBytes(local, (root / "out").string());
+  stdfs::remove_all(root);
+  ASSERT_FALSE(expected_parts.empty());
+
+  MiniMrCluster cluster({.num_nodes = 3, .conf = innodeClusterConf()});
+  cluster.client().writeFile("/in/input", input);
+  spec.input_paths = {"/in"};
+  spec.output_dir = "/out";
+  spec.conf.setBool("mapred.innode.combine", true);
+  const JobResult result = cluster.runJob(std::move(spec));
+  ASSERT_TRUE(result.succeeded()) << result.error;
+  EXPECT_GT(trackerCounterSum(cluster, "innode.combined.runs"), 0);
+  EXPECT_EQ(readPartBytes(cluster, "/out"), expected_parts);
+}
+
+TEST(InnodeCombineClusterTest, WordCountPartsMatchLocalRunner) {
+  expectPartsMatchLocalRunner(innodeWordCount(true), repetitiveCorpus());
+}
+
+TEST(InnodeCombineClusterTest, AirlineCombinerPartsMatchLocalRunner) {
+  data::AirlineGenerator gen({.seed = 5, .rows = 400});
+  expectPartsMatchLocalRunner(
+      apps::makeAirlineDelayJob(apps::AirlineVariant::kCombiner, {"/in"},
+                                "/out", /*num_reducers=*/2),
+      gen.generateCsv());
 }
 
 TEST(InnodeCombineClusterTest, ReexecutionOnSameTrackerContributesOnce) {
-  // Satellite: a map completes, is merged into the node aggregate, then a
-  // scripted shuffle-fetch failure forces the JobTracker to re-execute it —
-  // on the same (only) tracker, so the new attempt must REPLACE its prior
-  // contribution in the aggregate, not add to it. Byte-identical parts and
-  // exact record counters against a fault-free reference prove exactly-once.
+  // A map completes, then a scripted shuffle-fetch failure forces the
+  // JobTracker to re-execute it — on the same (only) tracker, so the new
+  // attempt must REPLACE its prior output in the store, and the next node
+  // serve must merge it once, not add it to the old one. Byte-identical
+  // parts and exact record counters against a fault-free reference prove
+  // exactly-once.
   const std::string corpus = repetitiveCorpus();
   std::map<std::string, Bytes> expected_parts;
   Counters expected_counters;

@@ -68,7 +68,7 @@ TEST(IncrementalMergerTest, FoldedAssemblyMatchesOneShotMergeByteForByte) {
   }
   const std::vector<KeyValue> one_shot = drainViews(runs);
 
-  IncrementalMerger merger({.fold_fanin = 4, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 4});
   const uint32_t order[] = {3, 0, 7, 1, 9, 2, 8, 4, 6, 5};
   for (const uint32_t m : order) {
     merger.addRun({m}, runs[m]);
@@ -101,14 +101,14 @@ TEST(IncrementalMergerTest, AdversarialKeyFoldsMatchOneShotMergeByteForByte) {
     }
     const Bytes one_shot = mergedBytes(runs);
 
-    IncrementalMerger all({.fold_fanin = maps, .adjacent_only = true});
+    IncrementalMerger all({.fold_fanin = maps});
     for (uint32_t m = 0; m < maps; ++m) all.addRun({m}, runs[m]);
     ASSERT_TRUE(all.foldOnce());
     ASSERT_EQ(all.assemble().size(), 1u);
     EXPECT_EQ(all.assemble()[0].view(), one_shot) << "trial " << trial;
 
     const size_t fanin = 2 + rng.uniform(3);
-    IncrementalMerger some({.fold_fanin = fanin, .adjacent_only = true});
+    IncrementalMerger some({.fold_fanin = fanin});
     std::vector<uint32_t> order(maps);
     for (uint32_t m = 0; m < maps; ++m) order[m] = m;
     for (size_t i = maps - 1; i > 0; --i) {
@@ -140,7 +140,7 @@ TEST(IncrementalMergerTest, MultiSegmentOutputsMergeInMapThenSpillOrder) {
     const Bytes one_shot = mergedBytes(in_order);
 
     const size_t fanin = 2 + rng.uniform(3);
-    IncrementalMerger merger({.fold_fanin = fanin, .adjacent_only = true});
+    IncrementalMerger merger({.fold_fanin = fanin});
     std::vector<uint32_t> order(maps);
     for (uint32_t m = 0; m < maps; ++m) order[m] = m;
     for (size_t i = maps - 1; i > 0; --i) {
@@ -181,7 +181,7 @@ TEST(IncrementalMergerTest, FewerOutputsThanTheFaninNeverFold) {
 TEST(IncrementalMergerTest, ZeroLengthRunsStillCoverTheirMaps) {
   // An empty partition is a legal map output: it must count toward
   // membership (covers) and fold away without disturbing its neighbors.
-  IncrementalMerger merger({.fold_fanin = 3, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 3});
   merger.addRun({0}, runOf({{"a", "0"}}));
   merger.addRun({1}, BufferView{});  // zero-length run
   merger.addRun({2}, runOf({{"a", "2"}, {"b", "2"}}));
@@ -196,7 +196,7 @@ TEST(IncrementalMergerTest, ZeroLengthRunsStillCoverTheirMaps) {
 TEST(IncrementalMergerTest, ReaddedCoverReplacesStalePendingRun) {
   // The same map delivered at two generations (re-execution landed between
   // fetch and merge): the second addRun must displace the stale bytes.
-  IncrementalMerger merger({.fold_fanin = 8, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 8});
   merger.addRun({2}, runOf({{"k", "stale"}}));
   merger.addRun({2}, runOf({{"k", "fresh"}}));
   EXPECT_EQ(merger.pendingRuns(), 1u);
@@ -205,7 +205,7 @@ TEST(IncrementalMergerTest, ReaddedCoverReplacesStalePendingRun) {
 }
 
 TEST(IncrementalMergerTest, InvalidateDissolvesSegmentAndReportsCollateral) {
-  IncrementalMerger merger({.fold_fanin = 2, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 2});
   std::vector<BufferView> runs;
   for (uint32_t m = 0; m < 4; ++m) {
     runs.push_back(runOf({{"k" + std::to_string(m), std::to_string(m)}}));
@@ -227,7 +227,7 @@ TEST(IncrementalMergerTest, InvalidateDissolvesSegmentAndReportsCollateral) {
 TEST(IncrementalMergerTest, AdjacentOnlyFoldRefusesGappedChains) {
   // {5, 6} is fold-eligible by size but {0..2} ∪ {5, 6} is not one block:
   // maps 3 and 4 could still arrive and canonically sort inside the gap.
-  IncrementalMerger merger({.fold_fanin = 3, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 3});
   for (const uint32_t m : {0u, 1u, 2u, 5u, 6u}) {
     merger.addRun({m}, runOf({{"k" + std::to_string(m), "v"}}));
   }
@@ -238,30 +238,36 @@ TEST(IncrementalMergerTest, AdjacentOnlyFoldRefusesGappedChains) {
 }
 
 TEST(IncrementalMergerTest, InnodeMembershipTopsUpWithDeltaCovers) {
-  // In-node mode: a combined run fetched with membership-at-fetch-time
-  // {0, 2, 4} is topped up later by delta covers {1, 3} and {5}; covers are
-  // disjoint but not contiguous, so folds need adjacent_only = false.
+  // In-node mode: each host's run covers an interleaved map set — {0, 2, 4}
+  // and {1, 3} — next to a single-map cover {5}. A cover with a hole never
+  // folds (a later cover could canonically sort inside it), so the
+  // interleaved covers stay unfolded even at fan-in 2, and assembly emits
+  // every item by its lowest covered map.
   const std::vector<BufferView> runs{
-      runOf({{"a", "024"}, {"c", "024"}}),  // combined, covers {0, 2, 4}
-      runOf({{"a", "13"}, {"b", "13"}}),    // delta, covers {1, 3}
-      runOf({{"b", "5"}}),                  // delta, covers {5}
+      runOf({{"a", "024"}, {"c", "024"}}),  // host run, covers {0, 2, 4}
+      runOf({{"a", "13"}, {"b", "13"}}),    // host run, covers {1, 3}
+      runOf({{"b", "5"}}),                  // single map, covers {5}
   };
-  IncrementalMerger merger({.fold_fanin = 2, .adjacent_only = false});
-  merger.addRun({0, 2, 4}, runs[0]);
-  merger.addRun({1, 3}, runs[1]);
+  IncrementalMerger merger({.fold_fanin = 2});
   merger.addRun({5}, runs[2]);
+  merger.addRun({1, 3}, runs[1]);
+  merger.addRun({0, 2, 4}, runs[0]);
   for (uint32_t m = 0; m < 6; ++m) EXPECT_TRUE(merger.covers(m));
 
-  ASSERT_TRUE(merger.foldOnce());
-  EXPECT_EQ(merger.segmentCount(), 1u);
-  EXPECT_EQ(merger.pendingRuns(), 0u);
-  // Canonical order is by lowest covered map, so the fold merges the runs
-  // in exactly the order listed above.
-  EXPECT_EQ(drainViews(merger.assemble()), drainViews(runs));
+  EXPECT_FALSE(merger.foldOnce());
+  EXPECT_EQ(merger.segmentCount(), 0u);
+  EXPECT_EQ(merger.pendingRuns(), 3u);
+  // Canonical order is by lowest covered map: the runs as listed above,
+  // whatever order they arrived in.
+  const std::vector<BufferView> assembled = merger.assemble();
+  ASSERT_EQ(assembled.size(), runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(std::string_view(assembled[i]), std::string_view(runs[i])) << i;
+  }
 }
 
 TEST(IncrementalMergerTest, AddRunIntersectingSegmentThrows) {
-  IncrementalMerger merger({.fold_fanin = 2, .adjacent_only = true});
+  IncrementalMerger merger({.fold_fanin = 2});
   merger.addRun({0}, runOf({{"a", "0"}}));
   merger.addRun({1}, runOf({{"b", "1"}}));
   ASSERT_TRUE(merger.foldOnce());

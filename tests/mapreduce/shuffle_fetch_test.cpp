@@ -394,5 +394,23 @@ TEST(ShuffleFetchTest, SingleParallelCopyDegradesToSequential) {
   }
 }
 
+TEST(ShuffleFetchTest, FetchFailureTextRoundTrips) {
+  // The cause is a server's own error naming another map: the blamed map
+  // is the one the tag right after the host gives, not the cause's.
+  const std::string cause = missingMapMessage(7, 9);
+  const std::string text = formatFetchFailure({"tt1", 4}, cause);
+  EXPECT_EQ(text, "fetch-failure host=tt1 map=4: node output 7 missing map=9");
+  for (const std::string& error : {text, "IoError: " + text}) {
+    const std::optional<FetchFailure> failure = parseFetchFailure(error);
+    ASSERT_TRUE(failure.has_value()) << error;
+    EXPECT_EQ(failure->host, "tt1");
+    EXPECT_EQ(failure->map_index, 4u);
+  }
+  EXPECT_EQ(parseMissingMap(cause), 9u);
+  EXPECT_FALSE(parseFetchFailure(cause).has_value());
+  EXPECT_FALSE(parseFetchFailure("fetch-failure host=tt1 map=: gone"));
+  EXPECT_FALSE(parseMissingMap("map output 7/9 partition 0").has_value());
+}
+
 }  // namespace
 }  // namespace mh::mr
