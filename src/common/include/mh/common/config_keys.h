@@ -69,8 +69,6 @@ struct Key {
   X(kMapOutputCodec, std::string_view, "mapred.map.output.compression.codec", "none", "", "", "none|mh-lz|var-rle", Job) \
   X(kInnodeCombine, bool, "mapred.innode.combine", false, false, true, "", Job) \
   X(kReduceSlowstart, double, "mapred.reduce.slowstart.completed.maps", 0.05, 0, 1, "", Job) \
-  X(kLocalMapThreads, int64_t, "mapred.local.map.threads", 1, 1, 256, "", Job) \
-  X(kLocalReduceThreads, int64_t, "mapred.local.reduce.threads", 1, 1, 256, "", Job) \
   X(kMoviesSidePath, std::string_view, "movies.side.path", "", "", "", "", Job) \
   X(kMusicSongsPath, std::string_view, "music.songs.path", "", "", "", "", Job)
 // clang-format on

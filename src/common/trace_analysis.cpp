@@ -93,7 +93,9 @@ std::string_view classifyTracePhase(std::string_view span_name) {
   // stretches waiting on map-completion events are shuffle time.
   if (startsWith(span_name, "REDUCE_SHUFFLE_WAIT")) return "shuffle";
   if (startsWith(span_name, "REDUCE")) return "reduce";
-  if (startsWith(span_name, "SHUFFLE_FETCH")) return "shuffle";
+  // SHUFFLE_FETCH, and SHUFFLE_DECODE: the reducer's intake decoding what
+  // it fetched.
+  if (startsWith(span_name, "SHUFFLE_")) return "shuffle";
   if (startsWith(span_name, "SORT_SPILL")) return "spill";
   if (startsWith(span_name, "INNODE_COMBINE")) return "innode";
   if (startsWith(span_name, "MERGE")) return "merge";

@@ -14,8 +14,10 @@
 /// The intermediate record format: a run of [varint klen][key][varint
 /// vlen][value] frames. Map outputs are stored and shuffled in this format;
 /// reduce merges decode it back. When the map-output codec is on, each
-/// segment is stored and shipped as a framed codec stream (codec.h) and
-/// `DecodedRunSet` unwraps it at the merge input.
+/// segment is stored and shipped as a framed codec stream (codec.h). The
+/// reducer decodes a fetched output once, on arrival (`intakeMapOutput`,
+/// task_runner.h); the map-side spill merge and the in-node combine, which
+/// merge stored segments where they sit, unwrap them with `DecodedRunSet`.
 
 namespace mh::mr {
 
@@ -115,10 +117,10 @@ Bytes encodeKvRun(const std::vector<KeyValue>& records);
 int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out);
 
 /// Presents a set of possibly codec-compressed kv runs as plain decoded
-/// views for the KvRunMerger. Compressed runs (`isEncodedStream`) decode
-/// into fresh refcounted buffers owned by this set; raw runs pass through
-/// as the caller's views — zero copy either way downstream. The set, and
-/// the caller's raw runs, must outlive the merger consuming `views()`.
+/// views for a KvRunMerger. Compressed runs (`isEncodedStream`) decode into
+/// fresh buffers owned by this set; raw runs pass through as the caller's
+/// views. The set, and the caller's raw runs, must outlive the merger
+/// consuming `views()`.
 ///
 /// `allow_decode=false` pins every run as raw — the job's map-output codec
 /// is off, so bytes that merely resemble a codec header are not misdecoded.
@@ -134,19 +136,11 @@ class DecodedRunSet {
 
   /// Total decoded (logical) bytes across all runs.
   int64_t rawBytes() const { return raw_bytes_; }
-  /// Encoded wire bytes of the runs that actually decoded (0 when none).
-  int64_t encodedBytes() const { return encoded_bytes_; }
-  /// Extra resident bytes the decode materialized (the decoded buffers'
-  /// sizes — the encoded originals stay alive and charged by the caller),
-  /// i.e. what a heap budget should additionally charge.
-  int64_t decodedHeapBytes() const { return decoded_heap_bytes_; }
 
  private:
   std::vector<Buffer> decoded_;  ///< buffers the compressed runs decoded to
   std::vector<std::string_view> views_;
   int64_t raw_bytes_ = 0;
-  int64_t encoded_bytes_ = 0;
-  int64_t decoded_heap_bytes_ = 0;
 };
 
 }  // namespace mh::mr

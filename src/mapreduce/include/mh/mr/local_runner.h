@@ -7,10 +7,8 @@
 /// Serial execution of a complete job against any FileSystemView — the
 /// course's "MapReduce API libraries on the standard Linux command line,
 /// without a supporting HDFS/MapReduce infrastructure" mode (assignment 1).
-/// No daemons, no network: splits run one after another on the calling
-/// thread, or on small pools via mapred.local.map.threads and
-/// mapred.local.reduce.threads (each reduce partition commits its own part
-/// file, so partitions parallelize safely).
+/// No daemons, no network, no threads: splits, then reduce partitions, run
+/// one after another on the calling thread.
 
 namespace mh::mr {
 

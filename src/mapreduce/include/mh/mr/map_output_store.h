@@ -25,11 +25,12 @@
 /// caller's thread, and a concurrent purge cannot pull the buffer out from
 /// under an in-flight fetch.
 ///
-/// A map output is stored, served and fetched as the same bytes: when the
-/// job's map-output codec (`mapred.map.output.compression.codec`) is on,
-/// each segment was encoded once at spill time, ships as stored, and is
-/// decoded once by the reducer at merge input. The serving tracker never
-/// encodes or decodes a plain map output.
+/// A map output is stored, served and fetched as the same bytes, and
+/// serving never asks which codec framed them: when the job's map-output
+/// codec (`mapred.map.output.compression.codec`) is on, each segment was
+/// encoded once at spill time, ships as stored, and is decoded once by the
+/// reducer on arrival. Only the in-node combine, which merges stored
+/// segments, decodes and re-encodes.
 ///
 /// Beyond plain per-map storage, the store serves **in-node combining**
 /// (`mapred.innode.combine`, a job conf key; it needs the attachments from
@@ -74,18 +75,9 @@ class MapOutputStore {
 
   bool has(JobId job, uint32_t map_index) const;
 
-  /// Serve-side byte accounting for codec-framed map output: the raw and
-  /// encoded sizes of the stored segments served. Both stay 0 when the
-  /// serve shipped plain bytes.
-  struct ServeStats {
-    int64_t raw_bytes = 0;
-    int64_t compressed_bytes = 0;
-  };
-
   /// One map's output for `partition`, exactly as stored: a zero-copy view
-  /// of the buffer. Stats count segment bytes, not the table.
-  BufferView serveMapOutput(JobId job, uint32_t map_index, uint32_t partition,
-                            ServeStats* stats = nullptr);
+  /// of the buffer.
+  BufferView serveMapOutput(JobId job, uint32_t map_index, uint32_t partition);
 
   /// The node-combined run for `partition` covering exactly `maps` — the
   /// in-node combine serve path: their outputs for that partition merged
@@ -96,8 +88,7 @@ class MapOutputStore {
   /// absent map (`missingMapMessage`) so the fetcher attributes the failure
   /// to the right map for re-execution.
   BufferView serveNodeOutput(JobId job, uint32_t partition,
-                             const std::vector<uint32_t>& maps,
-                             ServeStats* stats = nullptr);
+                             const std::vector<uint32_t>& maps);
 
   void purgeJob(JobId job);
 

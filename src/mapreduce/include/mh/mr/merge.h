@@ -147,6 +147,10 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 /// blocks folded or when. In-node covers are usually interleaved map sets
 /// (a host's maps), so they stay unfolded and merge once at the end.
 ///
+/// Items are raw kv_stream runs: the reducer decodes each fetched output
+/// once on arrival (`intakeMapOutput`, task_runner.h), so the merger never
+/// sees a codec.
+///
 /// **Re-execution.** `invalidate(map)` discards whatever covers a map whose
 /// output went stale — a pending run, or a folded segment (which dissolves;
 /// its other members must be re-fetched). The merger never talks to the
@@ -160,19 +164,12 @@ class IncrementalMerger {
     /// outputs, not segments). The final merge therefore sees at most
     /// ~fanin unfolded items per segment gap plus the segments themselves.
     size_t fold_fanin = 8;
-    /// Decode codec-framed runs when folding (the job's map-output codec
-    /// is on); folded segments are stored raw.
-    bool allow_decode = false;
-    /// Optional DECOMPRESS metering for folds, passed to DecodedRunSet.
-    MetricsRegistry* metrics = nullptr;
-    TraceCollector* trace = nullptr;
-    std::string component = "incremental-merge";
   };
 
-  explicit IncrementalMerger(Options opts) : opts_(std::move(opts)) {}
+  explicit IncrementalMerger(Options opts) : opts_(opts) {}
 
   /// Registers a fetched map output covering `maps` (sorted ascending,
-  /// non-empty): its sorted segments, in spill order, which merge as one
+  /// non-empty): its raw sorted segments, in spill order, which merge as one
   /// item. A cover intersecting a pending item replaces it (a stale
   /// generation the caller chose to overwrite); a cover intersecting a
   /// folded segment is an error — invalidate() first. An empty output (an

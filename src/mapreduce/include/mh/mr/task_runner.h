@@ -18,8 +18,8 @@
 /// combiner per spill) -> one segmented output per partition: the sorted
 /// spill segments, or one merged segment. See map_output_buffer.h.
 /// Reduce side: streaming k-way merge over the (already sorted) segments
-/// of every map for one partition -> group by key -> reduce() -> committed
-/// part file.
+/// of every map for one partition (decoded on arrival by intakeMapOutput)
+/// -> group by key -> reduce() -> committed part file.
 
 namespace mh::mr {
 
@@ -56,20 +56,33 @@ struct ReduceTaskResult {
   int64_t millis = 0;
 };
 
-/// Executes one reduce task over the collected map segments for
+/// The reduce side's intake of one fetched map output — a segmented output
+/// (kv_stream.h), a single map's or a node-combined one — and the only
+/// place a reducer decodes. Splits it into its segments; with `decode` (the
+/// job's map-output codec is on) decodes each once, so the output's
+/// encoded buffer can go as soon as the caller drops it, and counts
+/// SHUFFLE_COMPRESSED_BYTES / SHUFFLE_RAW_BYTES into `counters`. Charges
+/// what the returned segments keep resident to `heap` (the decoded buffers,
+/// or the whole fetched buffer their slices share). Returns raw kv_stream
+/// segments in spill order, for IncrementalMerger or runReduceTask. With
+/// `trace`, the decode runs inside a SHUFFLE_DECODE span, where its
+/// DECOMPRESS spans nest; `metrics` hosts the codec's decode histogram.
+std::vector<BufferView> intakeMapOutput(const BufferView& output, bool decode,
+                                        Counters& counters,
+                                        const TaskContext::HeapFn& heap = {},
+                                        MetricsRegistry* metrics = nullptr,
+                                        TraceCollector* trace = nullptr,
+                                        std::string_view trace_component = {});
+
+/// Executes one reduce task over the collected raw map segments for
 /// `partition`, in (map, spill) order (refcounted views — shuffled
-/// segments are merged in place, never copied)
-/// and commits output_dir/part-NNNNN via `fs`. When the map-output codec is
-/// on (`mapred.map.output.compression.codec` in the spec conf), the fetched
-/// segments are codec streams exactly as the maps stored them; they decode
-/// at the merge input, and the decoded working set is charged to `heap` for
-/// the task's duration.
+/// segments are merged in place, never copied) and commits
+/// output_dir/part-NNNNN via `fs`.
 ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
                                uint32_t partition, uint32_t attempt,
                                const std::vector<BufferView>& input_runs,
                                TaskContext::HeapFn heap = {},
                                TraceCollector* trace = nullptr,
-                               std::string_view trace_component = {},
-                               MetricsRegistry* metrics = nullptr);
+                               std::string_view trace_component = {});
 
 }  // namespace mh::mr

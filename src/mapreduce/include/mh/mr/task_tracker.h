@@ -5,6 +5,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,39 +43,51 @@ namespace mh::mr {
 
 struct JobSpec;
 
-/// Fetches partition `assignment.task_index`'s map output (its segments
-/// and their table, kv_stream.h) from every map host in
-/// `assignment.map_outputs`, with up to `mapred.reduce.parallel.copies`
-/// fetches in flight at once. Hosts are visited in an order
-/// permuted by a job-seeded RNG (deterministic per seed, so chaos replays
-/// are stable) to spread concurrent reducers across serving trackers, but
-/// results land in canonical map order regardless of visit order. Runs
-/// arrive as refcounted views — a run served by a tracker on this fabric is
-/// the map output store's own buffer, uncopied. Retries back off
+/// One shuffle transfer and how it ended: a single map's output (classic),
+/// or one host's node-combined output covering every map that ran there
+/// (in-node combining). Exactly one of `run` (the fetched segmented output,
+/// kv_stream.h) and `error` (the last attempt's cause) is meaningful.
+struct FetchOutcome {
+  std::string host;
+  std::vector<uint32_t> maps;  ///< in location-list order
+  BufferView run;
+  std::optional<std::string> error;
+
+  /// The map a failure should re-execute: the one the server named missing
+  /// (`parseMissingMap`) when it is one of `maps` — a grouped fetch can
+  /// fail because ONE member is absent while the rest are fine — else the
+  /// lowest of `maps`.
+  uint32_t blamedMap() const;
+};
+
+/// Fetches partition `assignment.task_index`'s map output from every map
+/// host in `assignment.map_outputs`, with up to
+/// `mapred.reduce.parallel.copies` fetches in flight at once, and returns
+/// one outcome per fetch unit. It never throws for a failed fetch and never
+/// decides what a failure means; the caller does. Hosts are visited in an
+/// order permuted by a job-seeded RNG (deterministic per seed, so chaos
+/// replays are stable) to spread concurrent reducers across serving
+/// trackers, but outcomes land in canonical location order regardless.
+/// Runs arrive as refcounted views — a run served by a tracker on this
+/// fabric is the map output store's own buffer, uncopied. Retries back off
 /// exponentially with seeded full jitter (sleep uniform in [0, capped
 /// backoff], seed derived from job/task/attempt/retry so it is independent
-/// of thread interleaving). On any failure throws an IoError whose text is
-/// `formatFetchFailure` (mr_wire.h) — the JobTracker parses it to
-/// re-execute the source map; when several concurrent fetches fail, the
-/// lowest map index is reported. On success, meters
-/// SHUFFLE_BYTES and the wall-clock SHUFFLE_FETCH_MILLIS of the whole fetch
-/// phase into `shuffle_counters`.
+/// of thread interleaving). Meters SHUFFLE_BYTES (fetched runs only),
+/// SHUFFLE_FETCH_RETRIES and the wall-clock SHUFFLE_FETCH_MILLIS of the
+/// whole fetch into `shuffle_counters`.
 ///
 /// When `spec` is given and in-node combining is on for the job (a combiner
 /// plus `mapred.innode.combine=true`), the map list is grouped by host and
 /// each group fetched as ONE `getNodeOutput` call — the serving tracker
 /// merges exactly the named maps' outputs through the combiner and ships
 /// one run per node. The pipelined shuffle hands an in-node fetch every
-/// map's location at once, so each host's group holds all of its maps. A
-/// failed node fetch is attributed to the specific missing map when the
-/// server names one (`parseMissingMap`), else to the group's lowest map
-/// index, keeping the re-execute contract exact.
-std::vector<BufferView> fetchShuffleRuns(net::Network& network,
-                                         const std::string& host,
-                                         const TaskAssignment& assignment,
-                                         const Config& conf,
-                                         Counters& shuffle_counters,
-                                         const JobSpec* spec = nullptr);
+/// map's location at once, so each host's group holds all of its maps.
+std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
+                                           const std::string& host,
+                                           const TaskAssignment& assignment,
+                                           const Config& conf,
+                                           Counters& shuffle_counters,
+                                           const JobSpec* spec = nullptr);
 
 class TaskTracker {
  public:
@@ -142,9 +155,14 @@ class TaskTracker {
   /// complete; in-node combining always waits for the full list and then
   /// fetches one run per host), folding fetched runs into bounded segments,
   /// and returns the assembled input runs once membership is complete.
-  /// Charges fetched bytes to the task heap as they arrive; the running
-  /// total is reported through `charged_bytes` for the caller's heap guard
-  /// (already released again if this throws).
+  /// Each batch's outcomes are settled here: a unit with a map invalidated
+  /// during the batch is dropped (the feed re-announces it), any other
+  /// failed unit fails the attempt with `formatFetchFailure` (mr_wire.h)
+  /// naming the lowest blamed map, and every other unit is taken in
+  /// through `intakeMapOutput` (task_runner.h). The intake charges what it
+  /// keeps to the task heap; the running total is reported through
+  /// `charged_bytes` for the caller's heap guard (already released again
+  /// if this throws).
   std::vector<BufferView> runPipelinedShuffle(const TaskAssignment& assignment,
                                               const JobSpec& spec,
                                               Counters& shuffle_counters,
@@ -175,10 +193,6 @@ class TaskTracker {
   Counter* shuffle_bytes_ = nullptr;
   Counter* map_spills_ = nullptr;
   Counter* spilled_records_ = nullptr;
-  /// Serve-side compression accounting: raw vs encoded bytes of the stored
-  /// codec segments served while the job's map-output codec is on.
-  Counter* shuffle_raw_bytes_ = nullptr;
-  Counter* shuffle_compressed_bytes_ = nullptr;
   /// Pipelined shuffle: runs/bytes fetched while maps were still running,
   /// and runs discarded + re-fetched after an invalidation event. Bumped
   /// live (not success-gated) — they describe tracker work, not job truth.

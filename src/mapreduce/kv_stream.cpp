@@ -117,8 +117,6 @@ DecodedRunSet::DecodedRunSet(std::vector<std::string_view> runs,
   for (std::string_view& run : views_) {
     if (allow_decode && isEncodedStream(run)) {
       decoded_.push_back(codecDecode(run, metrics, trace, component));
-      encoded_bytes_ += static_cast<int64_t>(run.size());
-      decoded_heap_bytes_ += static_cast<int64_t>(decoded_.back().size());
       run = decoded_.back().view();
     }
     raw_bytes_ += static_cast<int64_t>(run.size());

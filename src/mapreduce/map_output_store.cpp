@@ -12,35 +12,6 @@
 
 namespace mh::mr {
 
-namespace {
-
-/// Whether the job's map-output codec frames its stored segments (false
-/// for an unknown spec), so bytes that merely resemble a codec header are
-/// never metered as one.
-bool storedEncoded(const JobSpec* spec) {
-  return spec != nullptr &&
-         codecFromName(spec->conf.get(keys::kMapOutputCodec)) !=
-             CodecKind::kNone;
-}
-
-/// Wraps the stored `run` for the wire; when `encoded`, adds its segments'
-/// raw and encoded sizes to `stats`.
-BufferView serveRun(const std::shared_ptr<const Bytes>& run, bool encoded,
-                    MapOutputStore::ServeStats* stats) {
-  if (encoded && stats != nullptr) {
-    // The map-output codec framed every segment at spill time; they ship
-    // as stored and the reducer decodes them at merge input.
-    for (const std::string_view segment : splitSegments(*run)) {
-      stats->raw_bytes +=
-          static_cast<int64_t>(encodedStreamInfo(segment).raw_size);
-      stats->compressed_bytes += static_cast<int64_t>(segment.size());
-    }
-  }
-  return BufferView(Buffer::wrap(run));
-}
-
-}  // namespace
-
 void MapOutputStore::attach(JobRegistry* registry, MetricsRegistry* metrics,
                             TraceCollector* trace,
                             std::string trace_component) {
@@ -182,15 +153,12 @@ bool MapOutputStore::has(JobId job, uint32_t map_index) const {
 }
 
 BufferView MapOutputStore::serveMapOutput(JobId job, uint32_t map_index,
-                                          uint32_t partition,
-                                          ServeStats* stats) {
-  return serveRun(get(job, map_index, partition),
-                  storedEncoded(specFor(job).get()), stats);
+                                          uint32_t partition) {
+  return Buffer::wrap(get(job, map_index, partition));
 }
 
 BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
-                                           const std::vector<uint32_t>& maps,
-                                           ServeStats* stats) {
+                                           const std::vector<uint32_t>& maps) {
   std::vector<uint32_t> members(maps);
   std::sort(members.begin(), members.end());
   members.erase(std::unique(members.begin(), members.end()), members.end());
@@ -214,12 +182,9 @@ BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
       runs.push_back((*slot)[partition]);
     }
   }
-  const std::shared_ptr<const JobSpec> spec = specFor(job);
   // One map on this node: its per-task-combined run IS the node output.
-  const std::shared_ptr<const Bytes> run =
-      runs.size() == 1 ? runs.front()
-                       : combineRuns(job, spec.get(), members, runs);
-  return serveRun(run, storedEncoded(spec.get()), stats);
+  if (runs.size() == 1) return Buffer::wrap(runs.front());
+  return Buffer::wrap(combineRuns(job, specFor(job).get(), members, runs));
 }
 
 void MapOutputStore::purgeJob(JobId job) {

@@ -269,14 +269,14 @@ bool IncrementalMerger::foldOnce() {
 Bytes IncrementalMerger::foldBlock(
     const std::vector<const Item*>& block) const {
   std::vector<std::string_view> runs;
+  int64_t bytes = 0;
   for (const Item* item : block) {
     runs.insert(runs.end(), item->runs.begin(), item->runs.end());
+    bytes += bytesOf(*item);
   }
-  const DecodedRunSet decoded(std::move(runs), opts_.allow_decode,
-                              opts_.metrics, opts_.trace, opts_.component);
-  KvRunMerger merger(decoded.views());
+  KvRunMerger merger(runs);
   Bytes out;
-  out.reserve(static_cast<size_t>(decoded.rawBytes()));
+  out.reserve(static_cast<size_t>(bytes));
   while (const auto frame = merger.nextFrame()) out.append(*frame);
   return out;
 }

@@ -2,7 +2,9 @@
 
 #include <memory>
 
+#include "mh/common/codec.h"
 #include "mh/common/stopwatch.h"
+#include "mh/mr/kv_stream.h"
 #include "mh/mr/map_output_buffer.h"
 #include "mh/mr/merge.h"
 
@@ -72,56 +74,54 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
   return result;
 }
 
+std::vector<BufferView> intakeMapOutput(const BufferView& output, bool decode,
+                                        Counters& counters,
+                                        const TaskContext::HeapFn& heap,
+                                        MetricsRegistry* metrics,
+                                        TraceCollector* trace,
+                                        std::string_view trace_component) {
+  std::vector<BufferView> segments = splitSegments(output);
+  // Undecoded slices keep the whole fetched buffer (table included) alive.
+  auto resident = static_cast<int64_t>(output.size());
+  if (decode && !segments.empty()) {
+    TraceSpan span(trace, trace_component, "SHUFFLE_DECODE");
+    int64_t stored = 0;
+    resident = 0;
+    for (BufferView& segment : segments) {
+      stored += static_cast<int64_t>(segment.size());
+      segment = codecDecode(segment.view(), metrics, trace, trace_component);
+      resident += static_cast<int64_t>(segment.size());
+    }
+    counters.increment(kShuffleGroup, kShuffleCompressedBytes, stored);
+    counters.increment(kShuffleGroup, kShuffleRawBytes, resident);
+    span.arg("segments", std::to_string(segments.size()));
+    span.arg("bytes", std::to_string(resident));
+  }
+  if (heap && resident != 0) heap(resident);
+  return segments;
+}
+
 ReduceTaskResult runReduceTask(const JobSpec& spec, FileSystemView& fs,
                                uint32_t partition, uint32_t attempt,
                                const std::vector<BufferView>& input_runs,
                                TaskContext::HeapFn heap, TraceCollector* trace,
-                               std::string_view trace_component,
-                               MetricsRegistry* metrics) {
+                               std::string_view trace_component) {
   Stopwatch watch;
   ReduceTaskResult result;
   Counters& c = result.counters;
 
-  // The map-output codec delivers each segment as a framed codec stream;
-  // unwrap them at the merge input. The conf gate keeps raw bytes that
-  // merely resemble a codec header from being misdecoded when it is off.
-  const bool encoded =
-      codecFromName(spec.conf.get(keys::kMapOutputCodec)) != CodecKind::kNone;
-  // Merge setup — run decode plus loser-tree construction — gets its own
-  // span so the critical-path report can attribute it separately from
-  // reduce compute (DECOMPRESS spans from the codec nest inside it).
-  std::unique_ptr<DecodedRunSet> run_set;
+  // Merge setup (loser-tree construction) gets its own span so the
+  // critical-path report can attribute it separately from reduce compute.
+  // Each input run is already key-sorted, so they stream through a k-way
+  // merge: keys/values reach the reducer as views into the fetched (or
+  // decoded-on-arrival) buffers.
   std::unique_ptr<KvRunMerger> merger;
   {
     TraceSpan merge_span(trace, trace_component,
                          "MERGE r" + std::to_string(partition));
-    run_set = std::make_unique<DecodedRunSet>(
-        std::vector<std::string_view>(input_runs.begin(), input_runs.end()),
-        encoded, metrics, trace, trace_component);
-    // Merge phase: each input run is already key-sorted, so stream them
-    // through a k-way merge — no run is ever decoded whole beyond that
-    // unwrap, and keys/values reach the reducer as views into the fetched
-    // (or freshly decoded) buffers.
-    merger = std::make_unique<KvRunMerger>(run_set->views());
+    merger = std::make_unique<KvRunMerger>(
+        std::vector<std::string_view>(input_runs.begin(), input_runs.end()));
     merge_span.arg("segments", std::to_string(merger->segmentCount()));
-  }
-  if (run_set->encodedBytes() > 0) {
-    c.increment(kShuffleGroup, kShuffleCompressedBytes,
-                run_set->encodedBytes());
-    c.increment(kShuffleGroup, kShuffleRawBytes, run_set->rawBytes());
-  }
-  // The decoded buffers join the reduce working set for the whole merge;
-  // charge them alongside the fetched (encoded) runs the caller charged.
-  struct DecodeHeapGuard {
-    TaskContext::HeapFn* heap;
-    int64_t amount = 0;
-    ~DecodeHeapGuard() {
-      if (amount != 0 && *heap) (*heap)(-amount);
-    }
-  } decode_guard{&heap};
-  if (heap && run_set->decodedHeapBytes() > 0) {
-    decode_guard.amount = run_set->decodedHeapBytes();
-    heap(decode_guard.amount);
   }
 
   c.increment(kTaskGroup, kMergeSegments,

@@ -25,46 +25,22 @@ constexpr int64_t kFetchBackoffMaxMs = 200;
 
 namespace {
 
-/// One shuffle transfer: a single map's run (classic) or one host's
-/// node-combined run covering every map that ran there (in-node combining).
-struct FetchUnit {
-  std::string host;
-  std::vector<uint32_t> maps;
-  uint32_t lowest = 0;  ///< fallback attribution for a failed node fetch
-};
-
-/// The map index a failed unit's fetch-failure should re-execute: the
-/// specific map the server named missing (parseMissingMap, and it must be
-/// one of ours — a grouped fetch can fail because ONE member is absent
-/// while the rest are fine), else the group's lowest index.
-uint32_t attributedMap(const FetchUnit& unit, const std::string& error) {
-  const std::optional<uint32_t> missing = parseMissingMap(error);
-  if (missing && std::find(unit.maps.begin(), unit.maps.end(), *missing) !=
-                     unit.maps.end()) {
-    return *missing;
-  }
-  return unit.lowest;
-}
-
 /// Groups locations into fetch units: one per map, or (in-node combining)
-/// one per host in first-appearance order. The grouping is a pure function
-/// of the location list, so the pipelined shuffle can rebuild the exact
-/// units fetchShuffleRuns derived from a batch it handed over.
-std::vector<FetchUnit> buildFetchUnits(
+/// one per host in first-appearance order.
+std::vector<FetchOutcome> buildFetchUnits(
     const std::vector<MapOutputLocation>& locations, bool innode) {
-  std::vector<FetchUnit> units;
+  std::vector<FetchOutcome> units;
   for (const MapOutputLocation& location : locations) {
-    if (innode && !units.empty()) {
+    if (innode) {
       const auto it = std::find_if(
           units.begin(), units.end(),
-          [&](const FetchUnit& unit) { return unit.host == location.host; });
+          [&](const FetchOutcome& unit) { return unit.host == location.host; });
       if (it != units.end()) {
         it->maps.push_back(location.map_index);
-        it->lowest = std::min(it->lowest, location.map_index);
         continue;
       }
     }
-    units.push_back({location.host, {location.map_index}, location.map_index});
+    units.push_back({location.host, {location.map_index}});
   }
   return units;
 }
@@ -84,21 +60,29 @@ uint64_t fetchSeed(const TaskAssignment& assignment, uint64_t salt) {
 
 }  // namespace
 
-std::vector<BufferView> fetchShuffleRuns(net::Network& network,
-                                         const std::string& host,
-                                         const TaskAssignment& assignment,
-                                         const Config& conf,
-                                         Counters& shuffle_counters,
-                                         const JobSpec* spec) {
+uint32_t FetchOutcome::blamedMap() const {
+  const std::optional<uint32_t> missing =
+      error ? parseMissingMap(*error) : std::nullopt;
+  if (missing && std::find(maps.begin(), maps.end(), *missing) != maps.end()) {
+    return *missing;
+  }
+  return *std::min_element(maps.begin(), maps.end());
+}
+
+std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
+                                           const std::string& host,
+                                           const TaskAssignment& assignment,
+                                           const Config& conf,
+                                           Counters& shuffle_counters,
+                                           const JobSpec* spec) {
   const bool innode = spec != nullptr && spec->combiner != nullptr &&
                       spec->conf.get(keys::kInnodeCombine);
   // In in-node mode maps are grouped by host in first-appearance order; the
   // serving tracker merges the whole group through the combiner into one run.
-  const std::vector<FetchUnit> units =
+  std::vector<FetchOutcome> units =
       buildFetchUnits(assignment.map_outputs, innode);
   const size_t n = units.size();
-  std::vector<BufferView> runs(n);
-  if (n == 0) return runs;
+  if (n == 0) return units;
 
   TraceSpan span(&network.tracer(), "tasktracker." + host,
                  "SHUFFLE_FETCH r" + std::to_string(assignment.task_index) +
@@ -113,9 +97,7 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
   const size_t attempts = conf.get(keys::kShuffleFetchRetries);
   const int64_t backoff_ms = conf.get(keys::kShuffleFetchBackoffMs);
   std::atomic<int64_t> retries{0};
-  // Each slot holds an error message when that fetch failed; distinct slots
-  // are written by distinct fetches, so no lock is needed.
-  std::vector<std::unique_ptr<std::string>> errors(n);
+  // Distinct units are written by distinct fetches, so no lock is needed.
   std::atomic<size_t> next{0};
   // Visit units in a job-seeded random order: a wave of reducers starting
   // together would otherwise all hammer the first map host before moving on
@@ -136,13 +118,13 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
     for (size_t slot = next.fetch_add(1); slot < n;
          slot = next.fetch_add(1)) {
       const size_t i = order[slot];
-      const FetchUnit& unit = units[i];
+      FetchOutcome& unit = units[i];
       for (size_t attempt = 0; attempt < attempts; ++attempt) {
         try {
           // In-node mode always speaks getNodeOutput — even for a
           // single-map host — so the protocol (and any fault rule matched
           // on it) is uniform across units.
-          runs[i] =
+          unit.run =
               innode
                   ? network.call(host, unit.host, kTaskTrackerPort,
                                  "getNodeOutput",
@@ -154,10 +136,10 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
                                  pack(assignment.job, unit.maps[0],
                                       assignment.task_index),
                                  "shuffle");
-          errors[i].reset();
+          unit.error.reset();
           break;
         } catch (const std::exception& e) {
-          errors[i] = std::make_unique<std::string>(e.what());
+          unit.error = e.what();
           if (attempt + 1 == attempts) break;
           retries.fetch_add(1, std::memory_order_relaxed);
           // Full jitter: sleep uniform in [0, capped exponential backoff],
@@ -190,27 +172,9 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
     for (size_t t = 0; t < workers; ++t) fetchers.emplace_back(fetch_loop);
   }
 
-  const FetchUnit* failed_unit = nullptr;
-  const std::string* failed_error = nullptr;
-  uint32_t failed_map = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (errors[i] == nullptr) continue;
-    const uint32_t map_index = attributedMap(units[i], *errors[i]);
-    if (failed_unit == nullptr || map_index < failed_map) {
-      failed_unit = &units[i];
-      failed_error = errors[i].get();
-      failed_map = map_index;
-    }
-  }
-  if (failed_unit != nullptr) {
-    // Formatted so the JobTracker re-executes the source map.
-    throw IoError(
-        formatFetchFailure({failed_unit->host, failed_map}, *failed_error));
-  }
-
   int64_t total_bytes = 0;
-  for (const BufferView& run : runs) {
-    total_bytes += static_cast<int64_t>(run.size());
+  for (const FetchOutcome& unit : units) {
+    if (!unit.error) total_bytes += static_cast<int64_t>(unit.run.size());
   }
   shuffle_counters.increment(counters::kShuffleGroup, counters::kShuffleBytes,
                              total_bytes);
@@ -226,7 +190,7 @@ std::vector<BufferView> fetchShuffleRuns(net::Network& network,
       .histogram("shuffle.fetch.micros")
       .record(watch.elapsedMicros());
   span.arg("bytes", std::to_string(total_bytes));
-  return runs;
+  return units;
 }
 
 TaskTracker::TaskTracker(Config conf, std::shared_ptr<net::Network> network,
@@ -262,8 +226,6 @@ TaskTracker::TaskTracker(Config conf, std::shared_ptr<net::Network> network,
   shuffle_bytes_ = &metrics_->counter("shuffle_bytes");
   map_spills_ = &metrics_->counter("map_spills");
   spilled_records_ = &metrics_->counter("spilled_records");
-  shuffle_raw_bytes_ = &metrics_->counter("shuffle.raw.bytes");
-  shuffle_compressed_bytes_ = &metrics_->counter("shuffle.compressed.bytes");
   pipelined_runs_ = &metrics_->counter("shuffle.pipelined.runs");
   pipelined_bytes_ = &metrics_->counter("shuffle.pipelined.bytes");
   pipelined_refetches_ = &metrics_->counter("shuffle.pipelined.refetches");
@@ -669,7 +631,7 @@ bool TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
     auto result = runReduceTask(*spec, fs, assignment.task_index,
                                 assignment.attempt, runs,
                                 [this](int64_t d) { chargeHeap(d); }, tracer_,
-                                "tasktracker." + host_, metrics_);
+                                "tasktracker." + host_);
     result.counters.merge(shuffle_counters);
     report.succeeded = true;
     report.counters = result.counters.snapshot();
@@ -742,14 +704,11 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     sources[location.map_index].host = location.host;
   }
 
-  IncrementalMerger merger(IncrementalMerger::Options{
-      .allow_decode = codecFromName(spec.conf.get(
-                          keys::kMapOutputCodec)) != CodecKind::kNone,
-      .metrics = metrics_,
-      .trace = tracer_,
-      .component = component});
+  IncrementalMerger merger({});
+  const bool decode =
+      codecFromName(spec.conf.get(keys::kMapOutputCodec)) != CodecKind::kNone;
 
-  const auto charge = [&](int64_t delta) {
+  const TaskContext::HeapFn charge = [&](int64_t delta) {
     // Count before chargeHeap: an OOM throw has already grown heap_used_,
     // and the caller's guard must release exactly what was charged.
     charged_bytes += delta;
@@ -815,51 +774,54 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
       }
       TaskAssignment batch = assignment;
       batch.map_outputs = ready;
-      std::vector<BufferView> runs;
-      try {
-        runs = fetchShuffleRuns(*network_, host_, batch, conf_,
-                                shuffle_counters, &spec);
-      } catch (const IoError& e) {
-        // A stale location fails exactly like a genuine fetch-failure. When
-        // an invalidation for the blamed map raced in during the batch, the
-        // feed will re-announce it — retry quietly instead of failing the
-        // attempt and making the JobTracker re-execute a healthy map.
-        drain_inbox();
-        const std::optional<FetchFailure> failure = parseFetchFailure(e.what());
-        if (!failure || failure->map_index >= total_maps ||
-            sources[failure->map_index].epoch ==
-                launch_epoch[failure->map_index]) {
-          throw;
-        }
-        continue;
-      }
+      const std::vector<FetchOutcome> outcomes = fetchShuffleRuns(
+          *network_, host_, batch, conf_, shuffle_counters, &spec);
       drain_inbox();
-      const std::vector<FetchUnit> units = buildFetchUnits(ready, innode);
-      for (size_t i = 0; i < units.size(); ++i) {
-        const FetchUnit& unit = units[i];
+      // Settle the batch. A unit with a map invalidated while it was in
+      // flight is dropped, fetched or not: the feed re-announces the map,
+      // and a stale location fails just like a lost output, so failing the
+      // attempt would make the JobTracker re-execute a healthy map. Any
+      // other failure fails the attempt, blaming the lowest blamed map;
+      // every other unit is taken in.
+      std::vector<const FetchOutcome*> accepted;
+      const FetchOutcome* failed = nullptr;
+      for (const FetchOutcome& unit : outcomes) {
         const bool stale = std::any_of(
             unit.maps.begin(), unit.maps.end(), [&](uint32_t m) {
               return sources[m].epoch != launch_epoch[m];
             });
         if (stale) {
-          // Fetched, then invalidated before it could merge: drop the unit
-          // (surviving members re-fetch next round alongside the feed's
-          // re-announced generation).
-          pipelined_refetches_->add();
-          shuffle_counters.increment(counters::kShuffleGroup,
-                                     counters::kShufflePipelinedRefetches, 1);
-          continue;
+          if (!unit.error) {
+            pipelined_refetches_->add();
+            shuffle_counters.increment(
+                counters::kShuffleGroup, counters::kShufflePipelinedRefetches,
+                1);
+          }
+        } else if (unit.error) {
+          if (failed == nullptr || unit.blamedMap() < failed->blamedMap()) {
+            failed = &unit;
+          }
+        } else {
+          accepted.push_back(&unit);
         }
-        const auto bytes = static_cast<int64_t>(runs[i].size());
-        merger.addSegments(unit.maps, splitSegments(runs[i]));
-        charge(bytes);
+      }
+      if (failed != nullptr) {
+        throw IoError(formatFetchFailure({failed->host, failed->blamedMap()},
+                                         *failed->error));
+      }
+      for (const FetchOutcome* unit : accepted) {
+        const auto bytes = static_cast<int64_t>(unit->run.size());
+        merger.addSegments(unit->maps,
+                           intakeMapOutput(unit->run, decode,
+                                           shuffle_counters, charge, metrics_,
+                                           tracer_, component));
         pipelined_runs_->add();
         pipelined_bytes_->add(bytes);
         shuffle_counters.increment(counters::kShuffleGroup,
                                    counters::kShufflePipelinedRuns, 1);
         shuffle_counters.increment(counters::kShuffleGroup,
                                    counters::kShufflePipelinedBytes, bytes);
-        for (const uint32_t m : unit.maps) sources[m].fetched = true;
+        for (const uint32_t m : unit->maps) sources[m].fetched = true;
       }
       if (merger.pendingRuns() >= merger.foldFanin()) {
         const int64_t held_before = merger.heldBytes();
@@ -900,29 +862,20 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
 
 void TaskTracker::installRpc() {
   // Serving lives in the MapOutputStore, which ships each map output as
-  // stored; the handler mirrors the byte accounting into the registry.
+  // stored.
   network_->bind(host_, kTaskTrackerPort,
                  [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "getMapOutput") {
       const auto [job, map_index, partition] =
           unpack<uint32_t, uint32_t, uint32_t>(req.body);
-      MapOutputStore::ServeStats stats;
-      BufferView run =
-          outputs_.serveMapOutput(job, map_index, partition, &stats);
-      shuffle_raw_bytes_->add(stats.raw_bytes);
-      shuffle_compressed_bytes_->add(stats.compressed_bytes);
-      return run;
+      return outputs_.serveMapOutput(job, map_index, partition);
     }
     if (req.method == "getNodeOutput") {
       // In-node combining: one reply covers every named map on this node,
       // merged through the job's combiner.
       const auto [job, partition, maps] =
           unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body);
-      MapOutputStore::ServeStats stats;
-      BufferView run = outputs_.serveNodeOutput(job, partition, maps, &stats);
-      shuffle_raw_bytes_->add(stats.raw_bytes);
-      shuffle_compressed_bytes_->add(stats.compressed_bytes);
-      return run;
+      return outputs_.serveNodeOutput(job, partition, maps);
     }
     throw InvalidArgumentError("tasktracker: unknown RPC method " +
                                req.method);

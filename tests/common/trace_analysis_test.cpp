@@ -59,6 +59,7 @@ TEST(TracePhaseTest, ClassifiesSpanNamesByPrefix) {
   EXPECT_EQ(classifyTracePhase("MAP m3 a0"), "map");
   EXPECT_EQ(classifyTracePhase("REDUCE r1 a2"), "reduce");
   EXPECT_EQ(classifyTracePhase("SHUFFLE_FETCH r0 m2"), "shuffle");
+  EXPECT_EQ(classifyTracePhase("SHUFFLE_DECODE"), "shuffle");
   EXPECT_EQ(classifyTracePhase("SORT_SPILL m0"), "spill");
   EXPECT_EQ(classifyTracePhase("MERGE r0"), "merge");
   EXPECT_EQ(classifyTracePhase("DFS_READ blk_7"), "dfs");

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
 #include <string>
+
+#include <unistd.h>
 
 #include "mh/apps/airline.h"
 #include "mh/common/rng.h"
 #include "mh/data/airline.h"
+#include "mh/mr/local_runner.h"
 #include "mh/mr/mini_mr_cluster.h"
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
@@ -14,13 +18,14 @@
 /// independently; any subset must leave job outputs byte-identical to the
 /// all-off baseline while the seam-specific raw/compressed counters show the
 /// codec actually engaged. Map output is encoded once at spill, shipped as
-/// stored and decoded once by the reducer.
+/// stored and decoded once by the reducer, on arrival.
 
 namespace mh::mr {
 namespace {
 
 using namespace testjobs;
 using namespace counters;
+namespace stdfs = std::filesystem;
 
 std::string makeCorpus(int lines, uint64_t seed) {
   static const char* kWords[] = {"compress", "block", "spill",   "shuffle",
@@ -41,7 +46,6 @@ struct SeamRun {
   std::map<std::string, Bytes> parts;  ///< part file bytes by name
   JobResult result;
   int64_t dn_raw = 0, dn_compressed = 0;  ///< datanode block.{raw,comp}.bytes
-  int64_t tt_raw = 0, tt_compressed = 0;  ///< tracker shuffle.{raw,comp}
   int64_t tt_encodes = 0, tt_decodes = 0;  ///< trackers' mh-lz codec calls
 };
 
@@ -72,8 +76,6 @@ SeamRun runWithSeams(const std::string& corpus, const std::string& block,
     run.dn_raw += dn.counterValue("block.raw.bytes");
     run.dn_compressed += dn.counterValue("block.compressed.bytes");
     auto& tt = cluster.metrics().child("tasktracker." + host);
-    run.tt_raw += tt.counterValue("shuffle.raw.bytes");
-    run.tt_compressed += tt.counterValue("shuffle.compressed.bytes");
     auto& codec = tt.child("codec.mh-lz");
     run.tt_encodes +=
         static_cast<int64_t>(codec.histogram("encode.micros").count());
@@ -90,9 +92,11 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   ASSERT_TRUE(off.result.succeeded()) << off.result.error;
   ASSERT_EQ(off.parts.size(), 3u);
   EXPECT_EQ(off.dn_compressed, 0);
-  EXPECT_EQ(off.tt_compressed, 0);
   EXPECT_EQ(off.result.counters.value(kTaskGroup, kSpillRawBytes), 0);
   EXPECT_EQ(off.result.counters.value(kShuffleGroup, kShuffleRawBytes), 0);
+  EXPECT_EQ(off.result.counters.value(kShuffleGroup, kShuffleCompressedBytes),
+            0);
+  EXPECT_EQ(off.tt_decodes, 0);
 
   // Seam 1: blocks at rest. The DataNodes store framed replicas (and
   // replicate them compressed), yet reads reassemble the raw file.
@@ -102,11 +106,12 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   EXPECT_GT(block.dn_raw, 0);
   EXPECT_GT(block.dn_compressed, 0);
   EXPECT_LT(block.dn_compressed, block.dn_raw);
-  EXPECT_EQ(block.tt_compressed, 0);
+  EXPECT_EQ(block.result.counters.value(kShuffleGroup, kShuffleCompressedBytes),
+            0);
 
   // Seam 2: map output. Stored segments shrink, trackers serve them as
-  // stored, reducers meter the decode, and fewer bytes cross the wire;
-  // outputs don't change.
+  // stored, reducers meter the decode on arrival, and fewer bytes cross
+  // the wire; outputs don't change.
   const SeamRun mapout = runWithSeams(corpus, "none", "mh-lz");
   ASSERT_TRUE(mapout.result.succeeded()) << mapout.result.error;
   EXPECT_EQ(mapout.parts, off.parts);
@@ -116,8 +121,6 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   EXPECT_GT(spill_raw, 0);
   EXPECT_LT(mapout.result.counters.value(kTaskGroup, kSpillCompressedBytes),
             spill_raw);
-  EXPECT_GT(mapout.tt_raw, 0);
-  EXPECT_LT(mapout.tt_compressed, mapout.tt_raw);
   const auto fetched_raw = mapout.result.counters.value(kShuffleGroup,
                                                         kShuffleRawBytes);
   EXPECT_GT(fetched_raw, 0);
@@ -132,7 +135,7 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
   ASSERT_TRUE(both.result.succeeded()) << both.result.error;
   EXPECT_EQ(both.parts, off.parts);
   EXPECT_GT(both.dn_compressed, 0);
-  EXPECT_GT(both.tt_raw, 0);
+  EXPECT_GT(both.result.counters.value(kShuffleGroup, kShuffleRawBytes), 0);
   EXPECT_GT(both.result.counters.value(kTaskGroup, kSpillCompressedBytes), 0);
 
   // Zipfian words and no combiner: the shuffle carries every occurrence of
@@ -167,37 +170,54 @@ TEST(CompressionSeamsTest, EverySeamSubsetIsByteIdentical) {
 }
 
 TEST(CompressionSeamsTest, MapOutputCodecShipsStoredSegmentsAsIs) {
-  // Encode once, ship as stored, decode once. A fault-free, combiner-less
-  // job with speculation off and fewer maps than the reducer's fold fan-in
-  // (8) serves every stored segment exactly once and never folds, so the
-  // bytes the maps encoded, the bytes the trackers served and the bytes the
-  // reducers decoded are the same bytes, and every segment the reducers
-  // merged went through the codec exactly once each way.
-  const std::string corpus = makeCorpus(300, 33);
-  const SeamRun run = runWithSeams(corpus, "none", "mh-lz");
+  // Encode once, ship as stored, decode once on arrival. A fault-free,
+  // combiner-less job with speculation off serves every stored segment
+  // exactly once. Launched with every location known and at least as many
+  // maps as the reducer's fold fan-in (8), each reducer also folds — and
+  // the folds merge runs the intake already decoded. So the bytes the maps
+  // encoded are the bytes the reducers decoded, and every segment went
+  // through the codec exactly once each way.
+  const std::string corpus = makeCorpus(1500, 33);
+  JobSpec spec = wordCountSpec({"/in"}, "/out", false, 3);
+  spec.conf.setDouble("mapred.reduce.slowstart.completed.maps", 1.0);
+  const SeamRun run = runWithSeams(corpus, "none", "mh-lz", spec);
   ASSERT_TRUE(run.result.succeeded()) << run.result.error;
   const Counters& c = run.result.counters;
   ASSERT_EQ(c.value(kJobGroup, kFailedMaps), 0);
   ASSERT_EQ(c.value(kJobGroup, kFailedReduces), 0);
   ASSERT_EQ(c.value(kJobGroup, kSpeculativeMaps), 0);
-  ASSERT_GT(c.value(kJobGroup, kLaunchedMaps), 1);
-  ASSERT_LT(c.value(kJobGroup, kLaunchedMaps), 8);
+  ASSERT_GE(c.value(kJobGroup, kLaunchedMaps), 8);
 
   const int64_t spill_compressed = c.value(kTaskGroup, kSpillCompressedBytes);
   EXPECT_GT(spill_compressed, 0);
-  EXPECT_EQ(run.tt_compressed, spill_compressed);
   EXPECT_EQ(c.value(kShuffleGroup, kShuffleCompressedBytes), spill_compressed);
-  EXPECT_EQ(run.tt_raw, c.value(kTaskGroup, kSpillRawBytes));
-  EXPECT_LT(run.tt_compressed, run.tt_raw);
+  EXPECT_EQ(c.value(kShuffleGroup, kShuffleRawBytes),
+            c.value(kTaskGroup, kSpillRawBytes));
+  EXPECT_LT(spill_compressed, c.value(kTaskGroup, kSpillRawBytes));
 
-  const int64_t segments = c.value(kTaskGroup, kMergeSegments);
-  EXPECT_GT(segments, 0);
-  EXPECT_EQ(run.tt_encodes, segments);
-  EXPECT_EQ(run.tt_decodes, segments);
+  // Without a combiner a map never merges its spills, so each non-empty
+  // segment it stored was encoded once, and fetched once.
+  EXPECT_GT(run.tt_encodes, 0);
+  EXPECT_EQ(run.tt_decodes, run.tt_encodes);
+  // The folds ran: the final merges saw fewer segments than were fetched.
+  EXPECT_LT(c.value(kTaskGroup, kMergeSegments), run.tt_encodes);
 
-  const SeamRun off = runWithSeams(corpus, "none", "none");
-  ASSERT_TRUE(off.result.succeeded()) << off.result.error;
-  EXPECT_EQ(run.parts, off.parts);
+  // Byte-identical to the serial runner with the same codec, on the same
+  // 4 KiB splits.
+  const stdfs::path root = stdfs::temp_directory_path() /
+                           ("mh_stored_segments_" + std::to_string(::getpid()));
+  stdfs::remove_all(root);
+  LocalFs local(4096);
+  local.writeFile((root / "in.txt").string(), corpus);
+  JobSpec serial_spec = wordCountSpec({(root / "in.txt").string()},
+                                      (root / "out").string(), false, 3);
+  serial_spec.conf.set("mapred.map.output.compression.codec", "mh-lz");
+  const JobResult serial = LocalJobRunner(local).run(std::move(serial_spec));
+  ASSERT_TRUE(serial.succeeded()) << serial.error;
+  EXPECT_EQ(readPartFiles(local, (root / "out").string()), run.parts);
+  EXPECT_EQ(serial.counters.value(kShuffleGroup, kShuffleCompressedBytes),
+            serial.counters.value(kTaskGroup, kSpillCompressedBytes));
+  stdfs::remove_all(root);
 }
 
 TEST(CompressionSeamsTest, VarRleSeamAlsoRoundTrips) {

@@ -122,50 +122,9 @@ TEST_F(LocalRunnerTest, MultipleReducersCoverAllKeys) {
   EXPECT_EQ(readCounts(*local_, p("out")), referenceCounts(corpus));
 }
 
-TEST_F(LocalRunnerTest, ParallelMapsMatchSerial) {
-  const std::string corpus = makeCorpus(400, 99);
-  local_->writeFile(p("in.txt"), corpus);
-  LocalJobRunner runner(*local_);
-
-  auto serial_spec = wordCountSpec({p("in.txt")}, p("out_serial"));
-  auto parallel_spec = wordCountSpec({p("in.txt")}, p("out_parallel"));
-  parallel_spec.conf.setInt("mapred.local.map.threads", 4);
-
-  ASSERT_TRUE(runner.run(std::move(serial_spec)).succeeded());
-  ASSERT_TRUE(runner.run(std::move(parallel_spec)).succeeded());
-  EXPECT_EQ(readCounts(*local_, p("out_serial")),
-            readCounts(*local_, p("out_parallel")));
-}
-
-TEST_F(LocalRunnerTest, ParallelReducesMatchSerial) {
-  const std::string corpus = makeCorpus(400, 17);
-  local_->writeFile(p("in.txt"), corpus);
-  LocalJobRunner runner(*local_);
-
-  auto serial_spec = wordCountSpec({p("in.txt")}, p("out_serial"), false, 4);
-  auto parallel_spec =
-      wordCountSpec({p("in.txt")}, p("out_parallel"), false, 4);
-  parallel_spec.conf.setInt("mapred.local.reduce.threads", 4);
-
-  const auto serial = runner.run(std::move(serial_spec));
-  const auto parallel = runner.run(std::move(parallel_spec));
-  ASSERT_TRUE(serial.succeeded()) << serial.error;
-  ASSERT_TRUE(parallel.succeeded()) << parallel.error;
-  EXPECT_EQ(readCounts(*local_, p("out_serial")),
-            readCounts(*local_, p("out_parallel")));
-  EXPECT_EQ(readCounts(*local_, p("out_parallel")), referenceCounts(corpus));
-  // Per-task counters are merge-order-independent, so they agree too.
-  using namespace counters;
-  EXPECT_EQ(parallel.counters.value(kTaskGroup, kReduceInputRecords),
-            serial.counters.value(kTaskGroup, kReduceInputRecords));
-  EXPECT_EQ(parallel.counters.value(kTaskGroup, kMergeSegments),
-            serial.counters.value(kTaskGroup, kMergeSegments));
-}
-
-TEST_F(LocalRunnerTest, ThrowingReducerFailsParallelJobWithMessage) {
+TEST_F(LocalRunnerTest, ThrowingReducerFailsJobWithMessage) {
   local_->writeFile(p("in.txt"), makeCorpus(50, 3));
   JobSpec spec = wordCountSpec({p("in.txt")}, p("out"), false, 4);
-  spec.conf.setInt("mapred.local.reduce.threads", 4);
   spec.reducer = reducerFromLambda(
       [](std::string_view, ValuesIterator&, TaskContext&) {
         throw IoError("reducer exploded");
@@ -201,14 +160,14 @@ TEST_F(LocalRunnerTest, InvalidSpecsFailCleanly) {
   zero_reducers.num_reducers = 0;
   EXPECT_FALSE(runner.run(std::move(zero_reducers)).succeeded());
 
-  // Thread counts outside the key table's range fail validation, naming
-  // the key, before any thread starts.
-  for (const char* threads : {"-1", "257"}) {
+  // Values outside the key table's range fail validation, naming the key,
+  // before any task runs.
+  for (const char* sort_mb : {"0", "2048"}) {
     JobSpec spec = wordCountSpec({p("x")}, p("out"));
-    spec.conf.set("mapred.local.map.threads", threads);
+    spec.conf.set("io.sort.mb", sort_mb);
     const JobResult result = runner.run(std::move(spec));
     EXPECT_FALSE(result.succeeded());
-    EXPECT_NE(result.error.find("mapred.local.map.threads"), std::string::npos)
+    EXPECT_NE(result.error.find("io.sort.mb"), std::string::npos)
         << result.error;
   }
 }

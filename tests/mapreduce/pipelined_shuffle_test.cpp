@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -13,6 +14,8 @@
 #include "mh/common/trace_analysis.h"
 #include "mh/mr/merge.h"
 #include "mh/mr/mini_mr_cluster.h"
+#include "mh/mr/mr_wire.h"
+#include "mh/net/fault_plan.h"
 #include "merge_key_pools.h"
 #include "mr_test_jobs.h"
 #include "testutil/aggressive_timers.h"
@@ -437,6 +440,65 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
   EXPECT_GE(result.counters.value(counters::kShuffleGroup,
                                   counters::kShufflePipelinedRefetches),
             1);
+}
+
+TEST(PipelinedShuffleTest, FetchFailureFailsTheAttemptBlamingOneMap) {
+  // The reduce's intake is the one place a failed fetch becomes an
+  // attempt-level error: "fetch-failure host=<h> map=<i>: <cause>", the
+  // shape the JobTracker parses to re-execute map i. One tracker, one
+  // fetch at a time, no retries: the first two getMapOutput calls fail,
+  // so the first attempt fails, blaming one of the two maps, and only that
+  // map re-runs before the next attempt succeeds.
+  Config conf = fastConf();
+  conf.setInt("dfs.replication", 1);
+  conf.setInt("mapred.shuffle.fetch.retries", 1);
+  conf.setInt("mapred.reduce.parallel.copies", 1);
+  MiniMrCluster cluster({.num_nodes = 1, .conf = conf});
+  cluster.tracer().setEnabled(true);
+  const std::string corpus = makeCorpus(150, 63);
+  cluster.client().writeFile("/in/corpus.txt", corpus);
+  auto plan = std::make_shared<net::FaultPlan>(5);
+  plan->addRule({.match = {.method = "getMapOutput"},
+                 .action = net::FaultAction::kError,
+                 .probability = 1.0,
+                 .max_fires = 2});
+  cluster.network()->setFaultPlan(plan);
+
+  JobSpec spec = wordCountSpec({"/in"}, "/out", false, 1);
+  spec.conf.setDouble("mapred.reduce.slowstart.completed.maps", 1.0);
+  const auto result = cluster.runJob(std::move(spec));
+  ASSERT_TRUE(result.succeeded()) << result.error;
+  EXPECT_EQ(plan->injectedFaults(), 2u);
+  HdfsFs fs(cluster.client());
+  EXPECT_EQ(readCounts(fs, "/out"), referenceCounts(corpus));
+  const uint32_t maps_total = cluster.jobTracker().listJobs().front().maps_total;
+  ASSERT_GE(maps_total, 2u);
+
+  const std::string host = cluster.trackerHosts().front();
+  std::vector<std::string> errors;
+  std::vector<uint32_t> rerun_maps;
+  for (const auto& e : cluster.tracer().snapshot()) {
+    if (e.trace_id != result.trace_id) continue;
+    if (e.name.rfind("ATTEMPT_FAIL r0", 0) == 0) {
+      for (const auto& [key, value] : e.args) {
+        if (key == "error") errors.push_back(value);
+      }
+    }
+    uint32_t map = 0;
+    if (e.span && std::sscanf(e.name.c_str(), "MAP m%u a1", &map) == 1 &&
+        e.name.ends_with(" a1")) {
+      rerun_maps.push_back(map);
+    }
+  }
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("fetch-failure host=" + host + " map="),
+            std::string::npos)
+      << errors[0];
+  const std::optional<FetchFailure> failure = parseFetchFailure(errors[0]);
+  ASSERT_TRUE(failure.has_value()) << errors[0];
+  EXPECT_EQ(failure->host, host);
+  EXPECT_LT(failure->map_index, maps_total);
+  EXPECT_EQ(rerun_maps, std::vector<uint32_t>{failure->map_index});
 }
 
 // ------------------------------------------------ slowstart wall clock

@@ -53,14 +53,17 @@ TEST(ShuffleFetchTest, FetchesEveryRunAndMetersCounters) {
 
   Config conf;
   Counters shuffle_counters;
-  const auto runs = fetchShuffleRuns(network, "reducer",
-                                     reduceAssignment(1, hosts), conf,
-                                     shuffle_counters);
-  ASSERT_EQ(runs.size(), 4u);
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(1, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 4u);
   int64_t expected_bytes = 0;
   for (uint32_t m = 0; m < 4; ++m) {
-    EXPECT_EQ(runs[m], "p1-from-map" + std::to_string(m));
-    expected_bytes += static_cast<int64_t>(runs[m].size());
+    EXPECT_FALSE(units[m].error.has_value()) << *units[m].error;
+    EXPECT_EQ(units[m].host, hosts[m]);
+    EXPECT_EQ(units[m].maps, std::vector<uint32_t>{m});
+    EXPECT_EQ(units[m].run, "p1-from-map" + std::to_string(m));
+    expected_bytes += static_cast<int64_t>(units[m].run.size());
   }
   EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup, counters::kShuffleBytes),
             expected_bytes);
@@ -89,11 +92,11 @@ TEST(ShuffleFetchTest, FetchesRunConcurrently) {
   Config conf;
   Counters shuffle_counters;
   Stopwatch watch;
-  const auto runs = fetchShuffleRuns(network, "reducer",
-                                     reduceAssignment(0, hosts), conf,
-                                     shuffle_counters);
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
   const int64_t elapsed = watch.elapsedMillis();
-  ASSERT_EQ(runs.size(), 6u);
+  ASSERT_EQ(units.size(), 6u);
 
   const int64_t sequential_sum = 6 * 2 * 25;
   EXPECT_LT(elapsed, sequential_sum);
@@ -103,9 +106,9 @@ TEST(ShuffleFetchTest, FetchesRunConcurrently) {
 }
 
 TEST(ShuffleFetchTest, DownHostProducesFetchFailureShape) {
-  // One dead map host among live ones: the error must keep the exact
-  // "fetch-failure host=... map=..." shape the JobTracker parses to
-  // re-execute the source map, even though the other fetches succeed.
+  // One dead map host among live ones: its unit comes back failed, naming
+  // the host and the map the JobTracker must re-execute, and the failure
+  // leaves its siblings' runs intact — the fetch never throws for it.
   net::Network network;
   network.addHost("reducer");
   MapOutputStore store;
@@ -113,24 +116,34 @@ TEST(ShuffleFetchTest, DownHostProducesFetchFailureShape) {
   for (uint32_t m = 0; m < 3; ++m) {
     hosts.push_back("tt" + std::to_string(m));
     serveMapOutputs(network, hosts.back(), store);
-    store.put(7, m, {Bytes("run")});
+    store.put(7, m, {Bytes("run-from-map" + std::to_string(m))});
   }
   network.setHostUp("tt1", false);
 
   Config conf;
   Counters shuffle_counters;
-  try {
-    fetchShuffleRuns(network, "reducer", reduceAssignment(0, hosts), conf,
-                     shuffle_counters);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch-failure host=tt1 map=1: "),
-              std::string::npos)
-        << e.what();
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 3u);
+  ASSERT_TRUE(units[1].error.has_value());
+  EXPECT_FALSE(units[1].error->empty());
+  EXPECT_EQ(units[1].host, "tt1");
+  EXPECT_EQ(units[1].blamedMap(), 1u);
+  for (const uint32_t m : {0u, 2u}) {
+    EXPECT_FALSE(units[m].error.has_value()) << *units[m].error;
+    EXPECT_EQ(units[m].run, "run-from-map" + std::to_string(m));
   }
+  // Only the runs that arrived count as shuffled bytes.
+  EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup,
+                                   counters::kShuffleBytes),
+            static_cast<int64_t>(units[0].run.size() + units[2].run.size()));
 }
 
 TEST(ShuffleFetchTest, MultipleFailuresReportLowestMapIndex) {
+  // Every failed unit is reported, in canonical map order, each blamed on
+  // its own map; the reduce's intake fails the attempt on the first, the
+  // lowest index.
   net::Network network;
   network.addHost("reducer");
   MapOutputStore store;
@@ -145,20 +158,21 @@ TEST(ShuffleFetchTest, MultipleFailuresReportLowestMapIndex) {
 
   Config conf;
   Counters shuffle_counters;
-  try {
-    fetchShuffleRuns(network, "reducer", reduceAssignment(0, hosts), conf,
-                     shuffle_counters);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch-failure host=tt1 map=1"),
-              std::string::npos)
-        << e.what();
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  std::vector<uint32_t> blamed;
+  for (const FetchOutcome& unit : units) {
+    if (unit.error) blamed.push_back(unit.blamedMap());
   }
+  EXPECT_EQ(blamed, (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(units[0].run, "run");
+  EXPECT_EQ(units[2].run, "run");
 }
 
 TEST(ShuffleFetchTest, MissingOutputAfterPurgeStillFailsWithShape) {
   // The store throws NotFoundError (purged/restarted tracker); that fault
-  // crosses the RPC and must come back in the same fetch-failure shape.
+  // crosses the RPC and comes back as the unit's error, blaming its map.
   net::Network network;
   network.addHost("reducer");
   MapOutputStore store;
@@ -167,15 +181,16 @@ TEST(ShuffleFetchTest, MissingOutputAfterPurgeStillFailsWithShape) {
 
   Config conf;
   Counters shuffle_counters;
-  try {
-    fetchShuffleRuns(network, "reducer", reduceAssignment(0, hosts), conf,
-                     shuffle_counters);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch-failure host=tt0 map=0"),
-              std::string::npos)
-        << e.what();
-  }
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 1u);
+  ASSERT_TRUE(units[0].error.has_value());
+  EXPECT_NE(units[0].error->find("map output 7/0 partition 0"),
+            std::string::npos)
+      << *units[0].error;
+  EXPECT_EQ(units[0].host, "tt0");
+  EXPECT_EQ(units[0].blamedMap(), 0u);
 }
 
 TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
@@ -209,14 +224,15 @@ TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
   conf.setInt("mapred.shuffle.fetch.retries", 3);
   conf.setInt("mapred.shuffle.fetch.backoff.ms", 2);
   Counters shuffle_counters;
-  const auto runs = fetchShuffleRuns(network, "reducer",
-                                     reduceAssignment(0, hosts), conf,
-                                     shuffle_counters);
-  ASSERT_EQ(runs.size(), 3u);
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 3u);
   int64_t expected_bytes = 0;
   for (uint32_t m = 0; m < 3; ++m) {
-    EXPECT_EQ(runs[m], "run-from-map" + std::to_string(m));
-    expected_bytes += static_cast<int64_t>(runs[m].size());
+    EXPECT_FALSE(units[m].error.has_value()) << *units[m].error;
+    EXPECT_EQ(units[m].run, "run-from-map" + std::to_string(m));
+    expected_bytes += static_cast<int64_t>(units[m].run.size());
   }
   EXPECT_EQ(tt1_calls.load(), 3);  // 2 failures + the success
   EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup,
@@ -234,7 +250,8 @@ TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
 }
 
 TEST(ShuffleFetchTest, RetriesExhaustedKeepFetchFailureShape) {
-  // Retries must not change the error contract the JobTracker parses.
+  // Retries exhausted: the unit keeps the last attempt's cause and blames
+  // its map, exactly as a single failed attempt would.
   net::Network network;
   network.addHost("reducer");
   MapOutputStore store;
@@ -251,16 +268,20 @@ TEST(ShuffleFetchTest, RetriesExhaustedKeepFetchFailureShape) {
   conf.setInt("mapred.shuffle.fetch.retries", 4);
   conf.setInt("mapred.shuffle.fetch.backoff.ms", 1);
   Counters shuffle_counters;
-  try {
-    fetchShuffleRuns(network, "reducer", reduceAssignment(0, hosts), conf,
-                     shuffle_counters);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch-failure host=tt0 map=0: "),
-              std::string::npos)
-        << e.what();
-  }
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 1u);
+  ASSERT_TRUE(units[0].error.has_value());
+  EXPECT_NE(units[0].error->find("connection reset by peer"),
+            std::string::npos)
+      << *units[0].error;
+  EXPECT_EQ(units[0].host, "tt0");
+  EXPECT_EQ(units[0].blamedMap(), 0u);
   EXPECT_EQ(calls.load(), 4);  // every configured attempt was used
+  EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup,
+                                   counters::kShuffleFetchRetries),
+            3);
 }
 
 TEST(ShuffleFetchTest, CleanFetchReportsZeroRetries) {
@@ -324,51 +345,60 @@ TEST(ShuffleFetchTest, InnodeModeGroupsFetchesByHost) {
   Config conf;
   Counters shuffle_counters;
   const JobSpec spec = innodeSpec();
-  const auto runs = fetchShuffleRuns(network, "reducer", assignment, conf,
-                                     shuffle_counters, &spec);
-  ASSERT_EQ(runs.size(), 2u);  // one combined run per host, not per map
-  EXPECT_EQ(runs[0], "run-ttA");
-  EXPECT_EQ(runs[1], "run-ttB");
+  const auto units = fetchShuffleRuns(network, "reducer", assignment, conf,
+                                      shuffle_counters, &spec);
+  ASSERT_EQ(units.size(), 2u);  // one combined run per host, not per map
+  EXPECT_EQ(units[0].host, "ttA");
+  EXPECT_EQ(units[0].maps, (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(units[0].run, "run-ttA");
+  EXPECT_EQ(units[1].host, "ttB");
+  EXPECT_EQ(units[1].maps, (std::vector<uint32_t>{1, 3}));
+  EXPECT_EQ(units[1].run, "run-ttB");
   std::sort(requests.begin(), requests.end());
   EXPECT_EQ(requests,
             (std::vector<std::string>{"ttA,0,2", "ttB,1,3"}));
   EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup,
                                    counters::kShuffleBytes),
-            static_cast<int64_t>(runs[0].size() + runs[1].size()));
+            static_cast<int64_t>(units[0].run.size() + units[1].run.size()));
 }
 
 TEST(ShuffleFetchTest, InnodeFailureAttributesTheServerNamedMissingMap) {
   // A grouped fetch can fail because ONE member map is absent while the
-  // rest are fine. The server names it ("missing map=3"); the fetch-failure
-  // must lead with that index — not the group's lowest — so the JobTracker
-  // re-executes the right map.
+  // rest are fine. The server names it ("missing map=3"); the unit must
+  // blame that index — not the group's lowest — so the JobTracker
+  // re-executes the right map. A server that names no member falls back
+  // to the group's lowest map.
   net::Network network;
   network.addHost("reducer");
-  network.addHost("ttA");
-  network.bind("ttA", kTaskTrackerPort,
-               [](const net::RpcRequest&) -> BufferView {
-                 throw NotFoundError("node output 7 missing map=3");
-               });
+  for (const std::string host : {"ttA", "ttB"}) {
+    network.addHost(host);
+    network.bind(host, kTaskTrackerPort,
+                 [host](const net::RpcRequest&) -> BufferView {
+                   throw NotFoundError(host == "ttA"
+                                           ? "node output 7 missing map=3"
+                                           : "node output 7 missing map=9");
+                 });
+  }
 
   TaskAssignment assignment;
   assignment.kind = AssignmentKind::kReduce;
   assignment.job = 7;
   assignment.task_index = 0;
-  assignment.map_outputs = {{1, "ttA"}, {3, "ttA"}};
+  assignment.map_outputs = {{1, "ttA"}, {3, "ttA"}, {4, "ttB"}, {2, "ttB"}};
 
   Config conf;
   conf.setInt("mapred.shuffle.fetch.retries", 1);
   Counters shuffle_counters;
   const JobSpec spec = innodeSpec();
-  try {
-    fetchShuffleRuns(network, "reducer", assignment, conf, shuffle_counters,
-                     &spec);
-    FAIL() << "expected IoError";
-  } catch (const IoError& e) {
-    EXPECT_NE(std::string(e.what()).find("fetch-failure host=ttA map=3: "),
-              std::string::npos)
-        << e.what();
-  }
+  const auto units = fetchShuffleRuns(network, "reducer", assignment, conf,
+                                      shuffle_counters, &spec);
+  ASSERT_EQ(units.size(), 2u);
+  ASSERT_TRUE(units[0].error.has_value());
+  EXPECT_EQ(units[0].host, "ttA");
+  EXPECT_EQ(units[0].blamedMap(), 3u);
+  ASSERT_TRUE(units[1].error.has_value());
+  EXPECT_EQ(units[1].host, "ttB");
+  EXPECT_EQ(units[1].blamedMap(), 2u);  // map 9 is not a member
 }
 
 TEST(ShuffleFetchTest, SingleParallelCopyDegradesToSequential) {
@@ -385,12 +415,12 @@ TEST(ShuffleFetchTest, SingleParallelCopyDegradesToSequential) {
   Config conf;
   conf.setInt("mapred.reduce.parallel.copies", 1);
   Counters shuffle_counters;
-  const auto runs = fetchShuffleRuns(network, "reducer",
-                                     reduceAssignment(0, hosts), conf,
-                                     shuffle_counters);
-  ASSERT_EQ(runs.size(), 3u);
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters);
+  ASSERT_EQ(units.size(), 3u);
   for (uint32_t m = 0; m < 3; ++m) {
-    EXPECT_EQ(runs[m], "run" + std::to_string(m));
+    EXPECT_EQ(units[m].run, "run" + std::to_string(m));
   }
 }
 
