@@ -155,12 +155,19 @@ T deserializeFrom(ByteReader& r) {
   return Serde<T>::decode(r);
 }
 
+/// Appends the encoding of several values to `out`. A caller that reserves
+/// the message's size first gets a buffer with no growth slack.
+template <typename... Ts>
+void packInto(Bytes& out, const Ts&... values) {
+  ByteWriter w(out);
+  (Serde<std::decay_t<Ts>>::encode(w, values), ...);
+}
+
 /// Packs several values into one buffer — RPC argument marshalling.
 template <typename... Ts>
 Bytes pack(const Ts&... values) {
   Bytes out;
-  ByteWriter w(out);
-  (Serde<std::decay_t<Ts>>::encode(w, values), ...);
+  packInto(out, values...);
   return out;
 }
 

@@ -9,8 +9,9 @@
 #include <vector>
 
 /// \file threadpool.h
-/// Fixed-size worker pool. TaskTrackers use one pool per tracker (its "task
-/// slots"); benchmarks use pools for parallel data generation.
+/// Worker pool. TaskTrackers use one fixed pool per tracker (its "task
+/// slots"); benchmarks use pools for parallel data generation; DFS clients
+/// share one pool of block-read helpers, grown to the widest read asked for.
 
 namespace mh {
 
@@ -37,19 +38,23 @@ class ThreadPool {
     return result;
   }
 
+  /// Adds workers until there are at least `threads`; never removes any.
+  /// Throws IllegalStateError after shutdown().
+  void growTo(size_t threads);
+
   /// Blocks until every queued and running task has finished.
   void waitIdle();
 
   /// Stops accepting work; running tasks finish, queued tasks still run.
   void shutdown();
 
-  size_t threadCount() const { return workers_.size(); }
+  size_t threadCount() const;
 
  private:
   void enqueue(std::function<void()> task);
   void workerLoop();
 
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable work_available_;
   std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;

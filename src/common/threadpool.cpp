@@ -51,6 +51,21 @@ void ThreadPool::workerLoop() {
   }
 }
 
+void ThreadPool::growTo(size_t threads) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (shutting_down_) {
+    throw IllegalStateError("growTo() on a shut-down ThreadPool");
+  }
+  while (workers_.size() < threads) {
+    workers_.emplace_back([this] { workerLoop(); });
+  }
+}
+
+size_t ThreadPool::threadCount() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return workers_.size();
+}
+
 void ThreadPool::waitIdle() {
   std::unique_lock<std::mutex> lock(mutex_);
   idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });

@@ -53,37 +53,40 @@ void BlockStore::checkReplicaCodec(BlockId id, CodecKind replica_codec) const {
 
 void BlockStore::writeBlock(BlockId id, std::string_view data) {
   if (codec_ == CodecKind::kNone) {
-    putStored(id, data, chunkChecksums(data), data.size(), CodecKind::kNone,
-              /*verified=*/false);
+    putStored(id, Buffer::copyOf(data), chunkChecksums(data), data.size(),
+              CodecKind::kNone, /*verified=*/false);
     return;
   }
-  const Bytes encoded = codecEncode(codec_, data, codec_metrics_, codec_trace_,
-                                    codec_component_);
-  putStored(id, encoded, chunkChecksums(encoded), data.size(), codec_,
+  Bytes encoded = codecEncode(codec_, data, codec_metrics_, codec_trace_,
+                              codec_component_);
+  std::vector<uint32_t> crcs = chunkChecksums(encoded);
+  putStored(id, std::move(encoded), std::move(crcs), data.size(), codec_,
             /*verified=*/false);
 }
 
-void BlockStore::receiveBlock(BlockId id, std::string_view data,
+void BlockStore::receiveBlock(BlockId id, BufferView data,
                               std::vector<uint32_t> crcs, bool verify) {
-  if (verify) verifyChunks(id, data, crcs);
+  if (verify) verifyChunks(id, data.view(), crcs);
   if (codec_ != CodecKind::kNone) {
-    writeBlock(id, data);
+    writeBlock(id, data.view());
     return;
   }
-  putStored(id, data, std::move(crcs), data.size(), CodecKind::kNone, verify);
+  const uint64_t raw_size = data.size();
+  putStored(id, std::move(data), std::move(crcs), raw_size, CodecKind::kNone,
+            verify);
 }
 
-void BlockStore::adoptStored(BlockId id, std::string_view stored) {
-  if (isEncodedStream(stored)) {
-    // Header walk only: the raw size is recovered without decompressing,
-    // and a torn stream is rejected before it lands in the store.
-    const EncodedStreamInfo info = encodedStreamInfo(stored);
-    putStored(id, stored, chunkChecksums(stored), info.raw_size, info.codec,
-              /*verified=*/false);
-  } else {
-    putStored(id, stored, chunkChecksums(stored), stored.size(),
-              CodecKind::kNone, /*verified=*/false);
-  }
+void BlockStore::adoptStored(BlockId id, BufferView stored) {
+  // Header walk only: the raw size is recovered without decompressing,
+  // and a torn stream is rejected before it lands in the store.
+  const EncodedStreamInfo info =
+      isEncodedStream(stored.view())
+          ? encodedStreamInfo(stored.view())
+          : EncodedStreamInfo{.codec = CodecKind::kNone,
+                              .raw_size = stored.size()};
+  std::vector<uint32_t> crcs = chunkChecksums(stored.view());
+  putStored(id, std::move(stored), std::move(crcs), info.raw_size, info.codec,
+            /*verified=*/false);
 }
 
 BufferView BlockStore::readBlock(BlockId id) const {
@@ -117,10 +120,10 @@ BufferView BlockStore::readBlockRange(BlockId id, uint64_t offset,
 
 // ---------------------------------------------------------------- memory
 
-void MemBlockStore::putStored(BlockId id, std::string_view stored,
+void MemBlockStore::putStored(BlockId id, BufferView stored,
                               std::vector<uint32_t> crcs, uint64_t raw_size,
                               CodecKind codec, bool verified) {
-  Replica replica{Buffer::copyOf(stored), std::move(crcs), raw_size, codec,
+  Replica replica{std::move(stored), std::move(crcs), raw_size, codec,
                   verified};
   std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = replicas_[id];
@@ -144,18 +147,19 @@ StoredReplica MemBlockStore::readStored(BlockId id) const {
   }
   if (!replica.verified) {
     verifyChunks(id, replica.data.view(), replica.crcs);
-    // Mark the slot verified-once — but only if it still holds the buffer
-    // we hashed; an overwrite/corruption that raced the verify swapped in a
-    // fresh (unverified) buffer and must not inherit our verdict.
+    // Mark the slot verified-once — but only if it still holds the bytes
+    // we hashed; an overwrite/corruption that raced the verify swapped in
+    // other (unverified) bytes and must not inherit our verdict. Our view
+    // keeps its backing buffer alive, so an equal pointer is equal bytes.
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = replicas_.find(id);
     if (it != replicas_.end() &&
-        it->second.data.shared().get() == replica.data.shared().get()) {
+        it->second.data.data() == replica.data.data() &&
+        it->second.data.size() == replica.data.size()) {
       it->second.verified = true;
     }
   }
-  return {BufferView(std::move(replica.data)), replica.raw_size,
-          replica.codec};
+  return {std::move(replica.data), replica.raw_size, replica.codec};
 }
 
 bool MemBlockStore::hasBlock(BlockId id) const {
@@ -259,7 +263,7 @@ fs::path FileBlockStore::metaPath(BlockId id) const {
   return root_ / ("blk_" + std::to_string(id) + ".meta");
 }
 
-void FileBlockStore::putStored(BlockId id, std::string_view stored,
+void FileBlockStore::putStored(BlockId id, BufferView stored,
                                std::vector<uint32_t> crcs, uint64_t raw_size,
                                CodecKind codec, bool /*verified*/) {
   std::lock_guard<std::mutex> lock(mutex_);

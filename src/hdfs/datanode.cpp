@@ -283,10 +283,12 @@ void DataNode::installRpc() {
   network_->bind(host_, kDataNodePort,
                  [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "writeBlock") {
-      // string_view decode: the payload stays inside the request buffer
-      // until the store copies it into a fresh replica. `stored` marks a
-      // payload already in its resident (framed) form — the replication
-      // path — which is adopted byte-for-byte, never re-encoded.
+      // string_view decode: the payload stays inside the request buffer,
+      // and the replica the store keeps is a slice of that buffer — the
+      // same one every DataNode of the pipeline receives, so the replicas
+      // of a block share one copy. `stored` marks a payload already in its
+      // resident (framed) form — the replication path — which is adopted
+      // byte-for-byte, never re-encoded.
       // `pipeline` is the client's full ordered target list. The trailing
       // chunk CRCs are the writer's; a body without them (re-replication)
       // is checksummed here, as the one-hop pipeline's tail.
@@ -299,13 +301,15 @@ void DataNode::installRpc() {
       if (!reader.atEnd()) crcs = deserializeFrom<ChunkCrcs>(reader).values;
       const auto self = std::find(pipeline.begin(), pipeline.end(), host_);
       const bool tail = self == pipeline.end() || self + 1 == pipeline.end();
+      const BufferView payload = req.body.slice(
+          static_cast<size_t>(data.data() - req.body.data()), data.size());
       if (stored) {
-        store_->adoptStored(block.id, data);
+        store_->adoptStored(block.id, payload);
       } else if (crcs.empty()) {
         store_->writeBlock(block.id, data);
       } else {
         // Throws ChecksumError at the tail, before anything is stored.
-        store_->receiveBlock(block.id, data, std::move(crcs), tail);
+        store_->receiveBlock(block.id, payload, std::move(crcs), tail);
       }
       const uint64_t resident = store_->storedSize(block.id);
       if (!tail) {

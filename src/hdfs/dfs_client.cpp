@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 #include <utility>
 
 #include "mh/common/error.h"
 #include "mh/common/log.h"
+#include "mh/common/threadpool.h"
 #include "mh/common/trace.h"
 #include "mh/hdfs/block_store.h"
 #include "mh/hdfs/short_circuit.h"
@@ -19,6 +21,15 @@ namespace {
 constexpr const char* kLog = "dfsclient";
 /// Cap on the exponential backoff between read sweeps.
 constexpr int64_t kRetryBackoffMaxMs = 200;
+
+/// Block-read helpers shared by every client in the process: created on
+/// the first parallel read, grown to the widest read asked for since, and
+/// never shrunk, so a read creates no thread of its own.
+ThreadPool& readHelpers(size_t helpers) {
+  static ThreadPool pool(helpers);
+  pool.growTo(helpers);
+  return pool;
+}
 }  // namespace
 
 DfsClient::DfsClient(Config conf, std::shared_ptr<net::Network> network,
@@ -63,11 +74,19 @@ void DfsClient::writeFile(const std::string& path, std::string_view data,
       // its chunk CRCs — the only time these bytes are checksummed on the
       // way in. Each DataNode forwards this same body to the host after its
       // own, so when a head fails, the next target heads the rest of the
-      // list.
-      const BufferView body =
-          pack(Block{located.block.id, payload.size()}, payload,
-               located.hosts, /*stored=*/false,
-               ChunkCrcs{chunkChecksums(payload)});
+      // list. The DataNodes keep this buffer as the block's replicas, so it
+      // is reserved whole (varints take at most 10 bytes): growth slack
+      // would stay pinned with them.
+      const ChunkCrcs crcs{chunkChecksums(payload)};
+      size_t body_bytes = payload.size() + 4 * crcs.values.size() + 64;
+      for (const std::string& host : located.hosts) {
+        body_bytes += host.size() + 10;
+      }
+      Bytes packed;
+      packed.reserve(body_bytes);
+      packInto(packed, Block{located.block.id, payload.size()}, payload,
+               located.hosts, /*stored=*/false, crcs);
+      const BufferView body(std::move(packed));
       // A ChecksumError means the pipeline tail rejected bytes corrupted in
       // transit and every replica was dropped: rewrite the block, up to
       // dfs.client.retries times.
@@ -223,47 +242,64 @@ BufferView DfsClient::readBlockRange(const LocatedBlock& located,
 std::vector<BufferView> DfsClient::readFileViews(const std::string& path) {
   const auto status = namenode_.getFileStatus(path);
   if (status.is_dir) throw InvalidArgumentError("is a directory: " + path);
-  const std::vector<LocatedBlock> blocks = namenode_.getBlockLocations(path);
-  const size_t n = blocks.size();
-  std::vector<BufferView> parts(n);
 
-  // Fetch block ranges in parallel (each block still walks its replicas
-  // best-first with checksum fallover inside readBlockRange), then
-  // assemble in block order.
-  const size_t copies = conf_.get(keys::kClientParallelReads);
-  const size_t workers = std::min(n, copies);
-  if (workers <= 1) {
-    for (size_t i = 0; i < n; ++i) {
-      parts[i] = readBlockRange(blocks[i], 0, blocks[i].block.size);
-    }
-  } else {
-    // Distinct slots are written by distinct fetches; no lock needed. The
-    // lowest-index failure is reported, matching the serial path.
-    std::vector<std::unique_ptr<std::string>> errors(n);
+  // One fetch per block (each still walks its replicas best-first with
+  // checksum fallover inside readBlockRange), claimed in block order by
+  // the caller and by up to width-1 pool helpers, then assembled in order.
+  // The state is shared with the helpers because one may start after the
+  // caller has returned: it finds nothing left to claim and exits without
+  // touching the client. Distinct slots are written by distinct claims; no
+  // lock needed.
+  struct Fetch {
+    explicit Fetch(std::vector<LocatedBlock> located)
+        : blocks(std::move(located)),
+          parts(blocks.size()),
+          errors(blocks.size()),
+          done(static_cast<std::ptrdiff_t>(blocks.size())) {}
+    const std::vector<LocatedBlock> blocks;
+    std::vector<BufferView> parts;
+    std::vector<std::optional<std::string>> errors;
     std::atomic<size_t> next{0};
-    // Reader threads inherit the caller's causal context so their
-    // DFS_READ spans stay children of the enclosing task/job span.
-    const TraceContext read_ctx = currentTraceContext();
-    const auto read_loop = [&] {
-      const TraceContextScope trace_scope(read_ctx);
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        try {
-          parts[i] = readBlockRange(blocks[i], 0, blocks[i].block.size);
-        } catch (const std::exception& e) {
-          errors[i] = std::make_unique<std::string>(e.what());
-        }
+    std::latch done;  ///< counts down once per finished block
+  };
+  const auto fetch =
+      std::make_shared<Fetch>(namenode_.getBlockLocations(path));
+  const size_t n = fetch->blocks.size();
+  const auto read_loop = [this, fetch] {
+    for (size_t i = fetch->next.fetch_add(1); i < fetch->blocks.size();
+         i = fetch->next.fetch_add(1)) {
+      const LocatedBlock& located = fetch->blocks[i];
+      try {
+        fetch->parts[i] = readBlockRange(located, 0, located.block.size);
+      } catch (const std::exception& e) {
+        fetch->errors[i] = e.what();
       }
-    };
-    {
-      std::vector<std::jthread> readers;
-      readers.reserve(workers);
-      for (size_t t = 0; t < workers; ++t) readers.emplace_back(read_loop);
+      fetch->done.count_down();
     }
-    for (size_t i = 0; i < n; ++i) {
-      if (errors[i] != nullptr) throw IoError(*errors[i]);
+  };
+  const size_t width = conf_.get(keys::kClientParallelReads);
+  const size_t helpers = n > 1 ? std::min(n, width) - 1 : 0;
+  if (helpers > 0) {
+    // Helpers inherit the caller's causal context so their DFS_READ spans
+    // stay children of the enclosing task/job span.
+    ThreadPool& pool = readHelpers(helpers);
+    const TraceContext read_ctx = currentTraceContext();
+    for (size_t h = 0; h < helpers; ++h) {
+      pool.submit([read_loop, read_ctx] {
+        const TraceContextScope trace_scope(read_ctx);
+        read_loop();
+      });
     }
   }
-  return parts;
+  // The caller reads too, so a pool busy with other reads never stalls
+  // this one: it waits only for blocks a helper has already claimed.
+  read_loop();
+  fetch->done.wait();
+  // The lowest-index failure is reported, as a serial read would.
+  for (const std::optional<std::string>& error : fetch->errors) {
+    if (error) throw IoError(*error);
+  }
+  return std::move(fetch->parts);
 }
 
 Bytes DfsClient::readFile(const std::string& path) {

@@ -28,15 +28,24 @@
 /// MemBlockStore caches the verdict per resident buffer (verified-once):
 /// the first read of a replica re-hashes it, later reads skip the hash,
 /// and the tail's replica starts verified because receiveBlock just checked
-/// it. Any buffer swap (overwrite, corruptBlock) clears the verdict, and
-/// scanAll (the block scanner) always re-hashes. FileBlockStore re-verifies
-/// on every read: the file can change under it.
+/// it. The verdict belongs to one store's slot: replicas sharing a pipeline
+/// buffer on the forwarding DataNodes still start unverified. Any buffer
+/// swap (overwrite, corruptBlock) clears the verdict, and scanAll (the block
+/// scanner) always re-hashes. FileBlockStore re-verifies on every read: the
+/// file can change under it.
 ///
 /// Reads return refcounted BufferViews (buffer.h): MemBlockStore serves a
 /// view of the resident replica itself — zero payload bytes move — while
 /// FileBlockStore wraps the freshly read file. Replicas are immutable once
 /// written; corruptBlock is copy-on-write so outstanding views never see a
 /// mutation.
+///
+/// A MemBlockStore replica that arrives through the write pipeline
+/// (receiveBlock) or re-replication (adoptStored) is a view of the request
+/// the DataNode received: every replica of a block shares the one buffer
+/// the writer packed, and that buffer lives until the last replica (or read
+/// view) drops it. writeBlock, the codec paths and FileBlockStore keep
+/// their own copy or encoding.
 ///
 /// Compression (codec.h): when a codec is configured, writeBlock encodes
 /// the payload into a framed stream and the store holds only the *stored*
@@ -95,19 +104,21 @@ class BlockStore {
   /// tail) they are checked against `data` first — a mismatch throws
   /// ChecksumError and nothing is stored — and the replica starts verified.
   /// Otherwise they are stored as received, and the replica's first read
-  /// checks them. With a codec configured the replica is stored encoded
-  /// and the stored form's CRCs are computed after encoding, as writeBlock
-  /// does; `crcs` then serve only the tail's check.
-  void receiveBlock(BlockId id, std::string_view data,
-                    std::vector<uint32_t> crcs, bool verify);
+  /// checks them. Without a codec the replica holds `data` itself, no copy;
+  /// with one it is stored encoded and the stored form's CRCs are computed
+  /// after encoding, as writeBlock does; `crcs` then serve only the tail's
+  /// check.
+  void receiveBlock(BlockId id, BufferView data, std::vector<uint32_t> crcs,
+                    bool verify);
 
-  /// Adopts an already-encoded (or raw) replica byte-for-byte — the
-  /// replication receive path, which must never re-encode. Framed payloads
-  /// are structurally validated to recover the raw size; their per-frame
-  /// CRCs still guard the payload end-to-end (chunk checksums are computed
-  /// over the wire bytes, so corruption picked up in transit is caught at
-  /// decode, not masked by a fresh local checksum).
-  void adoptStored(BlockId id, std::string_view stored);
+  /// Adopts an already-encoded (or raw) replica byte-for-byte, holding
+  /// `stored` itself — the replication receive path, which must never
+  /// re-encode. Framed payloads are structurally validated to recover the
+  /// raw size; their per-frame CRCs still guard the payload end-to-end
+  /// (chunk checksums are computed over the wire bytes, so corruption
+  /// picked up in transit is caught at decode, not masked by a fresh local
+  /// checksum).
+  void adoptStored(BlockId id, BufferView stored);
 
   /// Reads and verifies the replica in its resident form — compressed when
   /// the replica was stored with a codec. No payload copy. This is what
@@ -147,8 +158,9 @@ class BlockStore {
 
   /// Sum of replica payload bytes currently resident in the store — the
   /// STORED form, so compressed replicas count their compressed size.
-  /// Shared buffers are charged once — outstanding read views never
-  /// inflate this.
+  /// Outstanding read views never inflate this. Each store counts its own
+  /// replicas: stores whose replicas share one pipeline buffer each count
+  /// it, so their sum can exceed the process's resident bytes.
   virtual uint64_t usedBytes() const = 0;
 
   /// Verifies every replica's checksums; returns ids that fail. This is the
@@ -164,7 +176,8 @@ class BlockStore {
  protected:
   /// Stores already-encoded bytes with their chunk CRCs, logical size and
   /// codec. `verified` says the CRCs were just checked against `stored`.
-  virtual void putStored(BlockId id, std::string_view stored,
+  /// MemBlockStore holds the view; FileBlockStore writes it out.
+  virtual void putStored(BlockId id, BufferView stored,
                          std::vector<uint32_t> crcs, uint64_t raw_size,
                          CodecKind codec, bool verified) = 0;
 
@@ -193,13 +206,15 @@ class MemBlockStore final : public BlockStore {
   void corruptBlock(BlockId id, size_t byte_offset) override;
 
  protected:
-  void putStored(BlockId id, std::string_view stored,
-                 std::vector<uint32_t> crcs, uint64_t raw_size,
-                 CodecKind codec, bool verified) override;
+  void putStored(BlockId id, BufferView stored, std::vector<uint32_t> crcs,
+                 uint64_t raw_size, CodecKind codec,
+                 bool verified) override;
 
  private:
   struct Replica {
-    Buffer data;  ///< stored form (encoded when codec != kNone)
+    /// Stored form (encoded when codec != kNone). A pipeline replica is a
+    /// slice of the received request, shared with the other replicas.
+    BufferView data;
     std::vector<uint32_t> crcs;
     uint64_t raw_size = 0;
     CodecKind codec = CodecKind::kNone;
@@ -238,9 +253,9 @@ class FileBlockStore final : public BlockStore {
   const std::filesystem::path& root() const { return root_; }
 
  protected:
-  void putStored(BlockId id, std::string_view stored,
-                 std::vector<uint32_t> crcs, uint64_t raw_size,
-                 CodecKind codec, bool verified) override;
+  void putStored(BlockId id, BufferView stored, std::vector<uint32_t> crcs,
+                 uint64_t raw_size, CodecKind codec,
+                 bool verified) override;
 
  private:
   /// Meta sidecar: varint CRC count + u32 CRCs (v1), optionally followed by

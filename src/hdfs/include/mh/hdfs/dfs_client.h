@@ -47,16 +47,19 @@ class DfsClient {
   void writeFile(const std::string& path, std::string_view data,
                  uint16_t replication = 0, uint64_t block_size = 0);
 
-  /// Reads the whole file, preferring local replicas. Blocks are fetched
-  /// in parallel (up to `dfs.client.parallel.reads` in flight)
-  /// and assembled in order; per-block replica retry and error reporting
-  /// behave exactly as in the serial path. This is the owned-copy
-  /// convenience wrapper over readFileViews().
+  /// Reads the whole file, preferring local replicas, as readFileViews()
+  /// does. This is the owned-copy convenience wrapper over it.
   Bytes readFile(const std::string& path);
 
   /// Zero-copy whole-file read: one view per block, in file order. The
   /// views alias the serving stores' buffers; concatenation (and its copy)
-  /// is the caller's choice.
+  /// is the caller's choice. Up to `dfs.client.parallel.reads` blocks are
+  /// in flight: the calling thread reads blocks itself, helped by up to
+  /// width-1 threads of one process-wide pool (grown to the widest read
+  /// asked for), so a read creates no thread. The caller waits only for
+  /// blocks a helper has claimed, so a pool busy with other reads cannot
+  /// stall it. Per-block replica retry and error reporting behave as in a
+  /// serial read, and the lowest-index failure is the one thrown (IoError).
   std::vector<BufferView> readFileViews(const std::string& path);
 
   // ----- block-granular access (used by MapReduce record readers) ----------

@@ -734,10 +734,13 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
         source.fetched = false;
         if (merger.covers(event.map_index)) {
           // Discard the stale run. In in-node mode the whole host run goes
-          // with it, and its surviving members must be fetched again.
+          // with it, and its surviving members must be fetched again. The
+          // evicted bytes leave the charge: the refetch charges them anew.
+          const int64_t held_before = merger.heldBytes();
           for (const uint32_t m : merger.invalidate(event.map_index)) {
             sources[m].fetched = false;
           }
+          charge(merger.heldBytes() - held_before);
           pipelined_refetches_->add();
           shuffle_counters.increment(counters::kShuffleGroup,
                                      counters::kShufflePipelinedRefetches, 1);
@@ -811,10 +814,18 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
       }
       for (const FetchOutcome* unit : accepted) {
         const auto bytes = static_cast<int64_t>(unit->run.size());
-        merger.addSegments(unit->maps,
-                           intakeMapOutput(unit->run, decode,
-                                           shuffle_counters, charge, metrics_,
-                                           tracer_, component));
+        std::vector<BufferView> segments =
+            intakeMapOutput(unit->run, decode, shuffle_counters, charge,
+                            metrics_, tracer_, component);
+        int64_t added = 0;
+        for (const BufferView& segment : segments) {
+          added += static_cast<int64_t>(segment.size());
+        }
+        // The intake charged the new output; a pending item it replaces
+        // leaves the charge.
+        const int64_t held_before = merger.heldBytes();
+        merger.addSegments(unit->maps, std::move(segments));
+        charge(merger.heldBytes() - held_before - added);
         pipelined_runs_->add();
         pipelined_bytes_->add(bytes);
         shuffle_counters.increment(counters::kShuffleGroup,

@@ -52,6 +52,26 @@ TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
   EXPECT_THROW(pool.submit([] {}), IllegalStateError);
 }
 
+TEST(ThreadPoolTest, GrowToOnlyAddsWorkers) {
+  ThreadPool pool(1);
+  pool.growTo(3);
+  EXPECT_EQ(pool.threadCount(), 3u);
+  pool.growTo(2);  // never shrinks
+  EXPECT_EQ(pool.threadCount(), 3u);
+  // All three run at once: each task waits until every one has started.
+  std::atomic<int> started{0};
+  std::vector<std::future<void>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(pool.submit([&started] {
+      ++started;
+      while (started.load() < 3) std::this_thread::yield();
+    }));
+  }
+  for (auto& f : futures) f.get();
+  pool.shutdown();
+  EXPECT_THROW(pool.growTo(4), IllegalStateError);
+}
+
 TEST(ThreadPoolTest, ZeroThreadsRejected) {
   EXPECT_THROW(ThreadPool(0), InvalidArgumentError);
 }

@@ -291,7 +291,7 @@ TEST_P(CompressedBlockStoreTest, AdoptedCorruptFrameFailsAtDecode) {
   const Bytes payload = compressiblePayload(50'000);
   Bytes stream = codecEncode(CodecKind::kMhLz, payload);
   stream[stream.size() - 20] ^= 0x10;  // corrupt "in transit"
-  store_->adoptStored(3, stream);
+  store_->adoptStored(3, std::move(stream));
   EXPECT_EQ(store_->blockSize(3), payload.size());
   EXPECT_THROW(store_->readBlock(3), Error);
   try {

@@ -203,7 +203,8 @@ TEST(MiniDfsClusterTest, FrameCrcMismatchSweepsReplicaLikeChecksumError) {
     }
   }
   ASSERT_FALSE(bad.empty());
-  cluster.dataNode("node01").store().adoptStored(located[0].block.id, bad);
+  cluster.dataNode("node01").store().adoptStored(located[0].block.id,
+                                                std::move(bad));
 
   // Local-first read hits the poisoned frame, falls over, still decodes.
   EXPECT_EQ(cluster.client("node01").readFile("/f"), payload);

@@ -136,16 +136,18 @@ TEST(PipelineIntegrityStoreTest, ReceiveBlockVerifiesOnlyWhenAsked) {
   // The tail checks the writer's CRCs first and stores nothing on a
   // mismatch.
   MemBlockStore tail;
-  EXPECT_THROW(tail.receiveBlock(1, corrupted, chunkChecksums(data), true),
+  EXPECT_THROW(tail.receiveBlock(1, Buffer::copyOf(corrupted),
+                                 chunkChecksums(data), true),
                ChecksumError);
   EXPECT_FALSE(tail.hasBlock(1));
-  tail.receiveBlock(1, data, chunkChecksums(data), true);
+  tail.receiveBlock(1, Buffer::copyOf(data), chunkChecksums(data), true);
   EXPECT_EQ(tail.readBlock(1), data);
 
   // A forwarding DataNode stores the CRCs it received as they are; the
   // replica's first read is what catches bytes that do not match them.
   MemBlockStore head;
-  head.receiveBlock(2, corrupted, chunkChecksums(data), false);
+  head.receiveBlock(2, Buffer::copyOf(corrupted), chunkChecksums(data),
+                    false);
   EXPECT_TRUE(head.hasBlock(2));
   EXPECT_THROW(head.readBlock(2), ChecksumError);
   EXPECT_EQ(head.scanAll(), std::vector<BlockId>{2});

@@ -383,14 +383,29 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
   // One straggler map keeps the map phase open while the pipelined reduce
   // fetches every other output; killing a tracker that served some of those
   // outputs must invalidate them (completion-feed events), force refetches,
-  // and still finish with correct bytes.
+  // and still finish with correct bytes. The evicted outputs must also
+  // leave the reduce's heap charge, or each refetch is charged twice.
   MiniMrCluster cluster({.num_nodes = 3, .conf = fastConf()});
   const std::string corpus = makeCorpus(150, 62);
   cluster.client().writeFile("/in/corpus.txt", corpus);
 
   static std::atomic<bool> straggler_taken{false};
   straggler_taken = false;
+  // The reducer samples its tracker's heap charge on its first call: every
+  // map has finished by then, so the charge is the shuffle's alone.
+  static std::atomic<TaskTracker*> reduce_tracker{nullptr};
+  static std::atomic<int64_t> heap_while_reducing{-1};
+  reduce_tracker = nullptr;
+  heap_while_reducing = -1;
   JobSpec spec = wordCountSpec({"/in"}, "/out", false, 1);
+  spec.reducer = reducerFromLambda(
+      [](std::string_view key, ValuesIterator& values, TaskContext& ctx) {
+        if (heap_while_reducing.load() == -1) {
+          const TaskTracker* tracker = reduce_tracker.load();
+          heap_while_reducing = tracker != nullptr ? tracker->heapUsed() : -2;
+        }
+        SumReducer().reduce(key, values, ctx);
+      });
   spec.mapper = mapperFromLambda(
       [](std::string_view, std::string_view value, TaskContext& ctx) {
         bool expected = false;
@@ -431,6 +446,7 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
     if (!host.empty() && host != reduce_host) victim = host;
   }
   ASSERT_FALSE(victim.empty()) << "no fetched output on a killable tracker";
+  reduce_tracker = &cluster.taskTracker(reduce_host);
   cluster.killNode(victim);
 
   const auto result = cluster.jobTracker().wait(id);
@@ -440,6 +456,12 @@ TEST(PipelinedShuffleTest, LostTrackerInvalidatesFetchedRunsAndRefetches) {
   EXPECT_GE(result.counters.value(counters::kShuffleGroup,
                                   counters::kShufflePipelinedRefetches),
             1);
+  // SHUFFLE_BYTES counts each refetched output twice, once per arrival;
+  // the reduce holds only the second copy, so its charge must stay below.
+  ASSERT_GT(heap_while_reducing.load(), 0);
+  EXPECT_LT(heap_while_reducing.load(),
+            result.counters.value(counters::kShuffleGroup,
+                                  counters::kShuffleBytes));
 }
 
 TEST(PipelinedShuffleTest, FetchFailureFailsTheAttemptBlamingOneMap) {
