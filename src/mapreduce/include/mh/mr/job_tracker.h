@@ -118,11 +118,6 @@ class JobTracker {
     bool has_speculative = false;
     uint32_t speculative_attempt = 0;
     std::string speculative_tracker;
-    /// Bumped on every success of this (map) task — the scheduler-side
-    /// analog of the MapOutputStore slot generation. Completion events
-    /// carry it so pipelined reducers can tell a fresh output from a stale
-    /// re-announcement.
-    uint64_t output_generation = 0;
   };
 
   struct JobInProgress {
@@ -201,8 +196,7 @@ class JobTracker {
   /// partial location list.
   bool reduceLaunchableLocked(const JobInProgress& job) const;
   /// Appends a success/invalidation event for `map_index` to the job's
-  /// event feed (monotonic ids; success events carry the tracker host and
-  /// the new output generation).
+  /// event feed (monotonic ids; success events carry the tracker host).
   void emitMapEventLocked(JobInProgress& job, uint32_t map_index,
                           bool invalidated);
   void assignTasksLocked(const std::string& tracker_host,

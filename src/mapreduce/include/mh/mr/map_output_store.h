@@ -16,9 +16,9 @@
 /// \file map_output_store.h
 /// Per-TaskTracker storage for finished map tasks' partition outputs. Each
 /// (map, partition) output is one buffer holding the map's sorted segments
-/// and their length table (kv_stream.h), served whole as one zero-copy
-/// view. Reduce tasks fetch from here over the network (the shuffle); the
-/// JobTracker tells trackers to purge a job's outputs once it finishes.
+/// and their length table (kv_stream.h). Reduce tasks fetch from here over
+/// the network (the shuffle); the JobTracker tells trackers to purge a
+/// job's outputs once it finishes.
 ///
 /// Runs are held behind shared_ptr so serving a fetch only bumps a
 /// refcount under the store mutex; the (simulated) wire copy happens on the
@@ -32,17 +32,18 @@
 /// reducer on arrival. Only the in-node combine, which merges stored
 /// segments, decodes and re-encodes.
 ///
-/// Beyond plain per-map storage, the store serves **in-node combining**
-/// (`mapred.innode.combine`, a job conf key; it needs the attachments from
-/// `attach()`): a reducer names the exact maps it expects from this node
-/// (`serveNodeOutput`), and the store merges their outputs for the
-/// requested partition through the job's combiner, so the reducer fetches
-/// one run per *node* instead of one per map. Nothing is combined at put
-/// time and nothing is cached: each request merges exactly the named maps'
-/// current outputs, so a re-executed or speculative attempt that replaced
-/// its slot contributes exactly once, and a map that re-ran elsewhere is
-/// never served twice from two nodes. Only combiner jobs combine in-node,
-/// so every map output it merges holds one segment; a multi-segment output
+/// One request shape serves every shuffle fetch: a reducer names the maps
+/// it expects from this node and one partition (`serve`). One named map is
+/// served as stored, a zero-copy view. Several named maps are **in-node
+/// combining** (`mapred.innode.combine`, a job conf key; it needs the
+/// attachments from `attach()`): the store merges their outputs for the
+/// partition through the job's combiner, so the reducer fetches one run
+/// per *node* instead of one per map. Nothing is combined at put time and
+/// nothing is cached: each request merges exactly the named maps' current
+/// outputs, so a re-executed or speculative attempt that replaced its slot
+/// contributes exactly once, and a map that re-ran elsewhere is never
+/// served twice from two nodes. Only combiner jobs combine in-node, so
+/// every map output it merges holds one segment; a multi-segment output
 /// there is an IllegalStateError.
 
 namespace mh::mr {
@@ -68,27 +69,15 @@ class MapOutputStore {
   /// `mapoutput.replaced.runs` counter.
   void put(JobId job, uint32_t map_index, std::vector<Bytes> partitions);
 
-  /// Throws NotFoundError when the output is absent (e.g. after a purge or
-  /// tracker restart) — the fetch failure reduces report to the JobTracker.
-  std::shared_ptr<const Bytes> get(JobId job, uint32_t map_index,
-                                   uint32_t partition) const;
-
-  bool has(JobId job, uint32_t map_index) const;
-
-  /// One map's output for `partition`, exactly as stored: a zero-copy view
-  /// of the buffer.
-  BufferView serveMapOutput(JobId job, uint32_t map_index, uint32_t partition);
-
-  /// The node-combined run for `partition` covering exactly `maps` — the
-  /// in-node combine serve path: their outputs for that partition merged
-  /// through the combiner, built for this request and not kept (one map's
-  /// output is served as stored). Counts the merge in the
+  /// Partition `partition` of the outputs of `maps` (any order, not
+  /// empty): one map's output exactly as stored, as a zero-copy view, or
+  /// several maps' outputs merged through the combiner into one run, built
+  /// for this request and not kept. A merge counts in the
   /// `innode.combined.runs`, `innode.records.in/out` and
-  /// `innode.bytes.saved` counters. Throws NotFoundError naming the first
-  /// absent map (`missingMapMessage`) so the fetcher attributes the failure
-  /// to the right map for re-execution.
-  BufferView serveNodeOutput(JobId job, uint32_t partition,
-                             const std::vector<uint32_t>& maps);
+  /// `innode.bytes.saved` counters. An absent map (purged, or lost with a
+  /// tracker restart) throws NotFoundError naming it (`missingMapMessage`),
+  /// so the fetcher blames the right map for re-execution.
+  BufferView serve(JobId job, uint32_t partition, std::vector<uint32_t> maps);
 
   void purgeJob(JobId job);
 

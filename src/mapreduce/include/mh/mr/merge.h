@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "mh/mr/api.h"
@@ -151,6 +152,13 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 /// once on arrival (`intakeMapOutput`, task_runner.h), so the merger never
 /// sees a codec.
 ///
+/// **Heap charge.** The merger is the one holder of a reduce's fetched
+/// bytes, so it is also the one that charges them: every add, invalidate
+/// and fold passes the change in `heldBytes()` to `Options::heap`, after
+/// the change is made (a charge that throws OutOfMemoryError has still
+/// been counted), and the destructor releases whatever is still held. The
+/// owner keeps the merger alive until the assembled runs are merged.
+///
 /// **Re-execution.** `invalidate(map)` discards whatever covers a map whose
 /// output went stale — a pending run, or a folded segment (which dissolves;
 /// its other members must be re-fetched). The merger never talks to the
@@ -164,16 +172,22 @@ class IncrementalMerger {
     /// outputs, not segments). The final merge therefore sees at most
     /// ~fanin unfolded items per segment gap plus the segments themselves.
     size_t fold_fanin = 8;
+    /// Charged the change in `heldBytes()` at every step (none if empty):
+    /// the owning task's heap budget. A release (a negative change) must
+    /// not throw; the destructor makes one.
+    TaskContext::HeapFn heap;
   };
 
-  explicit IncrementalMerger(Options opts) : opts_(opts) {}
+  explicit IncrementalMerger(Options opts) : opts_(std::move(opts)) {}
+  ~IncrementalMerger();
+  IncrementalMerger(const IncrementalMerger&) = delete;
+  IncrementalMerger& operator=(const IncrementalMerger&) = delete;
 
   /// Registers a fetched map output covering `maps` (sorted ascending,
   /// non-empty): its raw sorted segments, in spill order, which merge as one
-  /// item. A cover intersecting a pending item replaces it (a stale
-  /// generation the caller chose to overwrite); a cover intersecting a
-  /// folded segment is an error — invalidate() first. An empty output (an
-  /// empty partition) is legal and still covers its maps.
+  /// item. A cover intersecting anything already held is an
+  /// InvalidArgumentError — a map is re-added only after invalidate(). An
+  /// empty output (an empty partition) is legal and still covers its maps.
   void addSegments(std::vector<uint32_t> maps,
                    std::vector<BufferView> segments);
 
@@ -204,8 +218,11 @@ class IncrementalMerger {
   size_t pendingRuns() const;
   size_t segmentCount() const;
   size_t foldFanin() const { return opts_.fold_fanin; }
-  /// Bytes currently resident (pending runs + folded segments) — what the
-  /// owner should have charged to its heap budget.
+  /// Bytes resident behind the held items: each item's distinct backing
+  /// buffers, whole. An undecoded output's segments are slices of the one
+  /// fetched buffer, so it counts at that buffer's size, segment table
+  /// included; distinct items never share a buffer. What `Options::heap`
+  /// has been charged.
   int64_t heldBytes() const { return held_bytes_; }
 
  private:
@@ -216,6 +233,9 @@ class IncrementalMerger {
   };
 
   static int64_t bytesOf(const Item& item);
+
+  /// Sets the held total and charges `Options::heap` the difference.
+  void setHeld(int64_t bytes);
 
   /// Merges `block` (in canonical order) into one raw segment.
   Bytes foldBlock(const std::vector<const Item*>& block) const;

@@ -78,13 +78,12 @@ struct MapCompletionEvent {
   JobId job = 0;
   uint64_t event_id = 0;
   uint32_t map_index = 0;
-  /// false: the map succeeded on `host` with output generation
-  /// `map_generation`. true: a previously announced output became stale
-  /// (speculative win elsewhere, tracker lost, fetch-failure re-execution)
-  /// — fetched runs for this map at an older generation must be discarded.
+  /// false: the map succeeded on `host`. true: its announced output
+  /// became stale (tracker lost, fetch-failure re-execution) — runs fetched
+  /// for it must be discarded. A map succeeds again only after such an
+  /// event, so a consumer that reads ids in order needs nothing more.
   bool invalidated = false;
   std::string host;
-  uint64_t map_generation = 0;
 };
 
 /// A tracker's per-job subscription position, sent with each heartbeat for
@@ -161,14 +160,14 @@ inline std::optional<FetchFailure> parseFetchFailure(std::string_view error) {
       *map_index};
 }
 
-/// A node serve's error for a named map the tracker does not hold:
-/// "node output <job> missing map=<i>".
+/// A serve's error for a named map the tracker does not hold:
+/// "map output <job> missing map=<i>".
 inline std::string missingMapMessage(JobId job, uint32_t map_index) {
-  return "node output " + std::to_string(job) +
+  return "map output " + std::to_string(job) +
          " missing map=" + std::to_string(map_index);
 }
 
-/// The map a node serve's error names as missing; nullopt when none.
+/// The map a serve's error names as missing; nullopt when none.
 inline std::optional<uint32_t> parseMissingMap(std::string_view error) {
   constexpr std::string_view kMissing = " missing map=";
   const size_t at = error.find(kMissing);
@@ -276,7 +275,6 @@ struct Serde<mr::MapCompletionEvent> {
     w.writeVarU64(v.map_index);
     w.writeBool(v.invalidated);
     w.writeBytes(v.host);
-    w.writeVarU64(v.map_generation);
   }
   static mr::MapCompletionEvent decode(ByteReader& r) {
     mr::MapCompletionEvent v;
@@ -285,7 +283,6 @@ struct Serde<mr::MapCompletionEvent> {
     v.map_index = static_cast<uint32_t>(r.readVarU64());
     v.invalidated = r.readBool();
     v.host = r.readString();
-    v.map_generation = r.readVarU64();
     return v;
   }
 };

@@ -62,14 +62,13 @@ struct ReduceTaskResult {
 /// job's map-output codec is on) decodes each once, so the output's
 /// encoded buffer can go as soon as the caller drops it, and counts
 /// SHUFFLE_COMPRESSED_BYTES / SHUFFLE_RAW_BYTES into `counters`. Charges
-/// what the returned segments keep resident to `heap` (the decoded buffers,
-/// or the whole fetched buffer their slices share). Returns raw kv_stream
-/// segments in spill order, for IncrementalMerger or runReduceTask. With
-/// `trace`, the decode runs inside a SHUFFLE_DECODE span, where its
-/// DECOMPRESS spans nest; `metrics` hosts the codec's decode histogram.
+/// nothing: whoever holds the segments charges them (IncrementalMerger in
+/// a TaskTracker's reduce). Returns raw kv_stream segments in spill order,
+/// for IncrementalMerger or runReduceTask. With `trace`, the decode runs
+/// inside a SHUFFLE_DECODE span, where its DECOMPRESS spans nest;
+/// `metrics` hosts the codec's decode histogram.
 std::vector<BufferView> intakeMapOutput(const BufferView& output, bool decode,
                                         Counters& counters,
-                                        const TaskContext::HeapFn& heap = {},
                                         MetricsRegistry* metrics = nullptr,
                                         TraceCollector* trace = nullptr,
                                         std::string_view trace_component = {});

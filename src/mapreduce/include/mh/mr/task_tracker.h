@@ -42,11 +42,13 @@
 namespace mh::mr {
 
 struct JobSpec;
+class IncrementalMerger;
 
-/// One shuffle transfer and how it ended: a single map's output (classic),
-/// or one host's node-combined output covering every map that ran there
-/// (in-node combining). Exactly one of `run` (the fetched segmented output,
-/// kv_stream.h) and `error` (the last attempt's cause) is meaningful.
+/// One fetch unit and how its transfer ended: one `getMapOutput` call
+/// naming `maps` on `host` — a single map's output as stored, or (in-node
+/// combining) every map that ran on the host, combined there into one run.
+/// Exactly one of `run` (the fetched segmented output, kv_stream.h) and
+/// `error` (the last attempt's cause) is meaningful.
 struct FetchOutcome {
   std::string host;
   std::vector<uint32_t> maps;  ///< in location-list order
@@ -60,11 +62,14 @@ struct FetchOutcome {
   uint32_t blamedMap() const;
 };
 
-/// Fetches partition `assignment.task_index`'s map output from every map
-/// host in `assignment.map_outputs`, with up to
+/// Fetches partition `assignment.task_index`'s map output for every
+/// location in `assignment.map_outputs`, with up to
 /// `mapred.reduce.parallel.copies` fetches in flight at once, and returns
-/// one outcome per fetch unit. It never throws for a failed fetch and never
-/// decides what a failure means; the caller does. Hosts are visited in an
+/// one outcome per fetch unit: one per map, or with `by_host` (in-node
+/// combining) one per host naming all of that host's maps, in
+/// first-appearance order. Every unit is one `getMapOutput` call carrying
+/// (job, partition, maps). It never throws for a failed fetch and never
+/// decides what a failure means; the caller does. Units are visited in an
 /// order permuted by a job-seeded RNG (deterministic per seed, so chaos
 /// replays are stable) to spread concurrent reducers across serving
 /// trackers, but outcomes land in canonical location order regardless.
@@ -75,19 +80,12 @@ struct FetchOutcome {
 /// of thread interleaving). Meters SHUFFLE_BYTES (fetched runs only),
 /// SHUFFLE_FETCH_RETRIES and the wall-clock SHUFFLE_FETCH_MILLIS of the
 /// whole fetch into `shuffle_counters`.
-///
-/// When `spec` is given and in-node combining is on for the job (a combiner
-/// plus `mapred.innode.combine=true`), the map list is grouped by host and
-/// each group fetched as ONE `getNodeOutput` call — the serving tracker
-/// merges exactly the named maps' outputs through the combiner and ships
-/// one run per node. The pipelined shuffle hands an in-node fetch every
-/// map's location at once, so each host's group holds all of its maps.
 std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
                                            const std::string& host,
                                            const TaskAssignment& assignment,
                                            const Config& conf,
                                            Counters& shuffle_counters,
-                                           const JobSpec* spec = nullptr);
+                                           bool by_host);
 
 class TaskTracker {
  public:
@@ -153,20 +151,17 @@ class TaskTracker {
   /// Every reduce's shuffle: fetches map outputs incrementally as their
   /// locations arrive (all at once when the assignment's list is already
   /// complete; in-node combining always waits for the full list and then
-  /// fetches one run per host), folding fetched runs into bounded segments,
-  /// and returns the assembled input runs once membership is complete.
-  /// Each batch's outcomes are settled here: a unit with a map invalidated
+  /// fetches one run per host) into `merger`, folding fetched runs into
+  /// bounded segments, and returns once membership is complete. Each
+  /// batch's outcomes are settled here: a unit with a map invalidated
   /// during the batch is dropped (the feed re-announces it), any other
   /// failed unit fails the attempt with `formatFetchFailure` (mr_wire.h)
-  /// naming the lowest blamed map, and every other unit is taken in
-  /// through `intakeMapOutput` (task_runner.h). The intake charges what it
-  /// keeps to the task heap; the running total is reported through
-  /// `charged_bytes` for the caller's heap guard (already released again
-  /// if this throws).
-  std::vector<BufferView> runPipelinedShuffle(const TaskAssignment& assignment,
-                                              const JobSpec& spec,
-                                              Counters& shuffle_counters,
-                                              int64_t& charged_bytes);
+  /// naming the lowest blamed map, and every other unit is decoded through
+  /// `intakeMapOutput` (task_runner.h) and added to `merger`, which charges
+  /// what it holds to the task heap.
+  void runPipelinedShuffle(const TaskAssignment& assignment,
+                           const JobSpec& spec, Counters& shuffle_counters,
+                           IncrementalMerger& merger);
   /// Marks registered pipelined shuffles aborted and wakes their waiters
   /// (`job == 0` → all of them; used by stop/abandon/crash and purgeJob).
   void abortPipelinedShuffles(JobId job);
@@ -201,6 +196,7 @@ class TaskTracker {
   Counter* pipelined_refetches_ = nullptr;
   LatencyHistogram* map_micros_ = nullptr;
   LatencyHistogram* reduce_micros_ = nullptr;
+  LatencyHistogram* shuffle_fetch_micros_ = nullptr;
   LatencyHistogram* map_sort_micros_ = nullptr;
 
   uint32_t map_slots_;

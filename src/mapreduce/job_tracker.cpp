@@ -420,10 +420,7 @@ void JobTracker::emitMapEventLocked(JobInProgress& job, uint32_t map_index,
   event.event_id = job.next_event_id++;
   event.map_index = map_index;
   event.invalidated = invalidated;
-  if (!invalidated) {
-    event.host = task.tracker;
-    event.map_generation = task.output_generation;
-  }
+  if (!invalidated) event.host = task.tracker;
   job.map_events.push_back(std::move(event));
 }
 
@@ -465,7 +462,6 @@ void JobTracker::processReportLocked(const std::string& tracker_host,
     task.contributed = Counters::fromSnapshot(report.counters);
     job.counters.merge(task.contributed);
     if (report.is_map) {
-      ++task.output_generation;
       emitMapEventLocked(job, report.task_index, /*invalidated=*/false);
       job.map_millis += report.millis;
       const char* locality_counter = counters::kRemoteMaps;

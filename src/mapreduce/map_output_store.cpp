@@ -133,45 +133,20 @@ const MapOutputStore::MapRuns* MapOutputStore::findLocked(
                                                           : &it->second;
 }
 
-std::shared_ptr<const Bytes> MapOutputStore::get(JobId job, uint32_t map_index,
-                                                 uint32_t partition) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (const MapRuns* runs = findLocked(job, map_index)) {
-    if (partition >= runs->size()) {
-      throw InvalidArgumentError("partition out of range");
-    }
-    return (*runs)[partition];
+BufferView MapOutputStore::serve(JobId job, uint32_t partition,
+                                 std::vector<uint32_t> maps) {
+  std::sort(maps.begin(), maps.end());
+  maps.erase(std::unique(maps.begin(), maps.end()), maps.end());
+  if (maps.empty()) {
+    throw InvalidArgumentError("map output request with no maps");
   }
-  throw NotFoundError("map output " + std::to_string(job) + "/" +
-                      std::to_string(map_index) + " partition " +
-                      std::to_string(partition));
-}
-
-bool MapOutputStore::has(JobId job, uint32_t map_index) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return findLocked(job, map_index) != nullptr;
-}
-
-BufferView MapOutputStore::serveMapOutput(JobId job, uint32_t map_index,
-                                          uint32_t partition) {
-  return Buffer::wrap(get(job, map_index, partition));
-}
-
-BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
-                                           const std::vector<uint32_t>& maps) {
-  std::vector<uint32_t> members(maps);
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  if (members.empty()) {
-    throw InvalidArgumentError("node output request with no maps");
-  }
-  // Pin the members' current runs; the merge runs outside the lock on
+  // Pin the maps' current runs; a merge runs outside the lock on
   // refcounted buffers that a concurrent replace or purge cannot free.
   std::vector<std::shared_ptr<const Bytes>> runs;
-  runs.reserve(members.size());
+  runs.reserve(maps.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const uint32_t map_index : members) {
+    for (const uint32_t map_index : maps) {
       const MapRuns* slot = findLocked(job, map_index);
       if (slot == nullptr) {
         throw NotFoundError(missingMapMessage(job, map_index));
@@ -182,9 +157,8 @@ BufferView MapOutputStore::serveNodeOutput(JobId job, uint32_t partition,
       runs.push_back((*slot)[partition]);
     }
   }
-  // One map on this node: its per-task-combined run IS the node output.
   if (runs.size() == 1) return Buffer::wrap(runs.front());
-  return Buffer::wrap(combineRuns(job, specFor(job).get(), members, runs));
+  return Buffer::wrap(combineRuns(job, specFor(job).get(), maps, runs));
 }
 
 void MapOutputStore::purgeJob(JobId job) {

@@ -139,12 +139,27 @@ int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
 
 // ------------------------------------------------------ IncrementalMerger
 
+IncrementalMerger::~IncrementalMerger() {
+  // A release never throws (Options::heap).
+  if (opts_.heap && held_bytes_ != 0) opts_.heap(-held_bytes_);
+}
+
 int64_t IncrementalMerger::bytesOf(const Item& item) {
+  std::vector<const Bytes*> seen;
   int64_t bytes = 0;
   for (const BufferView& run : item.runs) {
-    bytes += static_cast<int64_t>(run.size());
+    const Bytes* backing = run.buffer().shared().get();
+    if (std::find(seen.begin(), seen.end(), backing) != seen.end()) continue;
+    seen.push_back(backing);
+    bytes += static_cast<int64_t>(run.buffer().size());
   }
   return bytes;
+}
+
+void IncrementalMerger::setHeld(int64_t bytes) {
+  const int64_t delta = bytes - held_bytes_;
+  held_bytes_ = bytes;
+  if (opts_.heap && delta != 0) opts_.heap(delta);
 }
 
 void IncrementalMerger::addSegments(std::vector<uint32_t> maps,
@@ -152,31 +167,21 @@ void IncrementalMerger::addSegments(std::vector<uint32_t> maps,
   if (maps.empty()) {
     throw InvalidArgumentError("IncrementalMerger::addSegments: empty cover");
   }
-  // A cover intersecting pending runs replaces them (stale-generation
-  // delivery); intersecting a folded segment means the caller skipped the
-  // invalidate() that should have dissolved it.
-  for (auto it = items_.begin(); it != items_.end();) {
-    const Item& item = it->second;
-    const bool intersects = std::any_of(
-        maps.begin(), maps.end(), [&](uint32_t m) {
+  // Covers are disjoint: a map comes back only after invalidate() dropped
+  // whatever held it.
+  for (const auto& [key, item] : items_) {
+    if (std::any_of(maps.begin(), maps.end(), [&](uint32_t m) {
           return std::binary_search(item.cover.begin(), item.cover.end(), m);
-        });
-    if (!intersects) {
-      ++it;
-      continue;
-    }
-    if (item.segment) {
+        })) {
       throw InvalidArgumentError(
-          "IncrementalMerger::addSegments: cover intersects folded segment "
+          "IncrementalMerger::addSegments: cover intersects a held item "
           "(invalidate first)");
     }
-    held_bytes_ -= bytesOf(item);
-    it = items_.erase(it);
   }
   const uint32_t key = maps.front();
   Item& item = items_[key] =
       Item{std::move(maps), std::move(segments), /*segment=*/false};
-  held_bytes_ += bytesOf(item);
+  setHeld(held_bytes_ + bytesOf(item));
 }
 
 bool IncrementalMerger::covers(uint32_t map) const {
@@ -199,8 +204,9 @@ std::vector<uint32_t> IncrementalMerger::invalidate(uint32_t map) {
     for (const uint32_t m : item.cover) {
       if (m != map) collateral.push_back(m);
     }
-    held_bytes_ -= bytesOf(item);
+    const int64_t bytes = bytesOf(item);
     items_.erase(it);
+    setHeld(held_bytes_ - bytes);
     return collateral;
   }
   return {};
@@ -250,19 +256,21 @@ bool IncrementalMerger::foldOnce() {
     f.data = foldBlock(block);
     folded.push_back(std::move(f));
   }
+  int64_t held = held_bytes_;
   for (const auto& block : chains) {
     for (const Item* item : block) {
-      held_bytes_ -= bytesOf(*item);
+      held -= bytesOf(*item);
       items_.erase(item->cover.front());
     }
   }
   for (Folded& f : folded) {
     const uint32_t key = f.cover.front();
-    BufferView segment(Buffer::fromString(std::move(f.data)));
-    held_bytes_ += static_cast<int64_t>(segment.size());
-    items_[key] = Item{std::move(f.cover), {std::move(segment)},
+    held += static_cast<int64_t>(f.data.size());
+    items_[key] = Item{std::move(f.cover),
+                       {BufferView(Buffer::fromString(std::move(f.data)))},
                        /*segment=*/true};
   }
+  setHeld(held);
   return true;
 }
 
@@ -271,8 +279,10 @@ Bytes IncrementalMerger::foldBlock(
   std::vector<std::string_view> runs;
   int64_t bytes = 0;
   for (const Item* item : block) {
-    runs.insert(runs.end(), item->runs.begin(), item->runs.end());
-    bytes += bytesOf(*item);
+    for (const BufferView& run : item->runs) {
+      runs.push_back(run);
+      bytes += static_cast<int64_t>(run.size());
+    }
   }
   KvRunMerger merger(runs);
   Bytes out;

@@ -76,28 +76,24 @@ MapTaskResult runMapTask(const JobSpec& spec, FileSystemView& fs,
 
 std::vector<BufferView> intakeMapOutput(const BufferView& output, bool decode,
                                         Counters& counters,
-                                        const TaskContext::HeapFn& heap,
                                         MetricsRegistry* metrics,
                                         TraceCollector* trace,
                                         std::string_view trace_component) {
   std::vector<BufferView> segments = splitSegments(output);
-  // Undecoded slices keep the whole fetched buffer (table included) alive.
-  auto resident = static_cast<int64_t>(output.size());
   if (decode && !segments.empty()) {
     TraceSpan span(trace, trace_component, "SHUFFLE_DECODE");
     int64_t stored = 0;
-    resident = 0;
+    int64_t raw = 0;
     for (BufferView& segment : segments) {
       stored += static_cast<int64_t>(segment.size());
       segment = codecDecode(segment.view(), metrics, trace, trace_component);
-      resident += static_cast<int64_t>(segment.size());
+      raw += static_cast<int64_t>(segment.size());
     }
     counters.increment(kShuffleGroup, kShuffleCompressedBytes, stored);
-    counters.increment(kShuffleGroup, kShuffleRawBytes, resident);
+    counters.increment(kShuffleGroup, kShuffleRawBytes, raw);
     span.arg("segments", std::to_string(segments.size()));
-    span.arg("bytes", std::to_string(resident));
+    span.arg("bytes", std::to_string(raw));
   }
-  if (heap && resident != 0) heap(resident);
   return segments;
 }
 

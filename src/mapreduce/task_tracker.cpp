@@ -28,10 +28,10 @@ namespace {
 /// Groups locations into fetch units: one per map, or (in-node combining)
 /// one per host in first-appearance order.
 std::vector<FetchOutcome> buildFetchUnits(
-    const std::vector<MapOutputLocation>& locations, bool innode) {
+    const std::vector<MapOutputLocation>& locations, bool by_host) {
   std::vector<FetchOutcome> units;
   for (const MapOutputLocation& location : locations) {
-    if (innode) {
+    if (by_host) {
       const auto it = std::find_if(
           units.begin(), units.end(),
           [&](const FetchOutcome& unit) { return unit.host == location.host; });
@@ -74,13 +74,9 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
                                            const TaskAssignment& assignment,
                                            const Config& conf,
                                            Counters& shuffle_counters,
-                                           const JobSpec* spec) {
-  const bool innode = spec != nullptr && spec->combiner != nullptr &&
-                      spec->conf.get(keys::kInnodeCombine);
-  // In in-node mode maps are grouped by host in first-appearance order; the
-  // serving tracker merges the whole group through the combiner into one run.
+                                           bool by_host) {
   std::vector<FetchOutcome> units =
-      buildFetchUnits(assignment.map_outputs, innode);
+      buildFetchUnits(assignment.map_outputs, by_host);
   const size_t n = units.size();
   if (n == 0) return units;
 
@@ -89,7 +85,7 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
                      " a" + std::to_string(assignment.attempt));
   span.arg("job", std::to_string(assignment.job));
   span.arg("maps", std::to_string(assignment.map_outputs.size()));
-  if (innode) span.arg("units", std::to_string(n));
+  if (by_host) span.arg("units", std::to_string(n));
   Stopwatch watch;
   // Transient faults (a rebooting tracker, a dropped reply) deserve a few
   // bounded-backoff retries before the expensive path — declaring a
@@ -121,21 +117,10 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
       FetchOutcome& unit = units[i];
       for (size_t attempt = 0; attempt < attempts; ++attempt) {
         try {
-          // In-node mode always speaks getNodeOutput — even for a
-          // single-map host — so the protocol (and any fault rule matched
-          // on it) is uniform across units.
-          unit.run =
-              innode
-                  ? network.call(host, unit.host, kTaskTrackerPort,
-                                 "getNodeOutput",
-                                 pack(assignment.job, assignment.task_index,
-                                      unit.maps),
-                                 "shuffle")
-                  : network.call(host, unit.host, kTaskTrackerPort,
-                                 "getMapOutput",
-                                 pack(assignment.job, unit.maps[0],
-                                      assignment.task_index),
-                                 "shuffle");
+          unit.run = network.call(
+              host, unit.host, kTaskTrackerPort, "getMapOutput",
+              pack(assignment.job, assignment.task_index, unit.maps),
+              "shuffle");
           unit.error.reset();
           break;
         } catch (const std::exception& e) {
@@ -185,10 +170,6 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
     shuffle_counters.increment(counters::kShuffleGroup,
                                counters::kShuffleFetchRetries, r);
   }
-  network.metrics()
-      .child("tasktracker." + host)
-      .histogram("shuffle.fetch.micros")
-      .record(watch.elapsedMicros());
   span.arg("bytes", std::to_string(total_bytes));
   return units;
 }
@@ -231,6 +212,7 @@ TaskTracker::TaskTracker(Config conf, std::shared_ptr<net::Network> network,
   pipelined_refetches_ = &metrics_->counter("shuffle.pipelined.refetches");
   map_micros_ = &metrics_->histogram("task.map.micros");
   reduce_micros_ = &metrics_->histogram("task.reduce.micros");
+  shuffle_fetch_micros_ = &metrics_->histogram("shuffle.fetch.micros");
   map_sort_micros_ = &metrics_->histogram("map.sort.micros");
   metrics_->setGauge("heap.used_bytes", [this] {
     return static_cast<double>(heapUsed());
@@ -608,28 +590,24 @@ bool TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
     const auto spec = registry_->get(assignment.job);
     Counters shuffle_counters;
 
-    // The fetched runs are the reduce task's working set; charge them
-    // against the tracker memory budget while the streaming merge runs.
-    // Unlike user allocateHeap() leaks, these buffers really are freed when
-    // the task ends, so the charge is released even on failure.
-    struct ShuffleHeapGuard {
-      TaskTracker* tracker;
-      int64_t amount;
-      ~ShuffleHeapGuard() { tracker->heap_used_.fetch_sub(amount); }
-    } guard{this, 0};
+    // The fetched runs are the reduce task's working set; the merger that
+    // holds them charges them against the tracker memory budget while the
+    // streaming merge runs. Unlike user allocateHeap() leaks, these buffers
+    // really are freed when the task ends, so the merger releases its
+    // charge when it goes, on failure too.
+    IncrementalMerger merger({.heap = [this](int64_t d) { chargeHeap(d); }});
 
     // Shuffle: pull this partition's run from every map's tracker, several
     // fetches in flight at once, merging incrementally as runs arrive. When
     // slowstart fired before every map finished, the missing locations come
     // in as completion events; a complete location list (slowstart 1.0) is
     // simply fetched in the first round.
-    const std::vector<BufferView> runs = runPipelinedShuffle(
-        assignment, *spec, shuffle_counters, guard.amount);
+    runPipelinedShuffle(assignment, *spec, shuffle_counters, merger);
 
     hdfs::DfsClient dfs(conf_, network_, host_, namenode_host_);
     HdfsFs fs(std::move(dfs));
     auto result = runReduceTask(*spec, fs, assignment.task_index,
-                                assignment.attempt, runs,
+                                assignment.attempt, merger.assemble(),
                                 [this](int64_t d) { chargeHeap(d); }, tracer_,
                                 "tasktracker." + host_);
     result.counters.merge(shuffle_counters);
@@ -659,9 +637,10 @@ bool TaskTracker::runReduceAssignment(const TaskAssignment& assignment) {
   return succeeded;
 }
 
-std::vector<BufferView> TaskTracker::runPipelinedShuffle(
-    const TaskAssignment& assignment, const JobSpec& spec,
-    Counters& shuffle_counters, int64_t& charged_bytes) {
+void TaskTracker::runPipelinedShuffle(const TaskAssignment& assignment,
+                                      const JobSpec& spec,
+                                      Counters& shuffle_counters,
+                                      IncrementalMerger& merger) {
   const bool innode =
       spec.combiner != nullptr && spec.conf.get(keys::kInnodeCombine);
   const uint32_t total_maps = assignment.total_maps;
@@ -688,15 +667,14 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     }
   } unsubscribe{this, state};
 
-  // What this reducer knows about each map output. `epoch` counts
+  // What this reducer knows about each map's location; whether its output
+  // is fetched is the merger's to say (`covers`). `epoch` counts
   // invalidations; a batch launched before an invalidation is recognized by
   // its stale epoch on arrival and discarded, never merged.
   struct MapSource {
-    bool known = false;    ///< a location has been announced
-    bool fetched = false;  ///< accepted into the merger
+    bool known = false;  ///< a location has been announced
     std::string host;
     uint64_t epoch = 0;
-    uint64_t generation = 0;  ///< last announced output generation
   };
   std::vector<MapSource> sources(total_maps);
   for (const MapOutputLocation& location : assignment.map_outputs) {
@@ -704,17 +682,11 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     sources[location.map_index].host = location.host;
   }
 
-  IncrementalMerger merger({});
   const bool decode =
       codecFromName(spec.conf.get(keys::kMapOutputCodec)) != CodecKind::kNone;
 
-  const TaskContext::HeapFn charge = [&](int64_t delta) {
-    // Count before chargeHeap: an OOM throw has already grown heap_used_,
-    // and the caller's guard must release exactly what was charged.
-    charged_bytes += delta;
-    chargeHeap(delta);
-  };
-
+  // Events arrive in ascending id order, and a map succeeds again only
+  // after its invalidation event, so the latest event per map is the truth.
   const auto drain_inbox = [&] {
     std::deque<MapCompletionEvent> events;
     {
@@ -728,41 +700,38 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     for (const MapCompletionEvent& event : events) {
       if (event.map_index >= total_maps) continue;
       MapSource& source = sources[event.map_index];
-      if (event.invalidated) {
-        ++source.epoch;
-        source.known = false;
-        source.fetched = false;
-        if (merger.covers(event.map_index)) {
-          // Discard the stale run. In in-node mode the whole host run goes
-          // with it, and its surviving members must be fetched again. The
-          // evicted bytes leave the charge: the refetch charges them anew.
-          const int64_t held_before = merger.heldBytes();
-          for (const uint32_t m : merger.invalidate(event.map_index)) {
-            sources[m].fetched = false;
-          }
-          charge(merger.heldBytes() - held_before);
-          pipelined_refetches_->add();
-          shuffle_counters.increment(counters::kShuffleGroup,
-                                     counters::kShufflePipelinedRefetches, 1);
-        }
-      } else if (event.map_generation >= source.generation) {
+      if (!event.invalidated) {
         source.known = true;
         source.host = event.host;
-        source.generation = event.map_generation;
+        continue;
+      }
+      ++source.epoch;
+      source.known = false;
+      if (merger.covers(event.map_index)) {
+        // Discard the stale run. In in-node mode the whole host run goes
+        // with it, and its surviving members are fetched again.
+        merger.invalidate(event.map_index);
+        pipelined_refetches_->add();
+        shuffle_counters.increment(counters::kShuffleGroup,
+                                   counters::kShufflePipelinedRefetches, 1);
       }
     }
   };
 
   // The maps announced but not yet fetched. In-node combining fetches
   // only once every map's location is known, so each host's run covers all
-  // of its maps: one getNodeOutput per host. Classic shuffle fetches each
-  // map as soon as it is announced.
+  // of its maps: one fetch unit per host. Classic shuffle fetches each map
+  // as soon as it is announced.
   const auto ready_maps = [&]() -> std::vector<MapOutputLocation> {
     std::vector<MapOutputLocation> ready;
     for (uint32_t m = 0; m < total_maps; ++m) {
+      if (merger.covers(m)) continue;
       const MapSource& source = sources[m];
-      if (innode && !source.known && !source.fetched) return {};
-      if (source.known && !source.fetched) ready.push_back({m, source.host});
+      if (!source.known) {
+        if (innode) return {};
+        continue;
+      }
+      ready.push_back({m, source.host});
     }
     return ready;
   };
@@ -777,8 +746,10 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
       }
       TaskAssignment batch = assignment;
       batch.map_outputs = ready;
+      const Stopwatch fetch_watch;
       const std::vector<FetchOutcome> outcomes = fetchShuffleRuns(
-          *network_, host_, batch, conf_, shuffle_counters, &spec);
+          *network_, host_, batch, conf_, shuffle_counters, innode);
+      shuffle_fetch_micros_->record(fetch_watch.elapsedMicros());
       drain_inbox();
       // Settle the batch. A unit with a map invalidated while it was in
       // flight is dropped, fetched or not: the feed re-announces the map,
@@ -814,39 +785,28 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
       }
       for (const FetchOutcome* unit : accepted) {
         const auto bytes = static_cast<int64_t>(unit->run.size());
-        std::vector<BufferView> segments =
-            intakeMapOutput(unit->run, decode, shuffle_counters, charge,
-                            metrics_, tracer_, component);
-        int64_t added = 0;
-        for (const BufferView& segment : segments) {
-          added += static_cast<int64_t>(segment.size());
-        }
-        // The intake charged the new output; a pending item it replaces
-        // leaves the charge.
-        const int64_t held_before = merger.heldBytes();
-        merger.addSegments(unit->maps, std::move(segments));
-        charge(merger.heldBytes() - held_before - added);
+        merger.addSegments(unit->maps,
+                           intakeMapOutput(unit->run, decode, shuffle_counters,
+                                           metrics_, tracer_, component));
         pipelined_runs_->add();
         pipelined_bytes_->add(bytes);
         shuffle_counters.increment(counters::kShuffleGroup,
                                    counters::kShufflePipelinedRuns, 1);
         shuffle_counters.increment(counters::kShuffleGroup,
                                    counters::kShufflePipelinedBytes, bytes);
-        for (const uint32_t m : unit->maps) sources[m].fetched = true;
       }
       if (merger.pendingRuns() >= merger.foldFanin()) {
-        const int64_t held_before = merger.heldBytes();
         TraceSpan fold_span(tracer_, component, "MERGE_FOLD " + task_tag);
         merger.foldOnce();
         fold_span.arg("segments", std::to_string(merger.segmentCount()));
         fold_span.arg("pending", std::to_string(merger.pendingRuns()));
-        charge(merger.heldBytes() - held_before);
       }
     }
-    const auto fetched = static_cast<uint32_t>(std::count_if(
-        sources.begin(), sources.end(),
-        [](const MapSource& source) { return source.fetched; }));
-    if (fetched == total_maps) break;
+    uint32_t fetched = 0;
+    for (uint32_t m = 0; m < total_maps; ++m) {
+      if (merger.covers(m)) ++fetched;
+    }
+    if (fetched == total_maps) return;
     if (!ready_maps().empty()) continue;
     // Membership incomplete and nothing fetchable: the map phase is ahead
     // of us. One REDUCE_SHUFFLE_WAIT span per wait episode (not per poll)
@@ -868,25 +828,17 @@ std::vector<BufferView> TaskTracker::runPipelinedShuffle(
     }
     state->parked = false;
   }
-  return merger.assemble();
 }
 
 void TaskTracker::installRpc() {
-  // Serving lives in the MapOutputStore, which ships each map output as
-  // stored.
+  // Serving lives in the MapOutputStore: one named map ships as stored,
+  // several (in-node combining) merge through the job's combiner.
   network_->bind(host_, kTaskTrackerPort,
                  [this](const net::RpcRequest& req) -> BufferView {
     if (req.method == "getMapOutput") {
-      const auto [job, map_index, partition] =
-          unpack<uint32_t, uint32_t, uint32_t>(req.body);
-      return outputs_.serveMapOutput(job, map_index, partition);
-    }
-    if (req.method == "getNodeOutput") {
-      // In-node combining: one reply covers every named map on this node,
-      // merged through the job's combiner.
-      const auto [job, partition, maps] =
+      auto [job, partition, maps] =
           unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body);
-      return outputs_.serveNodeOutput(job, partition, maps);
+      return outputs_.serve(job, partition, std::move(maps));
     }
     throw InvalidArgumentError("tasktracker: unknown RPC method " +
                                req.method);

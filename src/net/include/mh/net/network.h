@@ -159,11 +159,17 @@ class Network {
   void transfer(const std::string& from, const std::string& to,
                 uint64_t bytes, std::string_view tag);
 
-  /// One-way propagation delay applied to every remote call/transfer.
-  void setLatencyMicros(int64_t micros) { latency_micros_ = micros; }
+  /// One-way propagation delay applied to every remote call/transfer. Safe
+  /// to change while daemons are calling.
+  void setLatencyMicros(int64_t micros) {
+    latency_micros_.store(micros, std::memory_order_relaxed);
+  }
 
-  /// Per-link bandwidth in bytes/second; 0 disables pacing.
-  void setBandwidthBytesPerSec(uint64_t bps) { bandwidth_bps_ = bps; }
+  /// Per-link bandwidth in bytes/second; 0 disables pacing. Safe to change
+  /// while daemons are calling.
+  void setBandwidthBytesPerSec(uint64_t bps) {
+    bandwidth_bps_.store(bps, std::memory_order_relaxed);
+  }
 
   /// Snapshot of traffic per tag.
   std::map<std::string, TrafficStats> stats() const;
@@ -258,8 +264,8 @@ class Network {
   std::map<std::string, bool> host_up_;
   std::map<std::pair<std::string, int>, std::shared_ptr<Endpoint>> endpoints_;
   std::map<std::string, TrafficStats, std::less<>> traffic_;
-  int64_t latency_micros_ = 0;
-  uint64_t bandwidth_bps_ = 0;
+  std::atomic<int64_t> latency_micros_{0};
+  std::atomic<uint64_t> bandwidth_bps_{0};
 
   // Fault injection. faults_enabled_ is the only thing the zero-fault path
   // reads (one relaxed load per call); the plan pointer lives behind its

@@ -343,10 +343,11 @@ void Network::meter(const std::string& from, const std::string& to,
 void Network::pace(const std::string& from, const std::string& to,
                    uint64_t bytes) const {
   if (from == to) return;  // loopback: free
-  int64_t delay_micros = latency_micros_;
-  if (bandwidth_bps_ > 0) {
-    delay_micros += static_cast<int64_t>(
-        static_cast<double>(bytes) / static_cast<double>(bandwidth_bps_) * 1e6);
+  int64_t delay_micros = latency_micros_.load(std::memory_order_relaxed);
+  if (const uint64_t bps = bandwidth_bps_.load(std::memory_order_relaxed);
+      bps > 0) {
+    delay_micros += static_cast<int64_t>(static_cast<double>(bytes) /
+                                         static_cast<double>(bps) * 1e6);
   }
   if (delay_micros > 0) {
     std::this_thread::sleep_for(std::chrono::microseconds(delay_micros));

@@ -87,18 +87,25 @@ struct StoreFixture {
   MapOutputStore store;
 };
 
-TEST(InnodeCombineStoreTest, GetErrorNamesJobMapAndPartition) {
+TEST(InnodeCombineStoreTest, ServeErrorNamesJobAndMissingMap) {
+  // A detached store serves single maps too, and has one error shape for
+  // an absent map whether one map or several are named.
   MapOutputStore store;
-  try {
-    store.get(3, 5, 1);
-    FAIL() << "expected NotFoundError";
-  } catch (const NotFoundError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("3/5"), std::string::npos) << what;
-    EXPECT_NE(what.find("partition 1"), std::string::npos) << what;
+  for (const std::vector<uint32_t>& maps :
+       {std::vector<uint32_t>{5}, std::vector<uint32_t>{4, 5}}) {
+    try {
+      store.serve(3, 1, maps);
+      FAIL() << "expected NotFoundError";
+    } catch (const NotFoundError& e) {
+      EXPECT_NE(std::string(e.what()).find(missingMapMessage(3, maps.front())),
+                std::string::npos)
+          << e.what();
+    }
   }
   store.put(3, 5, {Bytes("run")});
-  EXPECT_THROW(store.get(3, 5, 9), InvalidArgumentError);
+  EXPECT_EQ(store.serve(3, 0, {5}), "run");
+  EXPECT_THROW(store.serve(3, 9, {5}), InvalidArgumentError);
+  EXPECT_THROW(store.serve(3, 0, {}), InvalidArgumentError);
 }
 
 TEST(InnodeCombineStoreTest, ReplacementEmitsReplacedRunsCounter) {
@@ -108,7 +115,7 @@ TEST(InnodeCombineStoreTest, ReplacementEmitsReplacedRunsCounter) {
   f.store.put(kJob, 0, {Bytes("b0"), Bytes("b1")});
   // One run per partition was replaced.
   EXPECT_EQ(f.metrics.counterValue("mapoutput.replaced.runs"), 2);
-  EXPECT_EQ(*f.store.get(kJob, 0, 1), "b1");
+  EXPECT_EQ(f.store.serve(kJob, 1, {0}), "b1");
   EXPECT_EQ(f.store.totalBytes(), 4u);
 }
 
@@ -120,7 +127,7 @@ TEST(InnodeCombineStoreTest, NodeServeCombinesAllMapsIntoOneRun) {
   // Nothing merges at put time.
   EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), 0);
 
-  const BufferView run = f.store.serveNodeOutput(kJob, 0, {0, 1, 2});
+  const BufferView run = f.store.serve(kJob, 0, {0, 1, 2});
   const std::map<std::string, int64_t> expected{
       {"data", 5}, {"map", 6}, {"sort", 4}};
   EXPECT_EQ(decodeCounts(run), expected);
@@ -132,13 +139,13 @@ TEST(InnodeCombineStoreTest, ReExecutedMapContributesExactlyOnce) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 2}})});
   f.store.put(kJob, 1, {makeRun({{"data", 3}})});
-  const BufferView before = f.store.serveNodeOutput(kJob, 0, {0, 1});
+  const BufferView before = f.store.serve(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(before).at("data"), 5);
 
   // Map 1 re-executes on this tracker (same deterministic output). Its old
   // contribution must be replaced, not added.
   f.store.put(kJob, 1, {makeRun({{"data", 3}})});
-  const BufferView after = f.store.serveNodeOutput(kJob, 0, {0, 1});
+  const BufferView after = f.store.serve(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(after).at("data"), 5);
   EXPECT_GE(f.metrics.counterValue("mapoutput.replaced.runs"), 1);
 }
@@ -152,7 +159,7 @@ TEST(InnodeCombineStoreTest, NodeServeIsMembershipExact) {
   // A reducer that was told maps {0, 1} live here must not receive map 2's
   // records, even though this node holds them (2 may have been superseded
   // by a speculative re-run elsewhere).
-  const BufferView run = f.store.serveNodeOutput(kJob, 0, {0, 1});
+  const BufferView run = f.store.serve(kJob, 0, {0, 1});
   EXPECT_EQ(decodeCounts(run).at("data"), 11);
 }
 
@@ -160,7 +167,7 @@ TEST(InnodeCombineStoreTest, MissingMapInNodeServeIsNamed) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}})});
   try {
-    f.store.serveNodeOutput(kJob, 0, {0, 5});
+    f.store.serve(kJob, 0, {0, 5});
     FAIL() << "expected NotFoundError";
   } catch (const NotFoundError& e) {
     // The fetcher forwards this so the JobTracker re-executes map 5, not
@@ -177,8 +184,8 @@ TEST(InnodeCombineStoreTest, EachNodeServeMergesAndCountsInRegistry) {
   f.store.put(kJob, 0, {makeRun({{"data", 1}, {"map", 2}})});
   f.store.put(kJob, 1, {makeRun({{"data", 3}, {"sort", 4}})});
 
-  const BufferView first = f.store.serveNodeOutput(kJob, 0, {0, 1});
-  const BufferView second = f.store.serveNodeOutput(kJob, 0, {0, 1});
+  const BufferView first = f.store.serve(kJob, 0, {0, 1});
+  const BufferView second = f.store.serve(kJob, 0, {0, 1});
   EXPECT_EQ(Bytes(first), Bytes(second));
   const std::map<std::string, int64_t> expected{
       {"data", 4}, {"map", 2}, {"sort", 4}};
@@ -190,8 +197,9 @@ TEST(InnodeCombineStoreTest, EachNodeServeMergesAndCountsInRegistry) {
   EXPECT_GT(f.metrics.counterValue("innode.bytes.saved"), 0);
 
   // A single map's output is served as stored: no merge, nothing counted.
-  const BufferView alone = f.store.serveNodeOutput(kJob, 0, {1});
-  EXPECT_EQ(Bytes(alone), Bytes(*f.store.get(kJob, 1, 0)));
+  f.store.put(kJob, 2, {makeRun({{"data", 5}})});
+  const BufferView alone = f.store.serve(kJob, 0, {2});
+  EXPECT_EQ(alone, makeRun({{"data", 5}}));
   EXPECT_EQ(f.metrics.counterValue("innode.combined.runs"), 2);
 }
 
@@ -199,13 +207,12 @@ TEST(InnodeCombineStoreTest, PurgeThenServeThrowsNotFound) {
   StoreFixture f;
   f.store.put(kJob, 0, {makeRun({{"data", 1}})});
   f.store.put(kJob, 1, {makeRun({{"data", 2}})});
-  EXPECT_EQ(decodeCounts(f.store.serveNodeOutput(kJob, 0, {0, 1})).at("data"),
+  EXPECT_EQ(decodeCounts(f.store.serve(kJob, 0, {0, 1})).at("data"),
             3);
   f.store.purgeJob(kJob);
   EXPECT_EQ(f.store.totalBytes(), 0u);
-  EXPECT_FALSE(f.store.has(kJob, 0));
   try {
-    f.store.serveNodeOutput(kJob, 0, {0, 1});
+    f.store.serve(kJob, 0, {0, 1});
     FAIL() << "expected NotFoundError";
   } catch (const NotFoundError& e) {
     EXPECT_EQ(parseMissingMap(e.what()), 0u) << e.what();
@@ -404,7 +411,7 @@ TEST(InnodeCombineClusterTest, ReexecutionOnSameTrackerContributesOnce) {
   // fetch-failure, the JobTracker re-executes the attributed map on this
   // same tracker, and the store's replacement path runs under in-node
   // combining.
-  plan->addRule({.match = {.method = "getNodeOutput"},
+  plan->addRule({.match = {.method = "getMapOutput"},
                  .action = net::FaultAction::kError,
                  .probability = 1.0,
                  .max_fires = 2});

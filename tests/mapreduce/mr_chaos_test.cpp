@@ -56,9 +56,9 @@ Config chaosConf(uint64_t seed) {
   conf.setInt("mapred.max.attempts", 8);
   // Rescue assignments lost to dropped heartbeat replies quickly.
   conf.setInt("mapred.task.timeout.ms", 2500);
-  // Two serial fetch attempts per map output: together with the scripted
-  // shuffle-fetch fault budgets below (getMapOutput and, with in-node
-  // combining on, getNodeOutput) this guarantees at least one
+  // Two serial fetch attempts per fetch unit: together with the scripted
+  // getMapOutput fault budget below (every shuffle fetch, per map or, with
+  // in-node combining on, per host) this guarantees at least one
   // fetch-failure -> map re-execution path per chaos run.
   conf.setInt("mapred.shuffle.fetch.retries", 2);
   conf.setInt("mapred.shuffle.fetch.backoff.ms", 5);
@@ -182,12 +182,6 @@ TEST_P(MrChaosTest, FaultedRunMatchesFaultFreeRunByteForByte) {
   // per fetch this forces at least one fetch-failure, so the JobTracker's
   // map re-execution path runs on every seed.
   plan->addRule({.match = {.method = "getMapOutput"},
-                 .action = net::FaultAction::kError,
-                 .probability = 1.0,
-                 .max_fires = 4});
-  // In-node combining makes the shuffle speak getNodeOutput; the same
-  // budget against that method keeps the guarantee.
-  plan->addRule({.match = {.method = "getNodeOutput"},
                  .action = net::FaultAction::kError,
                  .probability = 1.0,
                  .max_fires = 4});
@@ -355,10 +349,6 @@ TEST_P(TracedMrChaosTest, FullObservabilityIsStrictlyObservational) {
 
   auto plan = std::make_shared<net::FaultPlan>(seed);
   plan->addRule({.match = {.method = "getMapOutput"},
-                 .action = net::FaultAction::kError,
-                 .probability = 1.0,
-                 .max_fires = 4});
-  plan->addRule({.match = {.method = "getNodeOutput"},
                  .action = net::FaultAction::kError,
                  .probability = 1.0,
                  .max_fires = 4});

@@ -287,10 +287,16 @@ TEST(MiniMrClusterTest, ReduceHeapChargesOnlyShuffleWorkingSet) {
   for (const auto& host : cluster.trackerHosts()) {
     max_peak = std::max(max_peak, cluster.taskTracker(host).heapPeak());
   }
+  // The reducer holds every fetched record at the end. SHUFFLE_BYTES also
+  // counts each output's segment table (16 B for a one-segment output),
+  // which a fold drops with the buffer it folded, so the peak may fall
+  // short of SHUFFLE_BYTES by at most one table per map.
+  const auto maps = static_cast<int64_t>(
+      cluster.jobTracker().listJobs().front().maps_total);
+  EXPECT_GE(max_peak, shuffle_bytes - 16 * maps);
   // Under load a timed-out map attempt can still be unwinding while the
   // reduce runs, so its (single-split) arena charge may ride on top of the
   // peak — but a materializing merge would at least double it.
-  EXPECT_GE(max_peak, shuffle_bytes);
   EXPECT_LT(max_peak, 2 * shuffle_bytes);
   // Charges drain when attempts end; a stale timed-out attempt may outlive
   // the job by a beat.

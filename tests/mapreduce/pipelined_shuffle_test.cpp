@@ -196,15 +196,87 @@ TEST(IncrementalMergerTest, ZeroLengthRunsStillCoverTheirMaps) {
             (std::vector<KeyValue>{{"a", "0"}, {"a", "2"}, {"b", "2"}}));
 }
 
-TEST(IncrementalMergerTest, ReaddedCoverReplacesStalePendingRun) {
-  // The same map delivered at two generations (re-execution landed between
-  // fetch and merge): the second addRun must displace the stale bytes.
+TEST(IncrementalMergerTest, ReaddedCoverIntersectingPendingRunThrows) {
+  // A map succeeds again only after its invalidation event, so a cover
+  // that meets a held item means the caller skipped invalidate(): an error,
+  // for a pending run as for a folded segment, and the held run stays.
   IncrementalMerger merger({.fold_fanin = 8});
-  merger.addRun({2}, runOf({{"k", "stale"}}));
-  merger.addRun({2}, runOf({{"k", "fresh"}}));
+  merger.addRun({2}, runOf({{"k", "first"}}));
+  EXPECT_THROW(merger.addRun({2}, runOf({{"k", "again"}})),
+               InvalidArgumentError);
+  EXPECT_THROW(merger.addRun({1, 2}, runOf({{"k", "host"}})),
+               InvalidArgumentError);
   EXPECT_EQ(merger.pendingRuns(), 1u);
   EXPECT_EQ(drainViews(merger.assemble()),
-            (std::vector<KeyValue>{{"k", "fresh"}}));
+            (std::vector<KeyValue>{{"k", "first"}}));
+  merger.invalidate(2);
+  merger.addRun({2}, runOf({{"k", "again"}}));
+  EXPECT_EQ(drainViews(merger.assemble()),
+            (std::vector<KeyValue>{{"k", "again"}}));
+}
+
+TEST(IncrementalMergerTest, HeapChargeEqualsHeldBytesAtEveryStep) {
+  // The merger charges what it holds: an undecoded output at its whole
+  // fetched buffer, segment table included (every segment is a slice of
+  // it), separately decoded segments at their own buffers, a folded
+  // segment at its size. After every add, fold and invalidation the net
+  // charge equals heldBytes(), and evicting everything releases it all.
+  int64_t charged = 0;
+  IncrementalMerger merger(
+      {.fold_fanin = 3, .heap = [&](int64_t delta) { charged += delta; }});
+  const auto output = [](size_t segments, const std::string& tag) {
+    std::vector<Bytes> runs;
+    std::vector<std::string_view> views;
+    for (size_t s = 0; s < segments; ++s) {
+      runs.push_back(encodeKvRun({{"k" + std::to_string(s), tag}}));
+    }
+    for (const Bytes& run : runs) views.push_back(run);
+    return BufferView(Buffer::fromString(joinSegments(views)));
+  };
+  int64_t expected = 0;
+  const auto add = [&](uint32_t map, const BufferView& fetched) {
+    merger.addSegments({map}, splitSegments(fetched));
+    expected += static_cast<int64_t>(fetched.size());
+    EXPECT_EQ(merger.heldBytes(), expected) << "map " << map;
+    EXPECT_EQ(charged, merger.heldBytes()) << "map " << map;
+  };
+  add(0, output(1, "m0"));
+  add(1, output(3, "m1"));
+  add(2, output(1, "m2"));
+  ASSERT_TRUE(merger.foldOnce());  // {0, 1, 2} fold into one segment
+  EXPECT_EQ(merger.segmentCount(), 1u);
+  // The segment holds the records alone: the three outputs' tables
+  // (8 bytes per segment plus 8 for the count) went with their buffers.
+  expected -= 8 * (2 + 4 + 2);
+  EXPECT_EQ(merger.heldBytes(), expected);
+  EXPECT_EQ(charged, merger.heldBytes());
+  add(4, output(2, "m4"));
+  add(5, output(1, "m5"));
+  add(7, output(4, "m7"));
+  // Two decoded segments: separate buffers, each counted whole.
+  const std::vector<BufferView> decoded{runOf({{"a", "m6"}}),
+                                        runOf({{"b", "m6"}})};
+  merger.addSegments({6}, decoded);
+  expected += static_cast<int64_t>(decoded[0].size() + decoded[1].size());
+  EXPECT_EQ(merger.heldBytes(), expected);
+  EXPECT_EQ(charged, merger.heldBytes());
+  ASSERT_TRUE(merger.foldOnce());  // {4, 5, 6, 7} fold; map 3 never came
+  EXPECT_EQ(merger.segmentCount(), 2u);
+  EXPECT_EQ(charged, merger.heldBytes());
+  for (uint32_t m = 0; m < 8; ++m) {
+    merger.invalidate(m);
+    EXPECT_EQ(charged, merger.heldBytes()) << "invalidate " << m;
+  }
+  EXPECT_EQ(merger.heldBytes(), 0);
+  EXPECT_EQ(charged, 0);
+
+  // What a merger still holds when it goes is released by its destructor.
+  {
+    IncrementalMerger held({.heap = [&](int64_t delta) { charged += delta; }});
+    held.addSegments({0}, splitSegments(output(2, "late")));
+    EXPECT_GT(charged, 0);
+  }
+  EXPECT_EQ(charged, 0);
 }
 
 TEST(IncrementalMergerTest, InvalidateDissolvesSegmentAndReportsCollateral) {

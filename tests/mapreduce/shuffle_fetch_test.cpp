@@ -7,23 +7,27 @@
 #include "mh/common/error.h"
 #include "mh/common/serde.h"
 #include "mh/common/stopwatch.h"
-#include "mh/mr/job.h"
 #include "mh/mr/map_output_store.h"
 #include "mh/mr/task_tracker.h"
 
 namespace mh::mr {
 namespace {
 
-/// A map-side host serving one partition run per (map_index) from a real
-/// MapOutputStore, as a TaskTracker would.
+/// Answers a `getMapOutput` request from a real MapOutputStore, as a
+/// TaskTracker would.
+BufferView serveFrom(MapOutputStore& store, const net::RpcRequest& req) {
+  auto [job, partition, maps] =
+      unpack<uint32_t, uint32_t, std::vector<uint32_t>>(req.body);
+  return store.serve(job, partition, std::move(maps));
+}
+
+/// A map-side host serving the outputs `store` holds.
 void serveMapOutputs(net::Network& network, const std::string& host,
                      MapOutputStore& store) {
   network.addHost(host);
   network.bind(host, kTaskTrackerPort,
                [&store](const net::RpcRequest& req) -> BufferView {
-                 const auto [job, map_index, partition] =
-                     unpack<uint32_t, uint32_t, uint32_t>(req.body);
-                 return Buffer::wrap(store.get(job, map_index, partition));
+                 return serveFrom(store, req);
                });
 }
 
@@ -55,7 +59,7 @@ TEST(ShuffleFetchTest, FetchesEveryRunAndMetersCounters) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(1, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 4u);
   int64_t expected_bytes = 0;
   for (uint32_t m = 0; m < 4; ++m) {
@@ -94,7 +98,7 @@ TEST(ShuffleFetchTest, FetchesRunConcurrently) {
   Stopwatch watch;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   const int64_t elapsed = watch.elapsedMillis();
   ASSERT_EQ(units.size(), 6u);
 
@@ -124,7 +128,7 @@ TEST(ShuffleFetchTest, DownHostProducesFetchFailureShape) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 3u);
   ASSERT_TRUE(units[1].error.has_value());
   EXPECT_FALSE(units[1].error->empty());
@@ -160,7 +164,7 @@ TEST(ShuffleFetchTest, MultipleFailuresReportLowestMapIndex) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   std::vector<uint32_t> blamed;
   for (const FetchOutcome& unit : units) {
     if (unit.error) blamed.push_back(unit.blamedMap());
@@ -183,11 +187,10 @@ TEST(ShuffleFetchTest, MissingOutputAfterPurgeStillFailsWithShape) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 1u);
   ASSERT_TRUE(units[0].error.has_value());
-  EXPECT_NE(units[0].error->find("map output 7/0 partition 0"),
-            std::string::npos)
+  EXPECT_NE(units[0].error->find(missingMapMessage(7, 0)), std::string::npos)
       << *units[0].error;
   EXPECT_EQ(units[0].host, "tt0");
   EXPECT_EQ(units[0].blamedMap(), 0u);
@@ -215,9 +218,7 @@ TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
                  if (tt1_calls.fetch_add(1) < 2) {
                    throw NetworkError("connection reset by peer");
                  }
-                 const auto [job, map_index, partition] =
-                     unpack<uint32_t, uint32_t, uint32_t>(req.body);
-                 return Buffer::wrap(store.get(job, map_index, partition));
+                 return serveFrom(store, req);
                });
 
   Config conf;
@@ -226,7 +227,7 @@ TEST(ShuffleFetchTest, FlakyFetchSucceedsAfterRetriesWithoutDuplicates) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 3u);
   int64_t expected_bytes = 0;
   for (uint32_t m = 0; m < 3; ++m) {
@@ -270,7 +271,7 @@ TEST(ShuffleFetchTest, RetriesExhaustedKeepFetchFailureShape) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 1u);
   ASSERT_TRUE(units[0].error.has_value());
   EXPECT_NE(units[0].error->find("connection reset by peer"),
@@ -295,24 +296,15 @@ TEST(ShuffleFetchTest, CleanFetchReportsZeroRetries) {
   Config conf;
   Counters shuffle_counters;
   fetchShuffleRuns(network, "reducer", reduceAssignment(0, hosts), conf,
-                   shuffle_counters);
+                   shuffle_counters, /*by_host=*/false);
   EXPECT_EQ(shuffle_counters.value(counters::kShuffleGroup,
                                    counters::kShuffleFetchRetries),
             0);
 }
 
-/// Spec that turns the fetch into in-node mode: a combiner plus
-/// `mapred.innode.combine=true`.
-JobSpec innodeSpec() {
-  JobSpec spec;
-  spec.combiner = [] { return nullptr; };  // presence is what matters here
-  spec.conf.setBool("mapred.innode.combine", true);
-  return spec;
-}
-
 TEST(ShuffleFetchTest, InnodeModeGroupsFetchesByHost) {
   // Maps 0,2 live on ttA and 1,3 on ttB: in-node mode must issue ONE
-  // getNodeOutput per host naming that host's maps, not one call per map.
+  // getMapOutput per host naming that host's maps, not one call per map.
   net::Network network;
   network.addHost("reducer");
   std::vector<std::string> requests;
@@ -322,7 +314,7 @@ TEST(ShuffleFetchTest, InnodeModeGroupsFetchesByHost) {
     network.bind(host, kTaskTrackerPort,
                  [&requests, &requests_mutex, host](
                      const net::RpcRequest& req) -> BufferView {
-                   EXPECT_EQ(req.method, "getNodeOutput");
+                   EXPECT_EQ(req.method, "getMapOutput");
                    const auto [job, partition, maps] =
                        unpack<uint32_t, uint32_t, std::vector<uint32_t>>(
                            req.body);
@@ -344,9 +336,8 @@ TEST(ShuffleFetchTest, InnodeModeGroupsFetchesByHost) {
 
   Config conf;
   Counters shuffle_counters;
-  const JobSpec spec = innodeSpec();
   const auto units = fetchShuffleRuns(network, "reducer", assignment, conf,
-                                      shuffle_counters, &spec);
+                                      shuffle_counters, /*by_host=*/true);
   ASSERT_EQ(units.size(), 2u);  // one combined run per host, not per map
   EXPECT_EQ(units[0].host, "ttA");
   EXPECT_EQ(units[0].maps, (std::vector<uint32_t>{0, 2}));
@@ -374,9 +365,8 @@ TEST(ShuffleFetchTest, InnodeFailureAttributesTheServerNamedMissingMap) {
     network.addHost(host);
     network.bind(host, kTaskTrackerPort,
                  [host](const net::RpcRequest&) -> BufferView {
-                   throw NotFoundError(host == "ttA"
-                                           ? "node output 7 missing map=3"
-                                           : "node output 7 missing map=9");
+                   throw NotFoundError(host == "ttA" ? missingMapMessage(7, 3)
+                                                     : missingMapMessage(7, 9));
                  });
   }
 
@@ -389,9 +379,8 @@ TEST(ShuffleFetchTest, InnodeFailureAttributesTheServerNamedMissingMap) {
   Config conf;
   conf.setInt("mapred.shuffle.fetch.retries", 1);
   Counters shuffle_counters;
-  const JobSpec spec = innodeSpec();
   const auto units = fetchShuffleRuns(network, "reducer", assignment, conf,
-                                      shuffle_counters, &spec);
+                                      shuffle_counters, /*by_host=*/true);
   ASSERT_EQ(units.size(), 2u);
   ASSERT_TRUE(units[0].error.has_value());
   EXPECT_EQ(units[0].host, "ttA");
@@ -417,7 +406,7 @@ TEST(ShuffleFetchTest, SingleParallelCopyDegradesToSequential) {
   Counters shuffle_counters;
   const auto units = fetchShuffleRuns(network, "reducer",
                                       reduceAssignment(0, hosts), conf,
-                                      shuffle_counters);
+                                      shuffle_counters, /*by_host=*/false);
   ASSERT_EQ(units.size(), 3u);
   for (uint32_t m = 0; m < 3; ++m) {
     EXPECT_EQ(units[m].run, "run" + std::to_string(m));
@@ -429,7 +418,7 @@ TEST(ShuffleFetchTest, FetchFailureTextRoundTrips) {
   // is the one the tag right after the host gives, not the cause's.
   const std::string cause = missingMapMessage(7, 9);
   const std::string text = formatFetchFailure({"tt1", 4}, cause);
-  EXPECT_EQ(text, "fetch-failure host=tt1 map=4: node output 7 missing map=9");
+  EXPECT_EQ(text, "fetch-failure host=tt1 map=4: map output 7 missing map=9");
   for (const std::string& error : {text, "IoError: " + text}) {
     const std::optional<FetchFailure> failure = parseFetchFailure(error);
     ASSERT_TRUE(failure.has_value()) << error;
