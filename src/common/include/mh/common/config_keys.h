@@ -42,7 +42,6 @@ struct Key {
   X(kDatanodeCapacity, int64_t, "dfs.datanode.capacity", 1'073'741'824, 0, INT64_MAX, "", Daemon) \
   X(kDatanodeRack, std::string_view, "dfs.datanode.rack", "/default-rack", "", "", "", Daemon) \
   X(kBlockCompressionCodec, std::string_view, "dfs.block.compression.codec", "none", "", "", "none|mh-lz|var-rle", Daemon) \
-  X(kClientReadShortcircuit, bool, "dfs.client.read.shortcircuit", false, false, true, "", Daemon) \
   X(kClientRetries, int64_t, "dfs.client.retries", 3, 1, 100, "", Daemon) \
   X(kClientRetryBackoffMs, int64_t, "dfs.client.retry.backoff.ms", 5, 0, 60'000, "", Daemon) \
   X(kClientParallelReads, int64_t, "dfs.client.parallel.reads", 4, 1, 64, "", Daemon) \

@@ -102,8 +102,7 @@ std::string_view classifyTracePhase(std::string_view span_name) {
   if (startsWith(span_name, "DFS_READ") || startsWith(span_name, "DFS_WRITE") ||
       startsWith(span_name, "READ_BLOCK") ||
       startsWith(span_name, "WRITE_BLOCK") ||
-      startsWith(span_name, "REPLICATE") ||
-      startsWith(span_name, "SHORT_CIRCUIT")) {
+      startsWith(span_name, "REPLICATE")) {
     return "dfs";
   }
   return {};  // JOB, COMPRESS, ... fold into the enclosing phase.

@@ -6,7 +6,6 @@
 #include "mh/common/error.h"
 #include "mh/common/log.h"
 #include "mh/common/loop_waker.h"
-#include "mh/hdfs/short_circuit.h"
 
 namespace mh::hdfs {
 
@@ -69,8 +68,6 @@ void DataNode::start() {
     running_ = true;
   }
   network_->setHostUp(host_, true);
-  // Offer co-located clients the short-circuit read path (HDFS-347).
-  ShortCircuitRegistry::instance().publish(network_.get(), host_, store_);
   const uint64_t capacity = conf_.get(keys::kDatanodeCapacity);
   namenode_.registerDataNode(capacity, conf_.get(keys::kDatanodeRack));
   blockReportNow();
@@ -126,7 +123,6 @@ void DataNode::stop() {
     if (!running_ && !port_bound_) return;
     running_ = false;
   }
-  ShortCircuitRegistry::instance().withdraw(network_.get(), host_);
   if (heartbeat_thread_.joinable()) {
     heartbeat_thread_.request_stop();
     heartbeat_thread_.join();
@@ -155,8 +151,6 @@ void DataNode::abandon() {
 }
 
 void DataNode::crash() {
-  // A dead process serves no fds: local readers lose short-circuit too.
-  ShortCircuitRegistry::instance().withdraw(network_.get(), host_);
   network_->setHostUp(host_, false);
   {
     std::lock_guard<std::mutex> lock(state_mutex_);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <latch>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -12,8 +13,6 @@
 #include "mh/common/threadpool.h"
 #include "mh/common/trace.h"
 #include "mh/hdfs/block_store.h"
-#include "mh/hdfs/short_circuit.h"
-#include "mh/net/fault_plan.h"
 
 namespace mh::hdfs {
 
@@ -39,9 +38,6 @@ DfsClient::DfsClient(Config conf, std::shared_ptr<net::Network> network,
       namenode_(std::move(network), std::move(client_host),
                 std::move(namenode_host)) {
   conf_.validate(keys::Scope::kDaemon);
-  short_circuit_ = conf_.get(keys::kClientReadShortcircuit);
-  short_circuit_reads_ =
-      &network_->metrics().child("dfsclient").counter("short.circuit.reads");
 }
 
 void DfsClient::writeFile(const std::string& path, std::string_view data,
@@ -140,60 +136,16 @@ std::vector<std::string> DfsClient::orderByLocality(
   return hosts;
 }
 
-std::optional<BufferView> DfsClient::tryShortCircuitRead(
-    const LocatedBlock& located, uint64_t offset, uint64_t len) {
-  if (!short_circuit_) return std::nullopt;
-  const std::string& local = namenode_.localHost();
-  if (std::find(located.hosts.begin(), located.hosts.end(), local) ==
-      located.hosts.end()) {
-    return std::nullopt;
-  }
-  // A crashed DataNode serves no file descriptors, and a host fenced into
-  // its own partition keeps its replicas to itself — mirror the RPC path's
-  // reachability rules before touching the store.
-  if (!network_->hostUp(local)) return std::nullopt;
-  if (const auto plan = network_->faultPlan();
-      plan != nullptr && plan->partitioned(local, local)) {
-    return std::nullopt;
-  }
-  const std::shared_ptr<BlockStore> store =
-      ShortCircuitRegistry::instance().lookup(network_.get(), local);
-  if (store == nullptr) return std::nullopt;
-  try {
-    BufferView data = store->readBlockRange(located.block.id, offset, len);
-    short_circuit_reads_->add();
-    TraceCollector& tracer = network_->tracer();
-    if (tracer.enabled()) {
-      tracer.instant(
-          "dfsclient." + local,
-          "SHORT_CIRCUIT_READ blk_" + std::to_string(located.block.id),
-          {{"bytes", std::to_string(data.size())}});
-    }
-    return data;
-  } catch (const ChecksumError&) {
-    // Same report a failed RPC read would have produced; the replica sweep
-    // below falls over to the remote copies.
-    namenode_.reportBadBlock(located.block.id, local);
-    return std::nullopt;
-  } catch (const NotFoundError&) {
-    return std::nullopt;  // replica vanished between locate and read
-  }
-}
-
 BufferView DfsClient::readBlockRange(const LocatedBlock& located,
                                      uint64_t offset, uint64_t len) {
-  // One span per block read; SHORT_CIRCUIT_READ instants and readBlock
-  // RPC spans (handled on the caller's thread) nest under it.
+  // One span per block read; the readBlock RPC spans (handled on the
+  // caller's thread) nest under it.
   TraceCollector& tracer = network_->tracer();
   const bool traced = tracer.enabled();
   TraceSpan read_span(
       &tracer, traced ? "dfsclient." + namenode_.localHost() : "",
       traced ? "DFS_READ blk_" + std::to_string(located.block.id) : "");
   if (traced) read_span.arg("len", std::to_string(len));
-  if (std::optional<BufferView> local =
-          tryShortCircuitRead(located, offset, len)) {
-    return *std::move(local);
-  }
   const auto hosts = orderByLocality(located.hosts);
   if (hosts.empty()) {
     throw IoError("block " + std::to_string(located.block.id) +

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "mh/common/config.h"
-#include "mh/common/metrics.h"
 #include "mh/hdfs/namenode_rpc.h"
 #include "mh/hdfs/types.h"
 #include "mh/net/network.h"
@@ -23,11 +21,11 @@
 /// replica deleted between locate and read (NotFoundError).
 ///
 /// Reads return refcounted views (buffer.h) of the serving store's buffer —
-/// no payload copy on the loopback/zero-copy RPC path. With
-/// `dfs.client.read.shortcircuit=true` and a replica on the caller's own
-/// host, the client bypasses the RPC entirely and reads checksum-verified
-/// views straight from the co-located BlockStore (HDFS-347); failures fall
-/// back to the normal replica sweep.
+/// no payload copy on the zero-copy RPC path. A replica on the caller's own
+/// host is read through the same readBlock RPC over loopback, which the
+/// fabric leaves unpaced: the local read is zero-copy and free of wire
+/// cost, metered as local `read` bytes, and subject to an installed
+/// FaultPlan like any other call.
 
 namespace mh::hdfs {
 
@@ -67,8 +65,8 @@ class DfsClient {
   std::vector<LocatedBlock> getBlockLocations(const std::string& path);
 
   /// Reads [offset, offset+len) of one block, trying replicas best-first
-  /// (short-circuit local store when enabled, then local-first RPC sweep).
-  /// Reports checksum failures and retries other replicas.
+  /// (the local one first, then the rest in NameNode order). Reports
+  /// checksum failures and retries other replicas.
   BufferView readBlockRange(const LocatedBlock& located, uint64_t offset,
                             uint64_t len);
 
@@ -107,18 +105,9 @@ class DfsClient {
   std::vector<std::string> orderByLocality(
       std::vector<std::string> hosts) const;
 
-  /// Short-circuit attempt: a checksum-verified view straight from the
-  /// co-located BlockStore, or an empty optional when the path does not
-  /// apply (disabled, no local replica, store withdrawn, host fenced) or
-  /// failed in a way the RPC sweep should retry.
-  std::optional<BufferView> tryShortCircuitRead(const LocatedBlock& located,
-                                                uint64_t offset, uint64_t len);
-
   Config conf_;
   std::shared_ptr<net::Network> network_;
   NameNodeRpc namenode_;
-  bool short_circuit_ = false;
-  Counter* short_circuit_reads_ = nullptr;
 };
 
 }  // namespace mh::hdfs

@@ -15,12 +15,12 @@
 /// Deterministic fault injection for the in-process network fabric.
 ///
 /// A FaultPlan is a list of rules plus a set of host partitions that a
-/// Network consults (when one is installed) for every RPC and bulk
-/// transfer. Rules can drop a request before delivery, drop the response
-/// after the handler ran (the at-least-once hazard), inject a connection
-/// error, add latency, or corrupt one byte of the request body in flight —
-/// each either probabilistically from a seeded RNG or scripted to fire on
-/// exactly the Nth matching call.
+/// Network consults (when one is installed) for every RPC. Rules can drop
+/// a request before delivery, drop the response after the handler ran (the
+/// at-least-once hazard), inject a connection error, add latency, or
+/// corrupt one byte of the request body in flight — each either
+/// probabilistically from a seeded RNG or scripted to fire on exactly the
+/// Nth matching call.
 ///
 /// Determinism contract: each rule owns its own RNG stream derived from
 /// (plan seed, rule index), and draws once per matching call while its
@@ -42,14 +42,13 @@ enum class FaultAction : uint8_t {
   kCorrupt,       ///< the callee receives the body with one byte flipped
                   ///< (position drawn from the rule's RNG). Copy-on-write:
                   ///< the caller's buffer, and any view of it the caller
-                  ///< keeps or forwards, stay clean. An empty body and a
-                  ///< bulk transfer pass unharmed.
+                  ///< keeps or forwards, stay clean. An empty body passes
+                  ///< unharmed.
 };
 
 const char* faultActionName(FaultAction action);
 
 /// Selects the calls a rule applies to. Empty fields are wildcards.
-/// Bulk transfers match as method "transfer".
 struct FaultMatch {
   std::string method;  ///< exact RPC method name ("heartbeat", ...)
   std::string from;    ///< caller host
@@ -102,7 +101,7 @@ class FaultPlan {
   void heal();
   bool partitioned(std::string_view a, std::string_view b) const;
 
-  /// Decides the fate of one call (or transfer, method = "transfer").
+  /// Decides the fate of one call.
   /// Partitions are consulted first, then rules in insertion order.
   std::optional<FaultDecision> decide(std::string_view from,
                                       std::string_view to,

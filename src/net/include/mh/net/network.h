@@ -31,8 +31,8 @@
 ///    (paper §II-B).
 ///  * **Host liveness** — a crashed host stops answering; callers see a
 ///    NetworkError, heartbeat listeners see staleness.
-///  * **Byte metering** — control-plane RPCs and bulk data transfers are
-///    counted per traffic tag ("shuffle", "replication", "staging", ...) and
+///  * **Byte metering** — control-plane and data-plane RPCs are counted
+///    per traffic tag ("shuffle", "replication", "staging", ...) and
 ///    split into local (loopback) vs remote bytes, which is what the
 ///    combiner and locality experiments report.
 ///  * **Optional throttling** — a configurable per-link bandwidth and
@@ -81,7 +81,7 @@ using BufRpcRequest = RpcRequest;
 struct TrafficStats {
   uint64_t remote_bytes = 0;  ///< bytes that crossed between two hosts
   uint64_t local_bytes = 0;   ///< loopback bytes (same host)
-  uint64_t messages = 0;      ///< RPC calls + bulk transfers
+  uint64_t messages = 0;      ///< call legs (request and reply each count)
 };
 
 class Network {
@@ -129,7 +129,6 @@ class Network {
   /// Marks a host down (crash) or back up. A down host keeps its bindings —
   /// like a hung JVM — but refuses all traffic.
   void setHostUp(const std::string& host, bool up);
-  bool hostUp(const std::string& host) const;
 
   /// Synchronous RPC. Throws NetworkError when the destination host is down
   /// or nothing is bound at the port. The body reaches the handler and the
@@ -152,15 +151,8 @@ class Network {
     return call(from, to, port, std::move(method), std::move(body), tag);
   }
 
-  /// Meters (and, if bandwidth is configured, throttles) a bulk data
-  /// movement of `bytes` between two hosts under `tag`. Throws NetworkError
-  /// when either end is down. The payload itself moves through direct
-  /// memory; only accounting and pacing happen here.
-  void transfer(const std::string& from, const std::string& to,
-                uint64_t bytes, std::string_view tag);
-
-  /// One-way propagation delay applied to every remote call/transfer. Safe
-  /// to change while daemons are calling.
+  /// One-way propagation delay applied to every remote call leg. Safe to
+  /// change while daemons are calling.
   void setLatencyMicros(int64_t micros) {
     latency_micros_.store(micros, std::memory_order_relaxed);
   }
@@ -204,7 +196,7 @@ class Network {
   MetricsSnapshotter* snapshotter();
 
   /// Installs (or, with nullptr, removes) a fault plan. Every subsequent
-  /// call/transfer consults it; injected faults surface as NetworkError to
+  /// call consults it; injected faults surface as NetworkError to
   /// the caller, `network.faults.*` counters, and FAULT_INJECT trace
   /// instants. Passing nullptr restores the fault-free fast path.
   void setFaultPlan(std::shared_ptr<FaultPlan> plan);
@@ -250,12 +242,12 @@ class Network {
 
   /// Slow path, entered only when a plan is installed: asks the plan for a
   /// verdict and carries it out. Throws NetworkError for drop/error faults,
-  /// sleeps for delay faults, swaps `*body` (when given) for a corrupted
-  /// copy on corrupt faults, and returns true when the *response* must be
-  /// discarded after the handler runs.
+  /// sleeps for delay faults, swaps `body` for a corrupted copy on corrupt
+  /// faults, and returns true when the *response* must be discarded after
+  /// the handler runs.
   bool applyFault(const std::string& from, const std::string& to,
                   std::string_view method, std::string_view tag,
-                  BufferView* body);
+                  BufferView& body);
 
   mutable std::mutex mutex_;
   /// Signaled when an endpoint's inflight count drops to zero; unbind()

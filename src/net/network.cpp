@@ -118,12 +118,6 @@ void Network::setHostUp(const std::string& host, bool up) {
   host_up_[host] = up;
 }
 
-bool Network::hostUp(const std::string& host) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = host_up_.find(host);
-  return it != host_up_.end() && it->second;
-}
-
 void Network::checkHostUpLocked(const std::string& host) const {
   const auto it = host_up_.find(host);
   if (it == host_up_.end()) {
@@ -157,7 +151,7 @@ BufferView Network::call(const std::string& from, const std::string& to,
   // Zero-fault fast path: one relaxed load, no lock, no RNG draw.
   bool drop_response = false;
   if (faults_enabled_.load(std::memory_order_relaxed)) {
-    drop_response = applyFault(from, to, method, tag, &body);
+    drop_response = applyFault(from, to, method, tag, body);
   }
   // A view crossing the fabric costs the bandwidth model the same as a copy
   // would: zero-copy changes who owns the bytes, never what they cost.
@@ -185,25 +179,6 @@ BufferView Network::call(const std::string& from, const std::string& to,
   meter(to, from, reply.size(), tag);
   pace(to, from, reply.size());
   return reply;
-}
-
-void Network::transfer(const std::string& from, const std::string& to,
-                       uint64_t bytes, std::string_view tag) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    checkHostUpLocked(from);
-    checkHostUpLocked(to);
-  }
-  if (faults_enabled_.load(std::memory_order_relaxed)) {
-    // A bulk move has no separate response leg: losing either direction
-    // loses the transfer.
-    if (applyFault(from, to, "transfer", tag, nullptr)) {
-      throw NetworkError("injected fault: transfer lost " + from + " -> " +
-                         to);
-    }
-  }
-  meter(from, to, bytes, tag);
-  pace(from, to, bytes);
 }
 
 void Network::setFaultPlan(std::shared_ptr<FaultPlan> plan) {
@@ -239,7 +214,7 @@ MetricsSnapshotter* Network::snapshotter() {
 
 bool Network::applyFault(const std::string& from, const std::string& to,
                          std::string_view method, std::string_view tag,
-                         BufferView* body) {
+                         BufferView& body) {
   const auto plan = faultPlan();
   if (!plan) return false;  // raced with a concurrent clear
   const auto decision = plan->decide(from, to, method, tag);
@@ -293,13 +268,13 @@ bool Network::applyFault(const std::string& from, const std::string& to,
     case FaultAction::kDropResponse:
       return true;
     case FaultAction::kCorrupt:
-      if (body != nullptr && !body->empty()) {
+      if (!body.empty()) {
         // Copy-on-write: the callee gets a private corrupted copy; every
         // other view of the original buffer keeps the clean bytes.
-        Bytes corrupted(body->view());
+        Bytes corrupted(body.view());
         char& victim = corrupted[decision->corrupt_at % corrupted.size()];
         victim = static_cast<char>(victim ^ 0x5A);
-        *body = BufferView(std::move(corrupted));
+        body = BufferView(std::move(corrupted));
       }
       return false;
   }

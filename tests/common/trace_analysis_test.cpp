@@ -67,7 +67,6 @@ TEST(TracePhaseTest, ClassifiesSpanNamesByPrefix) {
   EXPECT_EQ(classifyTracePhase("READ_BLOCK blk_7"), "dfs");
   EXPECT_EQ(classifyTracePhase("WRITE_BLOCK blk_7"), "dfs");
   EXPECT_EQ(classifyTracePhase("REPLICATE"), "dfs");
-  EXPECT_EQ(classifyTracePhase("SHORT_CIRCUIT_READ blk_1"), "dfs");
   // Container / infrastructure spans are transparent.
   EXPECT_EQ(classifyTracePhase("JOB job 1"), "");
   EXPECT_EQ(classifyTracePhase("COMPRESS"), "");

@@ -181,7 +181,7 @@ TEST(TraceContextTest, SpansFormCausalTreeViaAmbientContext) {
     {
       TraceSpan inner(&tc, "tasktracker.node01", "MAP m0 a0");
       inner_id = inner.context().span_id;
-      tc.instant("dfsclient.node01", "SHORT_CIRCUIT_READ blk_1");
+      tc.instant("dfsclient.node01", "READ_BLOCK blk_1");
     }
   }
   // Spans record at destruction, the instant immediately; snapshot()
@@ -195,7 +195,7 @@ TEST(TraceContextTest, SpansFormCausalTreeViaAmbientContext) {
     ADD_FAILURE() << "no event named " << prefix;
     return events.front();
   };
-  const TraceEvent& instant = byName("SHORT_CIRCUIT_READ");
+  const TraceEvent& instant = byName("READ_BLOCK");
   const TraceEvent& inner = byName("MAP");
   const TraceEvent& outer = byName("JOB");
   EXPECT_EQ(outer.trace_id, trace_id);

@@ -247,6 +247,16 @@ TEST_P(TracedHdfsChaosTest, ObservedRandomOpsMatchReferenceModel) {
   const auto& kinds = stats.daemon_kinds;
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), "namenode"), kinds.end());
   EXPECT_NE(std::find(kinds.begin(), kinds.end(), "dfsclient"), kinds.end());
+  // The workload can end before the sampler's second 5 ms tick (a loaded
+  // host may not schedule it in time), so wait, bounded, for a second
+  // sample: this checks that the sampler thread is live, not how long the
+  // workload took.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (snapshotter.size() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GT(snapshotter.size(), 1u);
 }
 

@@ -69,10 +69,6 @@ Config chaosConf(uint64_t seed) {
   conf.set("mapred.reduce.slowstart.completed.maps", "0.05");
   conf.setInt("dfs.client.retries", 3);
   conf.setInt("dfs.client.retry.backoff.ms", 5);
-  // One seed runs with short-circuit local reads on — same faults, same
-  // byte-identical output, same counters. Both the reference and the chaos
-  // run share this conf, so the comparison stays apples-to-apples.
-  if (seed == 6) conf.setBool("dfs.client.read.shortcircuit", true);
   // Two seeds (one per exemplar job) run with blocks stored compressed —
   // re-replication after a killed node ships framed replicas, and a fetch
   // retried through chaos decodes the same bytes.

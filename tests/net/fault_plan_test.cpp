@@ -282,12 +282,13 @@ TEST(NetworkFaultTest, PartitionSeversCallsAndTransfersBothWays) {
   net.setFaultPlan(plan);
   EXPECT_THROW(net.call("a", "b", 2, "x", {}), NetworkError);
   EXPECT_THROW(net.call("b", "a", 1, "x", {}), NetworkError);
-  EXPECT_THROW(net.transfer("a", "b", 100, "replication"), NetworkError);
+  EXPECT_THROW(net.call("a", "b", 2, "x", Bytes(100, 'x'), "replication"),
+               NetworkError);
   EXPECT_GE(net.metrics().child("network").counterValue("faults.partitioned"),
             3);
   plan->heal();
   EXPECT_EQ(net.call("a", "b", 2, "x", {}), "x:@a");
-  net.transfer("a", "b", 100, "replication");
+  net.call("a", "b", 2, "x", Bytes(100, 'x'), "replication");
 }
 
 TEST(NetworkFaultTest, ClearingPlanRestoresFastPath) {

@@ -18,6 +18,10 @@ BufferView echoHandler(const RpcRequest& req) {
   return req.method + ":" + req.body.str() + "@" + req.from_host;
 }
 
+/// Replies with the request body itself, so a call of a `n`-byte body with
+/// method "m" meters n + 1 bytes on its request leg and n on its reply leg.
+BufferView bodyEcho(const RpcRequest& req) { return req.body; }
+
 TEST(NetworkTest, CallReachesBoundHandler) {
   Network net;
   net.bind("nn", 8020, echoHandler);
@@ -65,7 +69,9 @@ TEST(NetworkTest, DownHostRefusesTraffic) {
   net.addHost("client");
   net.setHostUp("dn", false);
   EXPECT_THROW(net.call("client", "dn", 50010, "read", {}), NetworkError);
-  EXPECT_THROW(net.transfer("client", "dn", 100, "staging"), NetworkError);
+  EXPECT_THROW(
+      net.call("client", "dn", 50010, "m", Bytes(100, 'x'), "staging"),
+      NetworkError);
   // Recovery: bindings survive the outage (hung-JVM semantics).
   net.setHostUp("dn", true);
   EXPECT_EQ(net.call("client", "dn", 50010, "read", Bytes("x")),
@@ -98,28 +104,29 @@ TEST(NetworkTest, HandlerExceptionPropagates) {
 
 TEST(NetworkTest, TransferMetersRemoteVsLocal) {
   Network net;
-  net.addHost("a");
-  net.addHost("b");
-  net.transfer("a", "b", 1000, "shuffle");
-  net.transfer("a", "a", 400, "shuffle");
-  EXPECT_EQ(net.remoteBytes("shuffle"), 1000u);
-  EXPECT_EQ(net.localBytes("shuffle"), 400u);
+  net.bind("a", 1, bodyEcho);
+  net.bind("b", 1, bodyEcho);
+  net.call("a", "b", 1, "m", Bytes(1000, 'x'), "shuffle");
+  net.call("a", "a", 1, "m", Bytes(400, 'x'), "shuffle");
+  EXPECT_EQ(net.remoteBytes("shuffle"), 1001u + 1000u);
+  EXPECT_EQ(net.localBytes("shuffle"), 401u + 400u);
   EXPECT_EQ(net.remoteBytes("replication"), 0u);
 }
 
 TEST(NetworkTest, PerTagAttributionIsIndependent) {
   Network net;
-  net.addHost("a");
-  net.addHost("b");
-  net.transfer("a", "b", 100, "shuffle");
-  net.transfer("a", "b", 100, "shuffle");
-  net.transfer("b", "b", 7, "shuffle");
-  net.transfer("a", "b", 50, "staging");
-  EXPECT_EQ(net.remoteBytes("shuffle"), 200u);
-  EXPECT_EQ(net.localBytes("shuffle"), 7u);
-  EXPECT_EQ(net.messages("shuffle"), 3u);
-  EXPECT_EQ(net.remoteBytes("staging"), 50u);
-  EXPECT_EQ(net.messages("staging"), 1u);
+  net.bind("a", 1, bodyEcho);
+  net.bind("b", 1, bodyEcho);
+  net.call("a", "b", 1, "m", Bytes(100, 'x'), "shuffle");
+  net.call("a", "b", 1, "m", Bytes(100, 'x'), "shuffle");
+  net.call("b", "b", 1, "m", Bytes(7, 'x'), "shuffle");
+  net.call("a", "b", 1, "m", Bytes(50, 'x'), "staging");
+  // Each call meters two legs: body + method, then the reply.
+  EXPECT_EQ(net.remoteBytes("shuffle"), 2 * (101u + 100u));
+  EXPECT_EQ(net.localBytes("shuffle"), 8u + 7u);
+  EXPECT_EQ(net.messages("shuffle"), 6u);
+  EXPECT_EQ(net.remoteBytes("staging"), 51u + 50u);
+  EXPECT_EQ(net.messages("staging"), 2u);
   EXPECT_EQ(net.messages("nonsense"), 0u);
 }
 
@@ -133,12 +140,12 @@ TEST(NetworkTest, RpcBytesAreMetered) {
 
 TEST(NetworkTest, StatsSnapshotAndReset) {
   Network net;
+  net.bind("b", 1, bodyEcho);
   net.addHost("a");
-  net.addHost("b");
-  net.transfer("a", "b", 5, "staging");
+  net.call("a", "b", 1, "m", Bytes(5, 'x'), "staging");
   auto stats = net.stats();
   ASSERT_TRUE(stats.contains("staging"));
-  EXPECT_EQ(stats["staging"].messages, 1u);
+  EXPECT_EQ(stats["staging"].messages, 2u);
   net.resetStats();
   EXPECT_EQ(net.remoteBytes("staging"), 0u);
   EXPECT_EQ(net.messages("staging"), 0u);
@@ -161,14 +168,14 @@ TEST(NetworkTest, RpcLatencyLandsInMetricsHistogram) {
 
 TEST(NetworkTest, TrafficGaugesMirrorTheMeters) {
   Network net;
-  net.addHost("a");
-  net.addHost("b");
-  net.transfer("a", "b", 1000, "shuffle");
-  net.transfer("a", "a", 400, "shuffle");
+  net.bind("a", 1, bodyEcho);
+  net.bind("b", 1, bodyEcho);
+  net.call("a", "b", 1, "m", Bytes(1000, 'x'), "shuffle");
+  net.call("a", "a", 1, "m", Bytes(400, 'x'), "shuffle");
   auto& netm = net.metrics().child("network");
-  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.remote_bytes"), 1000.0);
-  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.local_bytes"), 400.0);
-  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.messages"), 2.0);
+  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.remote_bytes"), 2001.0);
+  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.local_bytes"), 801.0);
+  EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.messages"), 4.0);
   // Gauges are live views, not samples: they follow a reset.
   net.resetStats();
   EXPECT_DOUBLE_EQ(netm.gaugeValue("traffic.shuffle.remote_bytes"), 0.0);
@@ -176,11 +183,12 @@ TEST(NetworkTest, TrafficGaugesMirrorTheMeters) {
 
 TEST(NetworkTest, BandwidthThrottleAddsDelay) {
   Network net;
+  net.bind("b", 1, bodyEcho);
   net.addHost("a");
-  net.addHost("b");
   net.setBandwidthBytesPerSec(1'000'000);  // 1 MB/s
   const auto start = std::chrono::steady_clock::now();
-  net.transfer("a", "b", 50'000, "staging");  // expect ~50 ms
+  // Expect ~50 ms per leg: the body out, the echoed body back.
+  net.call("a", "b", 1, "m", Bytes(50'000, 'x'), "staging");
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -189,10 +197,10 @@ TEST(NetworkTest, BandwidthThrottleAddsDelay) {
 
 TEST(NetworkTest, LoopbackIsNotThrottled) {
   Network net;
-  net.addHost("a");
+  net.bind("a", 1, bodyEcho);
   net.setBandwidthBytesPerSec(1000);  // absurdly slow
   const auto start = std::chrono::steady_clock::now();
-  net.transfer("a", "a", 1'000'000, "shuffle");
+  net.call("a", "a", 1, "m", Bytes(1'000'000, 'x'), "shuffle");
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
                            std::chrono::steady_clock::now() - start)
                            .count();
