@@ -1,7 +1,8 @@
 // Engine micro-benchmarks (google-benchmark): the hot paths under every
 // experiment — CRC32C checksumming, record serde, the WordCount map path
-// (map, collect, sort/spill), the long-key sort path, KV-run encode/decode,
-// the streaming reduce merge, and block-store writes.
+// (map, collect, sort/spill, with and without the combiner), the long-key
+// sort path, KV-run encode/decode, the streaming reduce merge, and
+// block-store writes.
 // Useful for spotting regressions in the substrate the table/figure benches
 // sit on.
 
@@ -81,27 +82,30 @@ void BM_KvRunEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_KvRunEncodeDecode);
 
-/// The shipping map path over one TextCorpusGenerator split:
-/// WordCountMapper::map emitting views -> MapOutputBuffer::collect ->
-/// finishSegments (sort, spill, segments shipped unmerged), as runMapTask
-/// drives it. Arguments: split bytes (16 MiB is one bulk WordCount split,
-/// over its 20000-word vocabulary) and reducer count, which sets how many
-/// partitions each spill sorts. Reports input records (lines) per second.
-void BM_WordCountMapCollect(benchmark::State& state) {
-  const Bytes split =
-      mh::data::TextCorpusGenerator(
-          {.seed = 5,
-           .vocabulary_size = 20'000,
-           .target_bytes = static_cast<uint64_t>(state.range(0))})
-          .generate();
-  std::vector<std::string_view> lines;
-  for (size_t start = 0; start < split.size();) {
-    const size_t end = split.find('\n', start);
-    lines.emplace_back(split.data() + start, end - start);
-    start = end + 1;
+/// One TextCorpusGenerator split of `bytes` over `vocabulary` words, and
+/// its lines as views into it.
+struct CorpusSplit {
+  CorpusSplit(uint64_t bytes, size_t vocabulary)
+      : text(mh::data::TextCorpusGenerator({.seed = 5,
+                                            .vocabulary_size = vocabulary,
+                                            .target_bytes = bytes})
+                 .generate()) {
+    for (size_t start = 0; start < text.size();) {
+      const size_t end = text.find('\n', start);
+      lines.emplace_back(text.data() + start, end - start);
+      start = end + 1;
+    }
   }
-  auto spec = mh::apps::makeWordCountJob(
-      {"in"}, "out", false, static_cast<uint32_t>(state.range(1)));
+  Bytes text;
+  std::vector<std::string_view> lines;
+};
+
+/// The shipping map path as runMapTask drives it: WordCountMapper::map
+/// emitting views -> MapOutputBuffer::collect -> finishSegments (sort,
+/// spill, the combiner when the job has one). Reports input records
+/// (lines) per second.
+void runWordCountMap(benchmark::State& state, mh::mr::JobSpec spec,
+                     const CorpusSplit& split) {
   spec.validateAndDefault();
   const auto partitioner = spec.partitioner();
   for (auto _ : state) {
@@ -114,15 +118,38 @@ void BM_WordCountMapCollect(benchmark::State& state) {
                          partitioner->partition(key, spec.num_reducers));
         });
     const auto mapper = spec.mapper();
-    for (const std::string_view line : lines) mapper->map({}, line, ctx);
+    for (const std::string_view line : split.lines) mapper->map({}, line, ctx);
     benchmark::DoNotOptimize(buffer.finishSegments());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(lines.size()));
+                          static_cast<int64_t>(split.lines.size()));
+}
+
+/// WordCount without a combiner over one split. Arguments: split bytes
+/// (16 MiB is one bulk WordCount split, over its 20000-word vocabulary)
+/// and reducer count, which sets how many partitions each spill sorts;
+/// the segments ship unmerged.
+void BM_WordCountMapCollect(benchmark::State& state) {
+  const CorpusSplit split(static_cast<uint64_t>(state.range(0)), 20'000);
+  runWordCountMap(state,
+                  mh::apps::makeWordCountJob(
+                      {"in"}, "out", false,
+                      static_cast<uint32_t>(state.range(1))),
+                  split);
 }
 BENCHMARK(BM_WordCountMapCollect)
     ->ArgsProduct({{1 << 20, 16 << 20}, {1, 3, 64}})
     ->Unit(benchmark::kMillisecond);
+
+/// The classroom lab's map: WordCount with its combiner over one 64 KiB
+/// split of a 5000-word vocabulary, 3 reducers. Its one spill sorts each
+/// partition and runs the combiner over the sorted index in place.
+void BM_WordCountMapCombine(benchmark::State& state) {
+  const CorpusSplit split(64 << 10, 5'000);
+  runWordCountMap(state, mh::apps::makeWordCountJob({"in"}, "out", true, 3),
+                  split);
+}
+BENCHMARK(BM_WordCountMapCombine)->Unit(benchmark::kMicrosecond);
 
 /// The long-key path of the map-side sort: 1M records whose 16-40-byte
 /// keys share a handful of 8-byte prefixes, so the radix sort leaves large

@@ -78,7 +78,8 @@ void WordCountCombiner::reduce(std::string_view key,
                                mr::TaskContext& ctx) {
   int64_t sum = 0;
   while (const auto v = values.nextTyped<int64_t>()) sum += *v;
-  ctx.emitTyped<std::string, int64_t>(std::string(key), sum);
+  // emit copies the key view before it returns: no owned copy is needed.
+  ctx.emit(key, mr::MrCodec<int64_t>::enc(sum));
 }
 
 void WordCountReducer::reduce(std::string_view key,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -34,6 +35,30 @@ inline uint64_t keyPrefix(std::string_view key) {
               << (56 - 8 * i);
   }
   return prefix;
+}
+
+/// The byte length of the frame of a `key_len`-byte key and a
+/// `value_len`-byte value.
+inline size_t kvFrameSize(size_t key_len, size_t value_len) {
+  size_t n = key_len + value_len + 2;
+  for (size_t v = key_len; v >= 0x80; v >>= 7) ++n;
+  for (size_t v = value_len; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
+/// Writes the frame of (`key`, `value`) at `p`, which has
+/// kvFrameSize(key.size(), value.size()) bytes of room — the bytes KvWriter
+/// appends — and returns the byte past it.
+inline char* writeKvFrame(char* p, std::string_view key,
+                          std::string_view value) {
+  for (const std::string_view field : {key, value}) {
+    size_t v = field.size();
+    for (; v >= 0x80; v >>= 7) *p++ = static_cast<char>((v & 0x7F) | 0x80);
+    *p++ = static_cast<char>(v);
+    if (!field.empty()) std::memcpy(p, field.data(), field.size());
+    p += field.size();
+  }
+  return p;
 }
 
 /// Appends framed records to a buffer.
@@ -111,9 +136,9 @@ std::vector<KeyValue> decodeKvRun(std::string_view run);
 /// Encodes records into one run.
 Bytes encodeKvRun(const std::vector<KeyValue>& records);
 
-/// Frames combiner emissions into `out` in stable key order. Combiners
-/// usually preserve keys, but the engine has never assumed so: emissions
-/// that come out of key order are re-sorted first. Returns records written.
+/// Frames `records` into `out` in stable key order, re-sorting them first
+/// when they are out of order: combineMerge's fallback for a combiner that
+/// emits out of key order. Returns records written.
 int64_t writeSortedRecords(std::vector<KeyValue>& records, Bytes& out);
 
 /// Presents a set of possibly codec-compressed kv runs as plain decoded

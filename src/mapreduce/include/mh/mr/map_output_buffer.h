@@ -30,10 +30,12 @@
 /// comparison sort on (length class, key bytes past the prefix, offset).
 /// The result is byte-lexicographic by key, then insertion order. The
 /// spill then copies the partition's frames, verbatim and in sorted order,
-/// into a segment presized to the arena's bytes. A partition's arena is a
-/// fraction of the batch, so the sort and the copy work closer to the
-/// core; the radix sort's scratch buffer is shared and sized to the
-/// largest partition, not the batch.
+/// into a segment presized to the arena's bytes. With a combiner nothing is
+/// copied first: the combiner reads the sorted index in place as key
+/// groups, and its output is framed straight into the segment
+/// (`combineMerge`). A partition's arena is a fraction of the batch, so
+/// the sort and the copy work closer to the core; the radix sort's scratch
+/// buffer is shared and sized to the largest partition, not the batch.
 ///
 /// The buffer has a hard budget. When the working set (arena bytes, index
 /// bytes, and a radix buffer as long as the index, summed over the
@@ -77,7 +79,7 @@
 
 namespace mh::mr {
 
-class KvRunMerger;
+class KeyGroups;
 
 class MapOutputBuffer {
  public:
@@ -170,10 +172,10 @@ class MapOutputBuffer {
   /// adds the records written to SPILLED_RECORDS.
   void mergeSegments(const std::vector<std::string_view>& segments,
                      Bytes& out);
-  /// Runs the combiner over `merger`'s key groups, framing its output into
-  /// `out`, and adds the pass to COMBINE_INPUT/OUTPUT_RECORDS with one
-  /// increment each. Returns records written.
-  int64_t combine(KvRunMerger& merger, Bytes& out);
+  /// Runs the combiner over `groups`, framing its output into `out`, and
+  /// adds the pass to COMBINE_INPUT/OUTPUT_RECORDS with one increment each.
+  /// Returns records written.
+  int64_t combine(KeyGroups& groups, Bytes& out);
   /// Re-syncs the heap charge to the current capacities; may throw
   /// OutOfMemoryError from the HeapFn (the charge is recorded first, so
   /// the destructor releases exactly what was added).

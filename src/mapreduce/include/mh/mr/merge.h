@@ -41,26 +41,45 @@
 
 namespace mh::mr {
 
+/// Key-sorted records read as key groups: what a combiner consumes.
+/// KvRunMerger is one, over merged runs; the map-side spill reads its
+/// sorted index in place as another (map_output_buffer.cpp).
+class KeyGroups {
+ public:
+  virtual ~KeyGroups() = default;
+
+  /// Advances to the next key group, discarding any unconsumed values of
+  /// the current one. False when every record has been read.
+  virtual bool nextGroup() = 0;
+
+  /// Key of the current group. Valid until the next nextGroup() call.
+  virtual std::string_view key() const = 0;
+
+  /// The current group's values, in input order.
+  virtual ValuesIterator& values() = 0;
+
+  /// Records read so far, skipped values included (equals total input
+  /// records once drained).
+  virtual int64_t recordsRead() const = 0;
+};
+
 /// Merges k sorted runs into one key-grouped stream.
 ///
 /// The run buffers must outlive the merger; every string_view it hands out
 /// (keys, values and frames) points into them. A torn frame in any run
 /// surfaces as InvalidArgumentError from the constructor (first record) or
 /// from iteration (later records), exactly as KvReader would have thrown.
-class KvRunMerger {
+class KvRunMerger final : public KeyGroups {
  public:
   /// `runs` are views over encoded kv_stream runs; empty runs are skipped.
   explicit KvRunMerger(const std::vector<std::string_view>& runs);
 
-  /// Advances to the next key group, discarding any unconsumed values of
-  /// the current one. False when every run is exhausted.
-  bool nextGroup();
+  bool nextGroup() override;
 
-  /// Key of the current group. Valid until the next nextGroup() call.
-  std::string_view key() const { return group_key_; }
+  std::string_view key() const override { return group_key_; }
 
   /// The current group's values, in run order then within-run order.
-  ValuesIterator& values() { return values_; }
+  ValuesIterator& values() override { return values_; }
 
   /// Pops the next record, in merge order, as its whole kv_stream frame;
   /// nullopt when every run is exhausted. Appending the frames rebuilds
@@ -72,7 +91,7 @@ class KvRunMerger {
   size_t segmentCount() const { return cursors_.size(); }
 
   /// Records streamed out so far (equals total input records once drained).
-  int64_t recordsRead() const { return records_read_; }
+  int64_t recordsRead() const override { return records_read_; }
 
  private:
   /// One run's read head.
@@ -121,10 +140,14 @@ class KvRunMerger {
 };
 
 /// Runs one fresh instance of `spec`'s combiner over every key group of
-/// `merger` and frames its emissions into `out` (writeSortedRecords). The
+/// `groups` and appends its emissions to `out` as one sorted kv_stream run.
+/// Each emission is framed straight into `out` as it is made. Combiners
+/// usually keep keys, but the engine has never assumed so: if an emission's
+/// key sorts before the one emitted ahead of it, the run is read back,
+/// stable-sorted by key and written again (writeSortedRecords). The
 /// combiner's TaskContext writes `counters` and reaches `heap` and `fs`.
 /// Returns records written.
-int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
+int64_t combineMerge(const JobSpec& spec, KeyGroups& groups,
                      Counters& counters, Bytes& out,
                      TaskContext::HeapFn heap = {},
                      FileSystemView* fs = nullptr);

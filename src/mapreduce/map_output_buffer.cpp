@@ -23,12 +23,6 @@ uint32_t lengthClass(size_t key_len) {
   return static_cast<uint32_t>(std::min<size_t>(key_len, kLongKeyClass));
 }
 
-size_t varintSize(size_t v) {
-  size_t n = 1;
-  for (; v >= 0x80; v >>= 7) ++n;
-  return n;
-}
-
 /// Stable LSD radix sort of `n` entries on their 8-byte `prefix`, one byte
 /// per digit, least significant first. One pass over `src` fills all eight
 /// histograms; then each digit is one stable counting scatter between `src`
@@ -54,20 +48,6 @@ Entry* radixSortPrefixes(Entry* src, Entry* dst, size_t n) {
   return src;
 }
 
-/// Writes `v` as LEB128 at `p` (what ByteWriter::writeVarU64 writes) and
-/// returns the byte past it.
-char* writeLength(char* p, size_t v) {
-  for (; v >= 0x80; v >>= 7) *p++ = static_cast<char>((v & 0x7F) | 0x80);
-  *p++ = static_cast<char>(v);
-  return p;
-}
-
-/// Copies `s` to `p` and returns the byte past it.
-char* writeBytes(char* p, std::string_view s) {
-  if (!s.empty()) std::memcpy(p, s.data(), s.size());
-  return p + s.size();
-}
-
 /// Decodes the LEB128 length at `p` and steps past it. The arena holds
 /// only frames this buffer wrote, so nothing is bounds-checked.
 uint32_t readLength(const char*& p) {
@@ -82,6 +62,12 @@ uint32_t readLength(const char*& p) {
 std::string_view keyAt(const char* frame) {
   const uint32_t key_len = readLength(frame);
   return {frame, key_len};
+}
+
+std::string_view valueAt(const char* frame) {
+  frame += readLength(frame);
+  const uint32_t value_len = readLength(frame);
+  return {frame, value_len};
 }
 
 /// The byte length of the kv_stream frame at `frame`.
@@ -113,6 +99,60 @@ void appendSorted(const char* arena, size_t arena_bytes, const Entry* entries,
     dst += size;
   }
 }
+
+/// A partition's sorted index read in place as key groups, for the
+/// combiner. A group is a run of entries with one prefix and one length
+/// class; in the 9+-byte class, whose keys can tie on the prefix, the key
+/// bytes must match too (the sort put equal keys next to each other). Keys
+/// and values are views of the arena's frames.
+template <typename Entry>
+class IndexGroups final : public KeyGroups {
+ public:
+  IndexGroups(const char* arena, const Entry* entries, size_t n)
+      : arena_(arena), entries_(entries), n_(n) {}
+
+  bool nextGroup() override {
+    next_ = end_;  // skip what the combiner left
+    if (end_ == n_) return false;
+    const Entry& first = entries_[end_];
+    key_ = keyAt(arena_ + first.offset);
+    const bool long_key = first.length_class == kLongKeyClass;
+    for (++end_; end_ < n_; ++end_) {
+      const Entry& e = entries_[end_];
+      if (e.prefix != first.prefix || e.length_class != first.length_class ||
+          (long_key && keyAt(arena_ + e.offset) != key_)) {
+        break;
+      }
+    }
+    return true;
+  }
+
+  std::string_view key() const override { return key_; }
+  ValuesIterator& values() override { return values_; }
+  int64_t recordsRead() const override { return static_cast<int64_t>(next_); }
+
+ private:
+  class Values final : public ValuesIterator {
+   public:
+    explicit Values(IndexGroups& groups) : groups_(groups) {}
+    std::optional<std::string_view> next() override {
+      IndexGroups& g = groups_;
+      if (g.next_ == g.end_) return std::nullopt;
+      return valueAt(g.arena_ + g.entries_[g.next_++].offset);
+    }
+
+   private:
+    IndexGroups& groups_;
+  };
+
+  const char* arena_;
+  const Entry* entries_;
+  size_t n_;
+  size_t next_ = 0;  ///< the current group's next unread entry
+  size_t end_ = 0;   ///< one past the current group's last entry
+  std::string_view key_;
+  Values values_{*this};
+};
 
 }  // namespace
 
@@ -177,8 +217,7 @@ void MapOutputBuffer::collect(std::string_view key, std::string_view value,
                                " out of range for " +
                                std::to_string(partitions_) + " reducers");
   }
-  const size_t frame_bytes = varintSize(key.size()) + key.size() +
-                             varintSize(value.size()) + value.size();
+  const size_t frame_bytes = kvFrameSize(key.size(), value.size());
   if (batch_records_ != 0 &&
       workingSet() + frame_bytes + 2 * sizeof(IndexEntry) > spill_threshold_) {
     spill();
@@ -193,9 +232,7 @@ void MapOutputBuffer::collect(std::string_view key, std::string_view value,
 
   const size_t offset = part.arena.size();
   part.arena.resize(offset + frame_bytes);
-  char* p = part.arena.data() + offset;
-  p = writeBytes(writeLength(p, key.size()), key);
-  writeBytes(writeLength(p, value.size()), value);
+  writeKvFrame(part.arena.data() + offset, key, value);
   part.index.push_back({keyPrefix(key), static_cast<uint32_t>(offset),
                         lengthClass(key.size())});
   batch_bytes_ += frame_bytes;
@@ -251,10 +288,10 @@ const MapOutputBuffer::IndexEntry* MapOutputBuffer::sortPartition(
   return src;
 }
 
-int64_t MapOutputBuffer::combine(KvRunMerger& merger, Bytes& out) {
+int64_t MapOutputBuffer::combine(KeyGroups& groups, Bytes& out) {
   const int64_t written =
-      combineMerge(spec_, merger, counters_, out, heap_, fs_);
-  counters_.increment(kTaskGroup, kCombineInputRecords, merger.recordsRead());
+      combineMerge(spec_, groups, counters_, out, heap_, fs_);
+  counters_.increment(kTaskGroup, kCombineInputRecords, groups.recordsRead());
   if (written > 0) {
     counters_.increment(kTaskGroup, kCombineOutputRecords, written);
   }
@@ -290,7 +327,6 @@ void MapOutputBuffer::spill() {
 
   int64_t records_out = 0;
   size_t segment_bytes = 0;
-  Bytes sorted;  // the combiner's input, reused across partitions
   for (const auto& slot : parts_) {
     if (!slot) continue;
     Partition& part = *slot;
@@ -302,12 +338,10 @@ void MapOutputBuffer::spill() {
       // The arena already holds each record as its segment frame.
       Bytes segment;
       if (spec_.combiner) {
-        // The combiner reads the frames back as a one-run merge.
-        sorted.clear();
-        appendSorted(part.arena.data(), part.arena.size(), entries,
-                     part.index.size(), sorted);
-        KvRunMerger merger({sorted});
-        records_out += combine(merger, segment);
+        // The combiner reads the sorted index in place as key groups and
+        // frames its output straight into the segment.
+        IndexGroups groups(part.arena.data(), entries, part.index.size());
+        records_out += combine(groups, segment);
       } else {
         appendSorted(part.arena.data(), part.arena.size(), entries,
                      part.index.size(), segment);

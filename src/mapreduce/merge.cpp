@@ -118,23 +118,39 @@ std::optional<std::string_view> KvRunMerger::nextFrame() {
   return frame;
 }
 
-int64_t combineMerge(const JobSpec& spec, KvRunMerger& merger,
+int64_t combineMerge(const JobSpec& spec, KeyGroups& groups,
                      Counters& counters, Bytes& out, TaskContext::HeapFn heap,
                      FileSystemView* fs) {
-  std::vector<KeyValue> combined;
+  const size_t begin = out.size();
+  int64_t written = 0;
+  bool in_order = true;
+  Bytes last_key;  // the last emission's key, while the order holds
   TaskContext ctx(
       spec.conf, counters,
       [&](std::string_view key, std::string_view value) {
-        combined.push_back({Bytes(key), Bytes(value)});
+        if (in_order) {
+          in_order = std::string_view(last_key) <= key;
+          last_key.assign(key);
+        }
+        const size_t at = out.size();
+        out.resize(at + kvFrameSize(key.size(), value.size()));
+        writeKvFrame(out.data() + at, key, value);
+        ++written;
       },
       std::move(heap), fs);
   const auto combiner = spec.combiner();
   combiner->setup(ctx);
-  while (merger.nextGroup()) {
-    combiner->reduce(merger.key(), merger.values(), ctx);
+  while (groups.nextGroup()) {
+    combiner->reduce(groups.key(), groups.values(), ctx);
   }
   combiner->cleanup(ctx);
-  return writeSortedRecords(combined, out);
+  if (!in_order) {
+    std::vector<KeyValue> records =
+        decodeKvRun(std::string_view(out).substr(begin));
+    out.resize(begin);
+    writeSortedRecords(records, out);
+  }
+  return written;
 }
 
 // ------------------------------------------------------ IncrementalMerger

@@ -47,7 +47,15 @@ TEST(MiniMrClusterTest, WordCountDistributedMatchesReference) {
 
   const auto result = cluster.runJob(wordCountSpec({"/in"}, "/out", true, 2));
   ASSERT_TRUE(result.succeeded()) << result.error;
-  EXPECT_GT(result.elapsed_millis, 0);
+  // The job's clock holds every attempt, at any speed (a warm process can
+  // run this job in under a millisecond).
+  ASSERT_FALSE(result.history.attempts.empty());
+  for (const TaskAttemptRecord& attempt : result.history.attempts) {
+    EXPECT_TRUE(attempt.finished);
+    EXPECT_LE(0, attempt.start_ms);
+    EXPECT_LE(attempt.start_ms, attempt.finish_ms);
+    EXPECT_LE(attempt.finish_ms, result.elapsed_millis);
+  }
   // Maps run where their splits live and read them over loopback.
   EXPECT_GT(cluster.network()->localBytes("read"), 0u);
 
