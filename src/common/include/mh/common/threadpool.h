@@ -9,9 +9,9 @@
 #include <vector>
 
 /// \file threadpool.h
-/// Worker pool. TaskTrackers use one fixed pool per tracker (its "task
-/// slots"); benchmarks use pools for parallel data generation; DFS clients
-/// share one pool of block-read helpers, grown to the widest read asked for.
+/// Worker pools. Each TaskTracker runs its task slots on two fixed pools
+/// (map and reduce). forEachHelped() fans the process's parallel I/O, DFS
+/// block reads and shuffle fetches, out over one shared helper pool.
 
 namespace mh {
 
@@ -42,9 +42,6 @@ class ThreadPool {
   /// Throws IllegalStateError after shutdown().
   void growTo(size_t threads);
 
-  /// Blocks until every queued and running task has finished.
-  void waitIdle();
-
   /// Stops accepting work; running tasks finish, queued tasks still run.
   void shutdown();
 
@@ -56,11 +53,24 @@ class ThreadPool {
 
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
-  std::condition_variable idle_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t active_ = 0;
   bool shutting_down_ = false;
 };
+
+/// Runs `body(i)` exactly once for every i < n, with up to `width` indices
+/// in flight, and returns when all have finished. Indices are claimed in
+/// order by the calling thread and by up to min(n, width) - 1 helpers from
+/// one process-wide pool, which grows to the widest width asked for and
+/// never shrinks, so a call creates no thread of its own. Helpers run
+/// under the caller's TraceContext. The caller waits only for indices a
+/// helper has already claimed: when the pool is busy it runs every index
+/// itself. A helper that starts after the call returned finds nothing to
+/// claim and touches only the call's shared claim state, never `body`.
+/// An exception escaping `body` terminates the process; a body records
+/// its failures per index. Returns the number of helpers asked for (0 when
+/// n <= 1 or width <= 1: the caller runs everything, nothing is queued).
+size_t forEachHelped(size_t n, size_t width,
+                     const std::function<void(size_t)>& body);
 
 }  // namespace mh

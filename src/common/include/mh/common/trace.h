@@ -25,7 +25,7 @@
 /// lifetime. RPC handlers run synchronously on the caller's thread, so a
 /// span recorded inside a handler becomes a child of the caller's active
 /// span with no explicit plumbing; crossing a real thread boundary (task
-/// pools, fetcher loops) takes one `TraceContextScope` on the new thread.
+/// pools, I/O helpers) takes one `TraceContextScope` on the new thread.
 /// The JobTracker mints one `trace_id` per job, so a whole job — maps,
 /// spills, shuffles, DFS I/O on every daemon, even injected faults — forms
 /// one tree (see `trace_analysis.h` for critical-path reports over it).

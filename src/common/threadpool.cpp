@@ -1,6 +1,12 @@
 #include "mh/common/threadpool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <latch>
+#include <memory>
+
 #include "mh/common/error.h"
+#include "mh/common/trace.h"
 
 namespace mh {
 
@@ -40,14 +46,8 @@ void ThreadPool::workerLoop() {
       if (queue_.empty()) return;  // shutting down and drained
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();  // packaged_task captures exceptions into the future
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
-    }
   }
 }
 
@@ -66,17 +66,68 @@ size_t ThreadPool::threadCount() const {
   return workers_.size();
 }
 
-void ThreadPool::waitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
   }
   work_available_.notify_all();
+}
+
+namespace {
+
+/// The I/O helpers shared by every forEachHelped() call in the process:
+/// created on the first call that asks for one, grown to the widest call
+/// since, never shrunk.
+ThreadPool& ioHelpers(size_t helpers) {
+  static ThreadPool pool(helpers);
+  pool.growTo(helpers);
+  return pool;
+}
+
+/// What one call shares with its helpers. `body` is dereferenced only
+/// after claiming an index below `n`, and the call returns only once every
+/// index has finished, so a late helper never reaches it.
+struct HelpedLoop {
+  HelpedLoop(size_t count, const std::function<void(size_t)>& fn)
+      : n(count), body(&fn), done(static_cast<std::ptrdiff_t>(count)) {}
+
+  /// Claims and runs indices until none is left. noexcept: a throwing body
+  /// is a bug and terminates rather than vanishing into a helper's future.
+  void run() noexcept {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      (*body)(i);
+      done.count_down();
+    }
+  }
+
+  const size_t n;
+  const std::function<void(size_t)>* const body;
+  std::atomic<size_t> next{0};
+  std::latch done;  ///< counts down once per finished index
+};
+
+}  // namespace
+
+size_t forEachHelped(size_t n, size_t width,
+                     const std::function<void(size_t)>& body) {
+  const size_t helpers = n > 1 && width > 1 ? std::min(n, width) - 1 : 0;
+  if (helpers == 0) {
+    HelpedLoop(n, body).run();
+    return 0;
+  }
+  const auto loop = std::make_shared<HelpedLoop>(n, body);
+  ThreadPool& pool = ioHelpers(helpers);
+  const TraceContext ctx = currentTraceContext();
+  for (size_t h = 0; h < helpers; ++h) {
+    pool.submit([loop, ctx] {
+      const TraceContextScope trace_scope(ctx);
+      loop->run();
+    });
+  }
+  loop->run();
+  loop->done.wait();
+  return helpers;
 }
 
 }  // namespace mh

@@ -1,9 +1,7 @@
 #include "mh/hdfs/dfs_client.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <latch>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -20,15 +18,6 @@ namespace {
 constexpr const char* kLog = "dfsclient";
 /// Cap on the exponential backoff between read sweeps.
 constexpr int64_t kRetryBackoffMaxMs = 200;
-
-/// Block-read helpers shared by every client in the process: created on
-/// the first parallel read, grown to the widest read asked for since, and
-/// never shrunk, so a read creates no thread of its own.
-ThreadPool& readHelpers(size_t helpers) {
-  static ThreadPool pool(helpers);
-  pool.growTo(helpers);
-  return pool;
-}
 }  // namespace
 
 DfsClient::DfsClient(Config conf, std::shared_ptr<net::Network> network,
@@ -196,62 +185,26 @@ std::vector<BufferView> DfsClient::readFileViews(const std::string& path) {
   if (status.is_dir) throw InvalidArgumentError("is a directory: " + path);
 
   // One fetch per block (each still walks its replicas best-first with
-  // checksum fallover inside readBlockRange), claimed in block order by
-  // the caller and by up to width-1 pool helpers, then assembled in order.
-  // The state is shared with the helpers because one may start after the
-  // caller has returned: it finds nothing left to claim and exits without
-  // touching the client. Distinct slots are written by distinct claims; no
+  // checksum fallover inside readBlockRange), at most width at once, then
+  // assembled in order. Distinct slots are written by distinct indices; no
   // lock needed.
-  struct Fetch {
-    explicit Fetch(std::vector<LocatedBlock> located)
-        : blocks(std::move(located)),
-          parts(blocks.size()),
-          errors(blocks.size()),
-          done(static_cast<std::ptrdiff_t>(blocks.size())) {}
-    const std::vector<LocatedBlock> blocks;
-    std::vector<BufferView> parts;
-    std::vector<std::optional<std::string>> errors;
-    std::atomic<size_t> next{0};
-    std::latch done;  ///< counts down once per finished block
-  };
-  const auto fetch =
-      std::make_shared<Fetch>(namenode_.getBlockLocations(path));
-  const size_t n = fetch->blocks.size();
-  const auto read_loop = [this, fetch] {
-    for (size_t i = fetch->next.fetch_add(1); i < fetch->blocks.size();
-         i = fetch->next.fetch_add(1)) {
-      const LocatedBlock& located = fetch->blocks[i];
-      try {
-        fetch->parts[i] = readBlockRange(located, 0, located.block.size);
-      } catch (const std::exception& e) {
-        fetch->errors[i] = e.what();
-      }
-      fetch->done.count_down();
-    }
-  };
-  const size_t width = conf_.get(keys::kClientParallelReads);
-  const size_t helpers = n > 1 ? std::min(n, width) - 1 : 0;
-  if (helpers > 0) {
-    // Helpers inherit the caller's causal context so their DFS_READ spans
-    // stay children of the enclosing task/job span.
-    ThreadPool& pool = readHelpers(helpers);
-    const TraceContext read_ctx = currentTraceContext();
-    for (size_t h = 0; h < helpers; ++h) {
-      pool.submit([read_loop, read_ctx] {
-        const TraceContextScope trace_scope(read_ctx);
-        read_loop();
-      });
-    }
-  }
-  // The caller reads too, so a pool busy with other reads never stalls
-  // this one: it waits only for blocks a helper has already claimed.
-  read_loop();
-  fetch->done.wait();
+  const std::vector<LocatedBlock> blocks = namenode_.getBlockLocations(path);
+  std::vector<BufferView> parts(blocks.size());
+  std::vector<std::optional<std::string>> errors(blocks.size());
+  forEachHelped(blocks.size(), conf_.get(keys::kClientParallelReads),
+                [&](size_t i) {
+                  const LocatedBlock& located = blocks[i];
+                  try {
+                    parts[i] = readBlockRange(located, 0, located.block.size);
+                  } catch (const std::exception& e) {
+                    errors[i] = e.what();
+                  }
+                });
   // The lowest-index failure is reported, as a serial read would.
-  for (const std::optional<std::string>& error : fetch->errors) {
+  for (const std::optional<std::string>& error : errors) {
     if (error) throw IoError(*error);
   }
-  return std::move(fetch->parts);
+  return parts;
 }
 
 Bytes DfsClient::readFile(const std::string& path) {

@@ -52,12 +52,13 @@ class DfsClient {
   /// Zero-copy whole-file read: one view per block, in file order. The
   /// views alias the serving stores' buffers; concatenation (and its copy)
   /// is the caller's choice. Up to `dfs.client.parallel.reads` blocks are
-  /// in flight: the calling thread reads blocks itself, helped by up to
-  /// width-1 threads of one process-wide pool (grown to the widest read
-  /// asked for), so a read creates no thread. The caller waits only for
-  /// blocks a helper has claimed, so a pool busy with other reads cannot
-  /// stall it. Per-block replica retry and error reporting behave as in a
-  /// serial read, and the lowest-index failure is the one thrown (IoError).
+  /// in flight through forEachHelped (threadpool.h): the calling thread
+  /// reads blocks itself, helped by up to width-1 threads of the process's
+  /// one I/O helper pool, which shuffle fetches share, so a read creates no
+  /// thread. The caller waits only for blocks a helper has claimed, so a
+  /// pool busy with other reads or fetches cannot stall it. Per-block
+  /// replica retry and error reporting behave as in a serial read, and the
+  /// lowest-index failure is the one thrown (IoError).
   std::vector<BufferView> readFileViews(const std::string& path);
 
   // ----- block-granular access (used by MapReduce record readers) ----------

@@ -68,11 +68,15 @@ struct FetchOutcome {
 /// one outcome per fetch unit: one per map, or with `by_host` (in-node
 /// combining) one per host naming all of that host's maps, in
 /// first-appearance order. Every unit is one `getMapOutput` call carrying
-/// (job, partition, maps). It never throws for a failed fetch and never
-/// decides what a failure means; the caller does. Units are visited in an
-/// order permuted by a job-seeded RNG (deterministic per seed, so chaos
-/// replays are stable) to spread concurrent reducers across serving
-/// trackers, but outcomes land in canonical location order regardless.
+/// (job, partition, maps). The fetches run through forEachHelped
+/// (threadpool.h): on the calling thread plus up to copies-1 helpers of the
+/// process's one I/O helper pool, which DFS reads share, so a fetch creates
+/// no thread and a busy pool cannot stall it. It never throws for a failed
+/// fetch and never decides what a failure means; the caller does. Units
+/// are visited in an order permuted by a job-seeded RNG (deterministic per
+/// seed, so chaos replays are stable) to spread concurrent reducers across
+/// serving trackers, but outcomes land in canonical location order
+/// regardless.
 /// Runs arrive as refcounted views — a run served by a tracker on this
 /// fabric is the map output store's own buffer, uncopied. Retries back off
 /// exponentially with seeded full jitter (sleep uniform in [0, capped

@@ -10,6 +10,7 @@
 #include "mh/common/log.h"
 #include "mh/common/rng.h"
 #include "mh/common/stopwatch.h"
+#include "mh/common/threadpool.h"
 #include "mh/hdfs/dfs_client.h"
 #include "mh/mr/kv_stream.h"
 #include "mh/mr/merge.h"
@@ -48,7 +49,7 @@ std::vector<FetchOutcome> buildFetchUnits(
 /// Root seed for a reduce attempt's fetch-side randomness (host visit order,
 /// backoff jitter). Derived by hashing stable task identity — never from
 /// global state or the clock — so a chaos run with a given seed replays the
-/// same delays and orders no matter how fetcher threads interleave.
+/// same delays and orders no matter how the fetch helpers interleave.
 uint64_t fetchSeed(const TaskAssignment& assignment, uint64_t salt) {
   uint64_t x = (static_cast<uint64_t>(assignment.job) << 40) ^
                (static_cast<uint64_t>(assignment.task_index) << 20) ^
@@ -93,8 +94,6 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
   const size_t attempts = conf.get(keys::kShuffleFetchRetries);
   const int64_t backoff_ms = conf.get(keys::kShuffleFetchBackoffMs);
   std::atomic<int64_t> retries{0};
-  // Distinct units are written by distinct fetches, so no lock is needed.
-  std::atomic<size_t> next{0};
   // Visit units in a job-seeded random order: a wave of reducers starting
   // together would otherwise all hammer the first map host before moving on
   // in lockstep. Deterministic per seed, and results land at their
@@ -105,57 +104,43 @@ std::vector<FetchOutcome> fetchShuffleRuns(net::Network& network,
   for (size_t i = n - 1; i > 0; --i) {
     std::swap(order[i], order[order_rng.uniform(i + 1)]);
   }
-  // The SHUFFLE_FETCH span is ambient on this thread; carry its context
-  // into the parallel fetcher threads so getMapOutput calls (and any
-  // faults injected into them) stay inside the reduce's trace subtree.
-  const TraceContext fetch_ctx = currentTraceContext();
-  const auto fetch_loop = [&] {
-    const TraceContextScope trace_scope(fetch_ctx);
-    for (size_t slot = next.fetch_add(1); slot < n;
-         slot = next.fetch_add(1)) {
-      const size_t i = order[slot];
-      FetchOutcome& unit = units[i];
-      for (size_t attempt = 0; attempt < attempts; ++attempt) {
-        try {
-          unit.run = network.call(
-              host, unit.host, kTaskTrackerPort, "getMapOutput",
-              pack(assignment.job, assignment.task_index, unit.maps),
-              "shuffle");
-          unit.error.reset();
-          break;
-        } catch (const std::exception& e) {
-          unit.error = e.what();
-          if (attempt + 1 == attempts) break;
-          retries.fetch_add(1, std::memory_order_relaxed);
-          // Full jitter: sleep uniform in [0, capped exponential backoff],
-          // decorrelating retry storms when many reducers lose the same
-          // host at once. Seeded per (task identity, unit, retry) so a
-          // chaos seed replays the same delays.
-          const int64_t cap =
-              std::min(kFetchBackoffMaxMs,
-                       backoff_ms << std::min<size_t>(attempt, 20));
-          Rng jitter(fetchSeed(assignment, /*salt=*/0x8acc0ffull) ^
-                     (static_cast<uint64_t>(i) << 32) ^ attempt);
-          const int64_t delay =
-              cap > 0 ? static_cast<int64_t>(
-                            jitter.uniform(static_cast<uint64_t>(cap) + 1))
-                      : 0;
-          if (delay > 0) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-          }
+  // Slot `slot` fetches unit order[slot]; distinct units are written by
+  // distinct slots, so no lock is needed. Helpers run under this thread's
+  // trace context, so getMapOutput calls (and any faults injected into
+  // them) stay inside the reduce's SHUFFLE_FETCH subtree.
+  forEachHelped(n, conf.get(keys::kReduceParallelCopies), [&](size_t slot) {
+    const size_t i = order[slot];
+    FetchOutcome& unit = units[i];
+    for (size_t attempt = 0; attempt < attempts; ++attempt) {
+      try {
+        unit.run = network.call(
+            host, unit.host, kTaskTrackerPort, "getMapOutput",
+            pack(assignment.job, assignment.task_index, unit.maps),
+            "shuffle");
+        unit.error.reset();
+        break;
+      } catch (const std::exception& e) {
+        unit.error = e.what();
+        if (attempt + 1 == attempts) break;
+        retries.fetch_add(1, std::memory_order_relaxed);
+        // Full jitter: sleep uniform in [0, capped exponential backoff],
+        // decorrelating retry storms when many reducers lose the same
+        // host at once. Seeded per (task identity, unit, retry) so a
+        // chaos seed replays the same delays.
+        const int64_t cap = std::min(
+            kFetchBackoffMaxMs, backoff_ms << std::min<size_t>(attempt, 20));
+        Rng jitter(fetchSeed(assignment, /*salt=*/0x8acc0ffull) ^
+                   (static_cast<uint64_t>(i) << 32) ^ attempt);
+        const int64_t delay =
+            cap > 0 ? static_cast<int64_t>(
+                          jitter.uniform(static_cast<uint64_t>(cap) + 1))
+                    : 0;
+        if (delay > 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(delay));
         }
       }
     }
-  };
-
-  const size_t copies = conf.get(keys::kReduceParallelCopies);
-  if (const size_t workers = std::min(n, copies); workers <= 1) {
-    fetch_loop();
-  } else {
-    std::vector<std::jthread> fetchers;
-    fetchers.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) fetchers.emplace_back(fetch_loop);
-  }
+  });
 
   int64_t total_bytes = 0;
   for (const FetchOutcome& unit : units) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -10,15 +9,19 @@
 #include "mh/hdfs/mini_cluster.h"
 #include "mh/net/fault_plan.h"
 #include "testutil/aggressive_timers.h"
+#include "testutil/process_threads.h"
 
 /// \file replica_sharing_test.cpp
 /// The write pipeline's replicas are views of the one request buffer the
-/// writer packed, and multi-block reads borrow helpers from one shared pool
-/// instead of creating threads: sharing must not let one replica's damage
-/// or deletion reach the others, and a busy pool must not stall a read.
+/// writer packed, and multi-block reads borrow helpers from the process's
+/// one I/O helper pool instead of creating threads: sharing must not let
+/// one replica's damage or deletion reach the others, and a busy pool must
+/// not stall a read.
 
 namespace mh::hdfs {
 namespace {
+
+using testutil::processThreads;
 
 constexpr size_t kBlock = 64 * 1024;
 
@@ -105,17 +108,6 @@ TEST(SharedReplicaTest, DeletingOneReplicaLeavesTheOthersReadable) {
     EXPECT_EQ(store.usedBytes(), payload.size()) << host;
   }
   EXPECT_EQ(cluster.client("node02").readFile("/one"), payload);
-}
-
-/// The "Threads:" line of /proc/self/status.
-int processThreads() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
-  }
-  ADD_FAILURE() << "no Threads: line in /proc/self/status";
-  return 0;
 }
 
 TEST(ReadHelperPoolTest, RepeatedReadsCreateNoThreads) {

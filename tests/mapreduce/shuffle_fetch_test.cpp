@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <thread>
 
 #include "mh/common/error.h"
 #include "mh/common/serde.h"
 #include "mh/common/stopwatch.h"
+#include "mh/hdfs/mini_cluster.h"
 #include "mh/mr/map_output_store.h"
 #include "mh/mr/task_tracker.h"
+#include "mh/net/fault_plan.h"
+#include "testutil/aggressive_timers.h"
 
 namespace mh::mr {
 namespace {
@@ -411,6 +416,73 @@ TEST(ShuffleFetchTest, SingleParallelCopyDegradesToSequential) {
   for (uint32_t m = 0; m < 3; ++m) {
     EXPECT_EQ(units[m].run, "run" + std::to_string(m));
   }
+}
+
+TEST(ShuffleFetchTest, BusyPoolDoesNotStallAFetch) {
+  // Fetches share the I/O helper pool with DFS reads. A read at the widest
+  // width occupies every helper the pool can hold, each parked in a 1 s
+  // delay on its block. The fetch's helpers can only queue behind them, so
+  // the reduce's own thread fetches every unit itself — and must return
+  // long before the delay frees the pool.
+  constexpr int kWidest = 64;
+  constexpr auto kDelay = std::chrono::milliseconds(1000);
+  Config dfs_conf = testutil::aggressiveTimers();
+  dfs_conf.setInt("dfs.replication", 2);
+  dfs_conf.setInt("dfs.blocksize", 1024);
+  hdfs::MiniDfsCluster dfs({.num_datanodes = 3, .conf = dfs_conf});
+  const Bytes payload(kWidest * 1024, 'x');  // 64 blocks
+  dfs.client().writeFile("/wide", payload);
+
+  auto plan = std::make_shared<net::FaultPlan>(1);
+  const size_t slow_rule = plan->addRule(
+      {.match = {.method = "readBlock", .from = "slow"},
+       .action = net::FaultAction::kDelay,
+       .delay_micros =
+           std::chrono::duration_cast<std::chrono::microseconds>(kDelay)
+               .count()});
+  dfs.network()->setFaultPlan(plan);
+
+  Config slow_conf = dfs_conf;
+  slow_conf.setInt("dfs.client.parallel.reads", kWidest);
+  hdfs::DfsClient slow(slow_conf, dfs.network(), "slow", "namenode");
+  Bytes slow_bytes;
+  std::thread slow_reader([&] { slow_bytes = slow.readFile("/wide"); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (plan->ruleFires(slow_rule) < static_cast<uint64_t>(kWidest) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  if (plan->ruleFires(slow_rule) != static_cast<uint64_t>(kWidest)) {
+    slow_reader.join();
+    FAIL() << "the slow read never had every block in flight";
+  }
+
+  net::Network network;
+  network.addHost("reducer");
+  MapOutputStore store;
+  std::vector<std::string> hosts;
+  for (uint32_t m = 0; m < 6; ++m) {
+    hosts.push_back("tt" + std::to_string(m));
+    serveMapOutputs(network, hosts.back(), store);
+    store.put(7, m, {Bytes("run-from-map" + std::to_string(m))});
+  }
+  Config conf;
+  conf.setInt("mapred.reduce.parallel.copies", 5);
+  Counters shuffle_counters;
+  const auto started = std::chrono::steady_clock::now();
+  const auto units = fetchShuffleRuns(network, "reducer",
+                                      reduceAssignment(0, hosts), conf,
+                                      shuffle_counters, /*by_host=*/false);
+  const auto took = std::chrono::steady_clock::now() - started;
+  EXPECT_LT(took, kDelay / 2) << "the fetch waited for the busy pool's helpers";
+  ASSERT_EQ(units.size(), 6u);
+  for (uint32_t m = 0; m < 6; ++m) {
+    EXPECT_FALSE(units[m].error.has_value()) << *units[m].error;
+    EXPECT_EQ(units[m].run, "run-from-map" + std::to_string(m));
+  }
+  slow_reader.join();
+  EXPECT_EQ(slow_bytes, payload);
 }
 
 TEST(ShuffleFetchTest, FetchFailureTextRoundTrips) {
